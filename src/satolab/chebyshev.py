@@ -133,21 +133,17 @@ def series_product(a: ChebyshevSeries, b: ChebyshevSeries) -> ChebyshevSeries:
     sb = b.coeffs
     deg = a.degree + b.degree
     conv = np.convolve(sa, sb)  # index i+j, frequency i+j+2
-    corr = np.convolve(sa, sb[::-1])  # index i-j+len(sb)-1
-    off = sb.size - 1
-
-    def corr_at(d: int) -> float:
-        k = d + off
-        return float(corr[k]) if 0 <= k < corr.size else 0.0
-
-    p = np.zeros(deg + 3)
-    for k in range(deg + 3):
-        first = corr_at(0) if k == 0 else corr_at(k) + corr_at(-k)
-        second = float(conv[k - 2]) if 2 <= k < conv.size + 2 else 0.0
-        p[k] = 0.5 * (first - second)
-    c = np.zeros(deg + 1)
-    for k in range(deg + 1):
-        c[k] = 2.0 * p[k] + (c[k - 2] if k >= 2 else 0.0)
+    corr = np.convolve(sa, sb[::-1])  # corr[d + b.degree] pairs i - j = d
+    # p[k] = (corr(k) + corr(-k) - conv[k-2]) / 2, with corr(0) taken once.
+    first = np.zeros(deg + 3)
+    first[: a.degree + 1] = corr[b.degree :]
+    first[1 : b.degree + 1] += corr[: b.degree][::-1]
+    first[2:] -= conv
+    p = 0.5 * first
+    # c[k] = 2 p[k] + c[k-2]: a running sum over each parity class.
+    c = np.empty(deg + 1)
+    c[0::2] = np.cumsum(2.0 * p[0 : deg + 1 : 2])
+    c[1::2] = np.cumsum(2.0 * p[1 : deg + 1 : 2])
     return ChebyshevSeries(c)
 
 

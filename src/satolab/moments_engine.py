@@ -126,16 +126,22 @@ def classify_partition(parts) -> int:
     return 3
 
 
+def _z_powers(z: ZSeries, n: int) -> list:
+    """Exact linearized Chebyshev coefficients of Z^1, ..., Z^n, each
+    power built from the previous one as Z^r = Z^(r-1) Z."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("power must be a positive integer")
+    if n * max(z.degree, 1) > _POWER_GUARD:
+        raise ValueError("r * M exceeds the exact-expansion guard")
+    powers = [ChebyshevSeries(z.series.coeffs.copy())]
+    for _ in range(int(n) - 1):
+        powers.append(series_product(powers[-1], z.series))
+    return powers
+
+
 def z_power_coeffs(z: ZSeries, r: int) -> ChebyshevSeries:
     """Exact linearized Chebyshev coefficients of Z^r."""
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError("power must be a positive integer")
-    if r * max(z.degree, 1) > _POWER_GUARD:
-        raise ValueError("r * M exceeds the exact-expansion guard")
-    result = ChebyshevSeries(z.series.coeffs.copy())
-    for _ in range(int(r) - 1):
-        result = series_product(result, z.series)
-    return result
+    return _z_powers(z, r)[-1]
 
 
 def integral_z_power_local(z: ZSeries, r: int, q: float) -> float:
@@ -156,12 +162,30 @@ def integral_z_power_local(z: ZSeries, r: int, q: float) -> float:
     return float(total)
 
 
+# Past q^k = e^690 (about 1e300) the term c_k w^k, w = 1/q, is about 1e-300
+# of c_k and no longer moves a row's value, so the Horner step for w^k
+# skips those rows.
+_LOG_UNDERFLOW = 690.0
+
+
 def _even_profile(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation of the even-coefficient polynomial."""
+    """Vectorized Horner evaluation of the even-coefficient polynomial.
+
+    w must be non-increasing (norms ascending): the Horner step for w^k
+    then updates only the prefix of rows with q^k <= e^690, and a row
+    outside it starts from zero exactly when it enters.
+    """
+    if np.any(np.diff(w) > 0.0):
+        raise ValueError("w must be non-increasing")
     even = coeffs[::2]
+    log_q = -np.log(w)
+    limits = np.full(even.size, np.inf)
+    limits[1:] = _LOG_UNDERFLOW / np.arange(1, even.size)
+    rows = np.searchsorted(log_q, limits, side="right")
     total = np.zeros_like(w)
-    for c in even[::-1]:
-        total = total * w + c
+    for k in range(even.size - 1, -1, -1):
+        head = rows[k]
+        total[:head] = total[:head] * w[:head] + even[k]
     return total
 
 
@@ -180,16 +204,20 @@ def _set_partitions(u: int) -> tuple:
     return tuple(new)
 
 
-def _distinct_tuple_sum(parts: tuple, f_rows: dict, counts: np.ndarray) -> float:
+def _distinct_tuple_sum(
+    parts: tuple, f_rows: dict, counts: np.ndarray, block_sum_cache: dict
+) -> float:
     """Sum over pairwise-distinct ideal tuples of the product of local
     integrals, by inclusion-exclusion over set partitions of positions.
 
     Collapsing a block of positions onto one ideal carries the Moebius
     factor (-1)^(|B|-1) (|B|-1)!; the per-block power sums are computed
-    with compensated summation over the distinct-norm groups.
+    with compensated summation over the distinct-norm groups.  The block
+    sums depend only on f_rows and counts, so block_sum_cache (filled in
+    place) may be shared by calls summing several partitions over the same
+    rows.
     """
     u = len(parts)
-    block_sum_cache = {}
 
     def block_sum(multiset: tuple) -> float:
         got = block_sum_cache.get(multiset)
@@ -249,14 +277,16 @@ def main_term_report(
     counts = counts.astype(np.float64)
     w = 1.0 / qs
     f_rows = {
-        r: _even_profile(z_power_coeffs(z, r).coeffs, w) for r in range(1, n + 1)
+        r: _even_profile(power.coeffs, w)
+        for r, power in enumerate(_z_powers(z, n), start=1)
     }
+    block_sums = {}
     scale = float(len(ideals)) ** (n / 2.0)
     case_totals = {1: 0.0, 2: 0.0, 3: 0.0}
     case_parts = {1: [], 2: [], 3: []}
     detail = []
     for partition in partitions_of(int(n)):
-        tuple_sum = _distinct_tuple_sum(partition.parts, f_rows, counts)
+        tuple_sum = _distinct_tuple_sum(partition.parts, f_rows, counts, block_sums)
         value = float(partition.weight) * tuple_sum / scale
         label = classify_partition(partition.parts)
         case_parts[label].append(value)

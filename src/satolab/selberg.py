@@ -1,19 +1,19 @@
 """Beurling-Selberg extremal trigonometric polynomials for interval indicators.
 
-Given J = [alpha, beta] on the circle and a degree M, the classical
-construction periodizes the entire majorant B of sgn:
+Given J = [alpha, beta] on the circle and a degree M, the majorant S+ and
+the minorant S- are trigonometric polynomials of degree at most M with
+S- <= chi_J <= S+ and the optimal L1 defect 1/(M+1) on each side.  They
+are Selberg's periodizations of Beurling's entire majorant of sgn, and
+their Fourier coefficients have a closed form (Vaaler, "Some extremal
+functions in Fourier analysis", Bull. AMS 12 (1985); Montgomery, "Ten
+Lectures on the Interface between Analytic Number Theory and Harmonic
+Analysis", ch. 1).  With delta = M + 1 and u = k/delta for 1 <= k <= M,
 
-    S+(x) = sum_nu (1/2)[B(delta (x - alpha + nu)) + B(delta (beta - x - nu))]
+    hatS+-(k) = [pi u (1-u) cot(pi u) + u] chi_J^(k)
+                +- (1-u) (e(-k alpha) + e(-k beta)) / (2 delta),
 
-with delta = M + 1 (and the mirrored combination for the minorant S-).
-The result is a trigonometric polynomial of degree at most M satisfying
-S- <= chi_J <= S+ with the optimal L1 defect 1/(M+1) on each side.
-
-Coefficients are extracted by exact trigonometric interpolation on a
-4(M+1)-point grid.  The periodization is summed directly over |nu| <= 100;
-the remaining tails are evaluated in closed form through Hurwitz zeta
-values, exploiting that delta is an integer so sin^2(pi delta (x + nu)) is
-independent of nu.
+hatS+-(0) = (beta - alpha) +- 1/delta and hatS+-(-k) = conj hatS+-(k).
+The first bracket is Vaaler's polynomial, the second Fejer's kernel.
 
 The Chebyshev re-expansion maps S+- to F+- with F(theta) = S(theta/2pi) +
 S(-theta/2pi), the interval sandwich used on [0, pi].
@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import polygamma, zeta
 
 from .chebyshev import ChebyshevSeries
-from .errors import ContractViolation
 
 __all__ = [
     "CircleInterval",
@@ -45,19 +43,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-# Direct periodization window; beyond it the tails are closed forms.
-_PERIODIZATION_WINDOW = 100
-
-# Residual thresholds for interpolated coefficients beyond degree M.
-_RESIDUAL_FAIL = 1e-6
-
-# Asymptotic expansions g(y) = 1/y + 1/y^2 - psi'(y) and h(y) = psi'(y) - 1/y
-# in powers y^{-k}; the first omitted term is O(y^{-11}), negligible past the
-# periodization window.
-_G_COEFFS = {2: 0.5, 3: -1.0 / 6.0, 5: 1.0 / 30.0, 7: -1.0 / 42.0, 9: 1.0 / 30.0}
-_H_COEFFS = {2: 0.5, 3: 1.0 / 6.0, 5: -1.0 / 30.0, 7: 1.0 / 42.0, 9: -1.0 / 30.0}
-
 
 @dataclass(frozen=True)
 class CircleInterval:
@@ -151,109 +136,27 @@ def beurling_B(x: float, tail_terms: int = 200) -> float:
     return (s / math.pi) ** 2 * bracket
 
 
-def _beurling_exact(x: np.ndarray) -> np.ndarray:
-    """B(x) through trigamma closed forms, elementwise on arrays.
-
-    Three branches keep every polygamma argument >= 1/2:
-      x >= 1/2:   B = 1 + 2 (sin pi x/pi)^2 (1/x + 1/x^2 - psi'(x))
-      x <= -1/2:  B = -1 + 2 (sin pi x/pi)^2 (psi'(-x) - 1/(-x))
-      |x| < 1/2:  B = (sin pi x/pi)^2 (2/x + 1/x^2 + psi'(1-x) - psi'(1+x))
-    with limit values at integers.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    nearest = np.rint(x)
-    on_int = np.abs(x - nearest) < 1e-12
-    s2 = (np.sin(math.pi * (x - nearest)) / math.pi) ** 2
-    pos = (x >= 0.5) & ~on_int
-    neg = (x <= -0.5) & ~on_int
-    mid = ~pos & ~neg & ~on_int
-    if np.any(pos):
-        xp = x[pos]
-        out[pos] = 1.0 + 2.0 * s2[pos] * (1.0 / xp + xp**-2.0 - polygamma(1, xp))
-    if np.any(neg):
-        y = -x[neg]
-        out[neg] = -1.0 + 2.0 * s2[neg] * (polygamma(1, y) - 1.0 / y)
-    if np.any(mid):
-        xm = x[mid]
-        out[mid] = s2[mid] * (
-            2.0 / xm + xm**-2.0 + polygamma(1, 1.0 - xm) - polygamma(1, 1.0 + xm)
-        )
-    out[on_int] = np.where(nearest[on_int] >= 0.0, 1.0, -1.0)
-    return out
-
-
-def _zeta_tail(coeffs: dict, delta: int, u: np.ndarray) -> np.ndarray:
-    # sum_{nu > window} f(delta (u + nu)) for f with the given asymptotic
-    # coefficients, via Hurwitz zeta: sum_nu (u+nu)^{-k} = zeta(k, W+1+u).
-    base = _PERIODIZATION_WINDOW + 1.0 + u
-    total = np.zeros_like(u)
-    for k, c in coeffs.items():
-        total += c * float(delta) ** (-k) * zeta(k, base)
-    return total
-
-
 def selberg_coefficients(J: CircleInterval, M: int) -> ExtremalPair:
     """Circle Fourier coefficients of the degree-M extremal pair for J.
 
-    Samples the periodized majorant/minorant on a 4(M+1)-point grid and
-    interpolates; since the true degree is at most M < half the grid size,
-    the interpolation is exact.  Coefficients beyond degree M are verified
-    to be numerically null and then zeroed.
+    Evaluates the closed form of the module docstring for all |m| <= M.
     """
     if not isinstance(M, (int, np.integer)) or M < 1:
         raise ValueError("M must be a positive integer")
     M = int(M)
     delta = M + 1
-    K = 4 * delta
-    V = _PERIODIZATION_WINDOW
-    xs = np.arange(K, dtype=np.float64) / K
-    nus = np.arange(-V, V + 1, dtype=np.float64)
-
-    # Direct window: four argument families, summed over nu.
-    xa = xs[:, None] - J.alpha + nus[None, :]
-    xb = xs[:, None] - J.beta + nus[None, :]
-    s_plus_grid = 0.5 * (
-        _beurling_exact(delta * xa).sum(axis=1)
-        + _beurling_exact(-delta * xb).sum(axis=1)
-    )
-    s_minus_grid = -0.5 * (
-        _beurling_exact(-delta * xa).sum(axis=1)
-        + _beurling_exact(delta * xb).sum(axis=1)
-    )
-
-    # Exact tails: delta integral makes sin^2(pi delta (x - alpha + nu))
-    # constant in nu, so each tail is a weighted pair of Hurwitz zetas.
-    ua = xs - J.alpha
-    ub = xs - J.beta
-    sin2_a = np.sin(math.pi * delta * ua) ** 2
-    sin2_b = np.sin(math.pi * delta * ub) ** 2
-    ga_pos = _zeta_tail(_G_COEFFS, delta, ua)
-    ga_neg = _zeta_tail(_G_COEFFS, delta, -ua)
-    ha_pos = _zeta_tail(_H_COEFFS, delta, ua)
-    ha_neg = _zeta_tail(_H_COEFFS, delta, -ua)
-    gb_pos = _zeta_tail(_G_COEFFS, delta, ub)
-    gb_neg = _zeta_tail(_G_COEFFS, delta, -ub)
-    hb_pos = _zeta_tail(_H_COEFFS, delta, ub)
-    hb_neg = _zeta_tail(_H_COEFFS, delta, -ub)
-    inv_pi2 = 1.0 / math.pi**2
-    s_plus_grid += inv_pi2 * (sin2_a * (ga_pos + ha_neg) + sin2_b * (hb_pos + gb_neg))
-    s_minus_grid -= inv_pi2 * (sin2_a * (ha_pos + ga_neg) + sin2_b * (gb_pos + hb_neg))
-
+    k = np.arange(1, delta, dtype=np.float64)
+    u = k / delta
+    ea = np.exp(-2j * math.pi * k * J.alpha)
+    eb = np.exp(-2j * math.pi * k * J.beta)
+    chi = (ea - eb) / (2j * math.pi * k)
+    vaaler = math.pi * u * (1.0 - u) / np.tan(math.pi * u) + u
+    fejer = (1.0 - u) * (ea + eb) / (2.0 * delta)
     out = {}
-    for name, grid in (("plus", s_plus_grid), ("minus", s_minus_grid)):
-        spec = np.fft.fft(grid) / K
-        tail = np.concatenate([spec[M + 1 : K - M]])
-        residual = float(np.max(np.abs(tail)))
-        if residual > _RESIDUAL_FAIL:
-            raise ContractViolation(
-                f"S_{name} coefficients beyond degree {M} reach {residual:.3e}; "
-                "periodization tail is insufficient"
-            )
-        coeffs = {}
-        for m in range(-M, M + 1):
-            coeffs[m] = complex(spec[m % K])
-        out[name] = coeffs
+    for name, sign in (("plus", 1.0), ("minus", -1.0)):
+        pos = vaaler * chi + sign * fejer
+        full = np.concatenate([pos[::-1].conj(), [J.length + sign / delta], pos])
+        out[name] = dict(zip(range(-M, M + 1), full.tolist()))
     return ExtremalPair(degree=M, s_plus=out["plus"], s_minus=out["minus"])
 
 
@@ -283,9 +186,8 @@ def to_chebyshev(I: ArcInterval, M: int) -> ExtremalPair:
 
     def reexpand(smap: dict) -> ChebyshevSeries:
         scr = np.array([(smap[m] + smap[-m]).real for m in range(M + 1)])
-        fhat = np.empty(M + 1)
-        for m in range(M + 1):
-            fhat[m] = scr[m] - (scr[m + 2] if m + 2 <= M else 0.0)
+        fhat = scr.copy()
+        fhat[:-2] -= scr[2:]
         return ChebyshevSeries(fhat)
 
     return ExtremalPair(

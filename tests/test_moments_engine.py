@@ -26,7 +26,7 @@ from satolab.moments_engine import (
     limit_law_m,
     z_power_coeffs,
 )
-from satolab.moments_engine import _distinct_tuple_sum
+from satolab.moments_engine import _distinct_tuple_sum, _even_profile
 from satolab.number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, split_prime
 from satolab.selberg import ArcInterval, selberg_coefficients, to_chebyshev, variance_sum
 
@@ -114,7 +114,7 @@ def test_distinct_tuple_sum_matches_brute_force():
         for r in f_rows
     }
     for parts in [(2,), (1, 1), (2, 1), (3, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:
-        got = _distinct_tuple_sum(parts, f_rows, counts)
+        got = _distinct_tuple_sum(parts, f_rows, counts, {})
         want = 0.0
         for tup in itertools.permutations(range(len(per_site[1])), len(parts)):
             prod = 1.0
@@ -122,6 +122,59 @@ def test_distinct_tuple_sum_matches_brute_force():
                 prod *= per_site[r][site]
             want += prod
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def _plain_horner(coeffs, w):
+    total = np.zeros_like(w)
+    for c in coeffs[::2][::-1]:
+        total = total * w + c
+    return total
+
+
+def _distinct_norm_weights(fs, x):
+    norms = np.array([ideal.norm for ideal in enumerate_prime_ideals(fs, x)], dtype=np.float64)
+    qs, counts = np.unique(norms, return_counts=True)
+    return 1.0 / qs, counts.astype(np.float64)
+
+
+def test_even_profile_prefix_horner_is_bitwise_full_horner():
+    # Skipping rows where c_k w^k has underflowed past every digit must not
+    # move a single bit of the profile.
+    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "plus")
+    w, _ = _distinct_norm_weights(Q5, 1e5)
+    for r in range(1, 9):
+        coeffs = z_power_coeffs(z, r).coeffs
+        assert np.array_equal(_even_profile(coeffs, w), _plain_horner(coeffs, w))
+
+
+def test_even_profile_rejects_unsorted_weights():
+    w, _ = _distinct_norm_weights(Q5, 2000)
+    coeffs = np.linspace(1.0, 0.0, 41)
+    assert np.array_equal(_even_profile(coeffs, w), _plain_horner(coeffs, w))
+    shuffled = np.random.default_rng(5).permutation(w)
+    with pytest.raises(ValueError):
+        _even_profile(coeffs, shuffled)
+
+
+def test_shared_block_cache_matches_fresh_cache_sums():
+    x = 20_000
+    pair = to_chebyshev(ARC, limit_law_m(Q5, x))
+    z = ZSeries.from_extremal(pair, "plus")
+    w, counts = _distinct_norm_weights(Q5, x)
+    pi_count = float(counts.sum())
+    f_rows = {r: _plain_horner(z_power_coeffs(z, r).coeffs, w) for r in range(1, 9)}
+    for n in range(1, 9):
+        rep = main_term_report(n, Q5, x, pair, sign="plus")
+        scale = pi_count ** (n / 2.0)
+        want = tuple(
+            (
+                p.parts,
+                classify_partition(p.parts),
+                float(p.weight) * _distinct_tuple_sum(p.parts, f_rows, counts, {}) / scale,
+            )
+            for p in partitions_of(n)
+        )
+        assert rep.partition_terms == want
 
 
 def test_moebius_route_reproduces_powers():
@@ -132,7 +185,7 @@ def test_moebius_route_reproduces_powers():
     f_rows = {r: v**r for r in range(1, 7)}
     for n in range(1, 7):
         acc = [
-            float(p.weight) * _distinct_tuple_sum(p.parts, f_rows, counts)
+            float(p.weight) * _distinct_tuple_sum(p.parts, f_rows, counts, {})
             for p in partitions_of(n)
         ]
         assert math.fsum(acc) == pytest.approx(float(np.sum(v)) ** n, rel=1e-11)
