@@ -51,9 +51,13 @@ def member_keys(seed: int, member_indices: np.ndarray) -> np.ndarray:
     return _derive(np.asarray(root_key(seed)), idx)
 
 
-def uniforms_at(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Uniform [0, 1) variate at a fixed counter position for each key."""
-    bits = _derive(np.asarray(keys), np.asarray(np.uint64(counter)))
+def uniforms_at(keys, counters) -> np.ndarray:
+    """Uniform [0, 1) variates at (key, counter), broadcast over both arrays.
+
+    The only place bits become doubles.  keys[None, :] against
+    counters[:, None] gives one row per counter.
+    """
+    bits = _derive(np.asarray(keys, dtype=np.uint64), np.asarray(counters))
     return (bits >> np.uint64(11)).astype(np.float64) * _U53_SCALE
 
 
@@ -66,10 +70,8 @@ def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    keys = np.asarray(keys, dtype=np.uint64)
-    idx = np.arange(count, dtype=np.uint64)
-    bits = _derive(keys[:, None], idx[None, :])
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+    keys = np.asarray(keys, dtype=np.uint64)[:, None]
+    return uniforms_at(keys, np.arange(count, dtype=np.uint64)[None, :])
 
 
 @dataclass
@@ -92,9 +94,6 @@ class CounterRng:
         """Next `size` uniforms in [0, 1); consumes exactly `size` positions."""
         if size < 0:
             raise ValueError("size must be nonnegative")
-        idx = np.arange(self.counter, self.counter + size, dtype=np.uint64)
-        out = (_derive(np.asarray(self.key), idx) >> np.uint64(11)).astype(
-            np.float64
-        ) * _U53_SCALE
+        out = uniforms_at(self.key, np.arange(self.counter, self.counter + size))
         self.counter += size
         return out

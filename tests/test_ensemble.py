@@ -12,6 +12,7 @@ from satolab.ensemble import (
     IndicatorStatistic,
     SmoothSpec,
     SmoothStatistic,
+    _angles,
     _context,
     _jackknife_se,
     _ks_to_normal,
@@ -26,7 +27,7 @@ from satolab.ensemble import (
 from satolab.errors import ConfigError
 from satolab.measures import LocalMeasure, density, quantile
 from satolab.number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, split_prime
-from satolab.rng import CounterRng, member_keys
+from satolab.rng import CounterRng, member_keys, uniforms_at
 from satolab.selberg import ArcInterval
 
 Q5 = FieldSpec.real_quadratic(5)
@@ -100,61 +101,58 @@ def test_smooth_member_matches_quantile_oracle():
 
 
 def test_member_values_independent_of_batching():
-    cfg = _indicator_config(size=64)
-    ctx = _context(cfg)
-    keys = member_keys(cfg.seed, np.arange(64, dtype=np.uint64))
-    whole = _member_values(ctx, keys)
-    pieces = np.concatenate(
-        [_member_values(ctx, keys[a:b]) for a, b in ((0, 10), (10, 37), (37, 64))]
-    )
-    assert np.array_equal(whole, pieces)
-    assert member_statistic(cfg, 41) == whole[41]
-
-
-def test_fast_inversion_agrees_with_quantile():
-    spec = SmoothSpec(kind="gaussian", lam=2.0)
-    cfg = EnsembleConfig(
+    smooth = EnsembleConfig(
         field=Q5,
         level=NO_LEVEL,
         x=400.0,
+        size=64,
+        seed=20260816,
+        statistic=SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0),
+    )
+    for cfg in (_indicator_config(size=64), smooth):
+        ctx = _context(cfg)
+        keys = member_keys(cfg.seed, np.arange(64, dtype=np.uint64))
+        whole = _member_values(ctx, keys)
+        batches = ((0, 1), (1, 10), (10, 37), (37, 64))
+        pieces = np.concatenate([_member_values(ctx, keys[a:b]) for a, b in batches])
+        assert np.array_equal(whole, pieces)
+        assert member_statistic(cfg, 41) == whole[41]
+
+
+def _worst_angle_error(x, members):
+    """Largest |_angles - measures.quantile| over `members` members at norm bound x."""
+    cfg = EnsembleConfig(
+        field=Q5,
+        level=NO_LEVEL,
+        x=x,
         size=100,
         seed=1,
-        statistic=SmoothStatistic(phi=spec, M=2.0),
+        statistic=SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=2.0), M=2.0),
     )
     ctx = _context(cfg)
-    ideals = enumerate_prime_ideals(Q5, 400.0)
-    keys = member_keys(cfg.seed, np.arange(40, dtype=np.uint64))
-    from satolab.ensemble import _invert_cols
-    from satolab.rng import uniform_matrix
-
-    real_u = uniform_matrix(keys, len(ideals))
-    up = real_u[:, ctx.perm]
-    lo = np.empty_like(up)
-    hi = np.empty_like(up)
-    r_lo = np.empty_like(up)
-    r_hi = np.empty_like(up)
-    for row, k0, k1 in ctx.p_groups:
-        tab = ctx.cdf_table[row]
-        idx = np.searchsorted(tab, up[:, k0:k1], side="left").clip(1, tab.size - 1)
-        lo[:, k0:k1] = ctx.theta_grid[idx - 1]
-        hi[:, k0:k1] = ctx.theta_grid[idx]
-        r_lo[:, k0:k1] = tab[idx - 1]
-        r_hi[:, k0:k1] = tab[idx]
-
+    ideals = enumerate_prime_ideals(Q5, x)
+    keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
+    up = uniforms_at(keys[None, :], ctx.perm[:, None])
+    theta = _angles(ctx, up)
     worst = 0.0
-    for bucket in ctx.buckets:
-        s = slice(bucket.k0, bucket.k1)
-        theta = _invert_cols(up[:, s], lo[:, s], hi[:, s], r_lo[:, s], r_hi[:, s], bucket)
-        for row, k0, k1 in ctx.p_groups:
-            if k0 < bucket.k0 or k1 > bucket.k1:
-                continue
-            q = float(1.0 / (bucket.c1[0][k0 - bucket.k0] * 2.0 * math.pi))
-            slow = quantile(LocalMeasure(q), up[:, k0:k1])
-            worst = max(
-                worst,
-                float(np.max(np.abs(theta[:, k0 - bucket.k0 : k1 - bucket.k0] - slow))),
-            )
+    for _, k0, k1 in ctx.p_groups:
+        slow = quantile(LocalMeasure(ideals[ctx.perm[k0]].norm), up[k0:k1])
+        worst = max(worst, float(np.max(np.abs(theta[k0:k1] - slow))))
+    return ctx.theta_grid.size, worst
+
+
+def test_fast_inversion_agrees_with_quantile():
+    grid, worst = _worst_angle_error(400.0, 40)
+    assert grid == 4097
     assert worst < 1e-9
+
+
+def test_coarse_grid_inversion_agrees_with_quantile():
+    # past 2048 distinct norms the bracket grid has 513 points; its extra
+    # Newton step keeps angles at rounding level (two steps leave ~1e-10)
+    grid, worst = _worst_angle_error(4e4, 4)
+    assert grid == 513
+    assert worst < 1e-12
 
 
 def test_exact_mean_and_variance_oracle():

@@ -70,6 +70,15 @@ def test_uniform_matrix_rows_match_sequential_streams():
         assert np.array_equal(mat[:, c], uniforms_at(keys, c))
 
 
+def test_uniforms_at_broadcasts_to_permuted_transpose():
+    keys = member_keys(5, np.arange(6))
+    perm = np.array([4, 0, 7, 2, 2, 9, 1])
+    want = uniform_matrix(keys, 10)[:, perm].T
+    got = uniforms_at(keys[None, :], perm[:, None])
+    assert got.shape == (7, 6)
+    assert np.array_equal(got, want)
+
+
 def test_counter_advances_without_gaps():
     rng = CounterRng.from_seed(7)
     first = rng.uniforms(5)
