@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -36,6 +35,7 @@ from .moments_engine import (
     limit_law_m,
 )
 from .number_field import (
+    _SIEVE_CAPACITY,
     FieldSpec,
     LevelSpec,
     enumerate_prime_ideals,
@@ -54,6 +54,14 @@ from .selberg import (
 _SANDWICH_SLACK = 1e-9
 
 
+def _checked(key: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError reported as a ConfigError naming key."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
 def _as_float(resolved: dict, key: str) -> float:
     try:
         return float(resolved[key])
@@ -69,6 +77,13 @@ def _as_int(resolved: dict, key: str) -> int:
         return int(val)
     except (TypeError, ValueError):
         raise ConfigError(key, f"expected an integer, got {val!r}")
+
+
+def _norm_bound(resolved: dict, low: float) -> float:
+    x = _as_float(resolved, "x")
+    if not low <= x <= _SIEVE_CAPACITY:
+        raise ConfigError("x", f"norm bound must lie in [{low:g}, {_SIEVE_CAPACITY:g}]")
+    return x
 
 
 def _as_int_list(resolved: dict, key: str) -> list:
@@ -137,15 +152,6 @@ def _write_csv(path: str, header, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _field_from_name(name: str) -> FieldSpec:
-    if name in ("rationals", "q", "Q"):
-        return FieldSpec.rationals()
-    m = re.fullmatch(r"sqrt(\d+)", str(name))
-    if m:
-        return FieldSpec.real_quadratic(int(m.group(1)))
-    raise ConfigError("field", f"unknown field '{name}' (use rationals or sqrtD)")
-
-
 def _interval_from(resolved_value, degrees: bool) -> ArcInterval:
     try:
         a, b = (float(v) for v in resolved_value)
@@ -154,10 +160,7 @@ def _interval_from(resolved_value, degrees: bool) -> ArcInterval:
     if degrees:
         a *= math.pi / 180.0
         b *= math.pi / 180.0
-    try:
-        return ArcInterval(a, b)
-    except ValueError as exc:
-        raise ConfigError("interval", str(exc))
+    return _checked("interval", ArcInterval, a, b)
 
 
 def _load_config_file(path: str) -> dict:
@@ -233,6 +236,8 @@ def _run_approx(args) -> int:
     )
     interval = _interval_from(resolved["interval"], getattr(args, "degrees", False))
     m = _as_int(resolved, "m")
+    if m < 3:
+        raise ConfigError("m", "trigonometric degree must be >= 3")
     grid = _as_int(resolved, "grid")
     if grid < 3:
         raise ConfigError("grid", "need at least 3 sandwich check points")
@@ -313,10 +318,9 @@ def _run_measures(args) -> int:
     points = _as_int(resolved, "points")
     if max_m < 0:
         raise ConfigError("max_m", "moment order cap must be nonnegative")
-    try:
-        measure = LocalMeasure(q)
-    except ValueError as exc:
-        raise ConfigError("q", str(exc))
+    if points < 1:
+        raise ConfigError("points", "need at least 1 quadrature point")
+    measure = _checked("q", LocalMeasure, q)
     rows = []
     worst = 0.0
     for m in range(max_m + 1):
@@ -351,19 +355,13 @@ def _run_primes(args) -> int:
         args,
         ("field", "x", "exclude_primes"),
     )
-    fs = _field_from_name(resolved["field"])
-    x = _as_float(resolved, "x")
+    fs = _checked("field", FieldSpec.from_name, resolved["field"])
+    x = _norm_bound(resolved, 16.0)
     excl = _as_int_list(resolved, "exclude_primes")
-    try:
-        level = LevelSpec.above_primes(fs, excl) if excl else LevelSpec.empty()
-    except ValueError as exc:
-        raise ConfigError("exclude_primes", str(exc))
-    try:
-        ideals = enumerate_prime_ideals(fs, x, level)
-        mert = mertens_sum(fs, x)
-        higher = higher_power_sum(fs, x)
-    except ValueError as exc:
-        raise ConfigError("x", str(exc))
+    level = _checked("exclude_primes", LevelSpec.above_primes, fs, excl)
+    ideals = enumerate_prime_ideals(fs, x, level)
+    mert = mertens_sum(fs, x)
+    higher = higher_power_sum(fs, x)
     config = {
         "subcommand": "primes",
         "field": resolved["field"],
@@ -437,13 +435,20 @@ def _statistic_from(resolved: dict, args) -> object:
             table = tuple((float(u), float(v)) for u, v in table)
         except (TypeError, ValueError):
             raise ConfigError("statistic.phi.table", "expected [u, value] pairs")
+
+        def number(key, default, name):
+            try:
+                return float(stat.get(key, default))
+            except (TypeError, ValueError):
+                raise ConfigError(name, f"expected a number, got {stat[key]!r}")
+
         spec = SmoothSpec(
             kind=phi_kind,
-            lam=float(stat.get("lam", 1.0)),
-            omega=float(stat.get("omega", 2.0)),
+            lam=number("lam", 1.0, "statistic.phi.lambda"),
+            omega=number("omega", 2.0, "statistic.phi.omega"),
             table=table,
         )
-        return SmoothStatistic(phi=spec, M=float(stat.get("M", 4.0)))
+        return SmoothStatistic(phi=spec, M=number("M", 4.0, "statistic.M"))
     raise ConfigError("statistic.kind", f"unknown statistic kind '{kind}'")
 
 
@@ -462,17 +467,14 @@ def _run_clt(args) -> int:
         args,
         ("field", "x", "size", "seed", "max_moment", "exclude_primes"),
     )
-    fs = _field_from_name(resolved["field"])
+    fs = _checked("field", FieldSpec.from_name, resolved["field"])
     excl = _as_int_list(resolved, "exclude_primes")
-    try:
-        level = LevelSpec.above_primes(fs, excl) if excl else LevelSpec.empty()
-    except ValueError as exc:
-        raise ConfigError("exclude_primes", str(exc))
+    level = _checked("exclude_primes", LevelSpec.above_primes, fs, excl)
     statistic = _statistic_from(resolved, args)
     config = EnsembleConfig(
         field=fs,
         level=level,
-        x=_as_float(resolved, "x"),
+        x=_norm_bound(resolved, 2.0),
         size=_as_int(resolved, "size"),
         seed=_as_int(resolved, "seed"),
         statistic=statistic,
@@ -544,8 +546,8 @@ def _run_theory(args) -> int:
         args,
         ("field", "x", "n", "interval", "m", "sign", "weights"),
     )
-    fs = _field_from_name(resolved["field"])
-    x = _as_float(resolved, "x")
+    fs = _checked("field", FieldSpec.from_name, resolved["field"])
+    x = _norm_bound(resolved, 16.0)
     n = _as_int(resolved, "n")
     sign = str(resolved["sign"])
     if sign not in ("plus", "minus"):
@@ -553,27 +555,18 @@ def _run_theory(args) -> int:
     interval = _interval_from(resolved["interval"], getattr(args, "degrees", False))
     m = _as_int(resolved, "m")
     if m == 0:
-        try:
-            m = limit_law_m(fs, x)
-        except ValueError as exc:
-            raise ConfigError("x", str(exc))
-    if m < 1:
-        raise ConfigError("m", "expansion degree must be >= 1")
+        m = limit_law_m(fs, x)
+    if m < 3:
+        raise ConfigError("m", f"expansion degree {m} is below 3; raise M or x")
     pair = to_chebyshev(interval, m)
-    try:
-        rep = main_term_report(n, fs, x, pair, sign=sign)
-    except ValueError as exc:
-        raise ConfigError("n", str(exc))
+    rep = _checked("n", main_term_report, n, fs, x, pair, sign=sign)
     sums = variance_sum(pair)
     v = sums.plus if sign == "plus" else sums.minus
     target = gaussian_moment(n) * v ** (n / 2.0)
     weights = _as_int_list(resolved, "weights")
     growth = None
     if weights:
-        try:
-            wv = WeightVector(ks=tuple(weights))
-        except ValueError as exc:
-            raise ConfigError("weights", str(exc))
+        wv = _checked("weights", WeightVector, ks=tuple(weights))
         g = growth_bookkeeping(x, wv, fs=fs, n=n)
         growth = {
             "degree": g.degree,
@@ -652,20 +645,19 @@ def _run_smooth(args) -> int:
         table=table,
     )
     big_m = _as_float(resolved, "smooth_m")
+    if not 1.0 <= big_m < math.inf:
+        raise ConfigError("smooth_m", "periodization scale must be finite and >= 1")
     points = _as_int(resolved, "points")
     if points < 2:
         raise ConfigError("points", "need at least 2 profile points")
-    try:
-        ts = np.linspace(0.0, 1.0, points)
-        profile = smooth_weight(spec, big_m, ts)
+    ts = np.linspace(0.0, 1.0, points)
+    profile = smooth_weight(spec, big_m, ts)
 
-        def f(theta):
-            return smooth_weight(spec, big_m, theta / math.pi)
+    def f(theta):
+        return smooth_weight(spec, big_m, theta / math.pi)
 
-        mean_weight = fourier_coefficient(f, 0)
-        second = fourier_coefficient(lambda th: f(th) ** 2, 0)
-    except ValueError as exc:
-        raise ConfigError("statistic.M", str(exc))
+    mean_weight = fourier_coefficient(f, 0)
+    second = fourier_coefficient(lambda th: f(th) ** 2, 0)
     variance_weight = second - mean_weight**2
     config = {
         "subcommand": "smooth",
@@ -794,9 +786,6 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,8 +25,12 @@ from scipy.special import ndtr
 from .chebyshev import eval_U, fourier_coefficient
 from .errors import ConfigError
 from .measures import (
+    _FINE_GRID,
     LocalMeasure,
+    _bracket,
+    _invert,
     _local_tail_length,
+    _series,
     cdf,
     chebyshev_moment,
     quantile,
@@ -46,12 +50,12 @@ __all__ = [
     "member_statistic",
     "run_ensemble",
     "smooth_weight",
-    "standardize",
     "trace_identity_check",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _BLOCK = 2048  # members per work item; any value gives identical output
+# Bracket grid past 2048 distinct norms: coarser, with one more Newton step.
+_COARSE_GRID = (513, 3)
 _GAUSS_TAIL_LOG = 34.6  # exp(-34.6) ~ 9e-16, keeps the dropped tail < 1e-12
 
 
@@ -240,37 +244,23 @@ def gaussian_moment(r: int) -> float:
     return float(math.factorial(r) // (2**half * math.factorial(half)))
 
 
-def standardize(value, fs: FieldSpec, x, interval: ArcInterval, level=None):
-    """Affine limit-law normalization of an indicator count.
-
-    Subtracts pi_L(x) mu(I) and divides by sqrt(pi_L(x) mu(I)(1 - mu(I)))
-    where mu is the limiting angle measure.  Vectorized in value.
-    """
-    mu = mu_infty_interval(interval)
-    if not 0.0 < mu < 1.0:
-        raise ValueError("interval mass must lie strictly between 0 and 1")
-    count = len(enumerate_prime_ideals(fs, x, level))
-    center = count * mu
-    scale = math.sqrt(count * mu * (1.0 - mu))
-    out = (np.asarray(value, dtype=np.float64) - center) / scale
-    return out if out.shape else float(out)
-
-
 @dataclass
-class _Bucket:
-    """Ideal rows (in permuted order) whose cdf series share a length.
+class _Inverter:
+    """Bracket tables and series buckets of the smooth sampler.
 
-    c1[n-1] and c2[n-1] hold the per-row factors q^{-n}/(2 pi n) and
-    q^{-n}/(2 pi (n + 1)) of the cdf series, hoisted out of the Newton loop.
-    Every per-row array is a (k, 1) column that broadcasts over members.
+    Ideals are permuted so that norm groups and groups sharing a series
+    length become contiguous row ranges of the ideal-major matrix: row j
+    holds ideal perm[j], p_groups lists (table row, k0, k1) per norm, and
+    buckets list (k0, k1, series) per series length, with the series
+    factors as (k, 1) columns that broadcast over members.
     """
 
-    k0: int
-    k1: int
-    c1: list
-    c2: list
-    qp: np.ndarray  # (sqrt q + 1/sqrt q)^2 per row
-    fac: np.ndarray  # q + 1 per row
+    perm: np.ndarray
+    p_groups: list
+    buckets: list
+    theta_grid: np.ndarray
+    cdf_table: np.ndarray
+    newton_steps: int
 
 
 @dataclass
@@ -284,56 +274,9 @@ class _Context:
     variance_model: float
     lo_u: np.ndarray = None
     hi_u: np.ndarray = None
-    perm: np.ndarray = None
-    p_groups: list = dataclass_field(default_factory=list)
-    buckets: list = dataclass_field(default_factory=list)
-    theta_grid: np.ndarray = None
-    cdf_table: np.ndarray = None
-    newton_steps: int = 0
+    inverter: _Inverter = None
     spec: SmoothSpec = None
     big_m: float = 0.0
-
-
-def _cdf_rows(theta, sin_t, cos_t, bucket: _Bucket) -> np.ndarray:
-    """Local cdf with per-row norms; same series as measures.cdf.
-
-    sin 2 theta and 2 cos 2 theta come from the caller's sin and cos of theta.
-    """
-    s1 = 2.0 * sin_t * cos_t
-    total = theta / math.pi - s1 / _TWO_PI
-    c = 2.0 * (cos_t * cos_t - sin_t * sin_t)
-    sk_prev = np.zeros_like(theta)
-    sk = s1
-    for c1, c2 in zip(bucket.c1, bucket.c2):
-        sk_next = c * sk - sk_prev
-        total += c1 * sk - c2 * sk_next
-        sk_prev, sk = sk, sk_next
-    return total
-
-
-def _invert_rows(u, lo, hi, r_lo, r_hi, bucket: _Bucket, steps: int) -> np.ndarray:
-    """Quantiles within one-cell table brackets, by `steps` Newton steps.
-
-    Starts from inverse linear interpolation of the cdf across the cell and
-    polishes with Newton steps clipped to the cell, which keeps iterates
-    bracketed even where the density degenerates near the endpoints.  On the
-    4097-point grid two steps suffice: linear interpolation leaves about
-    1e-7, and two quadratic steps reach about 1e-13 against
-    measures.quantile.  The 513-point grid starts coarser and takes three.
-    The worst case (vanishing density, negligible mass) is one cell width.
-    """
-    den = np.maximum(r_hi - r_lo, 1e-300)
-    theta = lo + (u - r_lo) / den * (hi - lo)
-    for _ in range(steps):
-        sin_t = np.sin(theta)
-        cos_t = np.cos(theta)
-        dens = (2.0 / math.pi) * sin_t * sin_t * bucket.fac / (
-            bucket.qp - 4.0 * cos_t * cos_t
-        )
-        resid = _cdf_rows(theta, sin_t, cos_t, bucket) - u
-        step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
-        theta = np.clip(theta - step, lo, hi)
-    return np.where(u == 0.0, 0.0, np.where(u == 1.0, math.pi, theta))
 
 
 def _smooth_profile(spec: SmoothSpec, big_m: float, n_max: int):
@@ -414,20 +357,32 @@ def _build_context(fs, level, x, statistic) -> _Context:
     mean_model = math.fsum(mean_parts)
     variance_model = math.fsum(var_parts)
     v_weight = max(float(coef_g[0] - coef_f[0] ** 2), 0.0)
+    # Fine bracket grid while the table fits comfortably in memory.
+    grid = _FINE_GRID if qs.size <= 2048 else _COARSE_GRID
+    return _Context(
+        kind="smooth",
+        n_ideals=count,
+        pi_L_x=count,
+        center=count * float(coef_f[0]),
+        scale=math.sqrt(count * float(v_weight)),
+        mean_model=mean_model,
+        variance_model=variance_model,
+        inverter=_inverter(qs, starts, counts, grid),
+        spec=spec,
+        big_m=big_m,
+    )
 
-    # Bracket table: fine grid while the table fits comfortably in memory,
-    # coarse grid, with one more Newton step, for very large ideal counts.
-    n_grid, newton_steps = (4097, 2) if qs.size <= 2048 else (513, 3)
+
+def _inverter(qs, starts, counts, grid) -> _Inverter:
+    """Inverter for the norms qs; ideals starts[i]..starts[i] + counts[i] - 1
+    have norm qs[i].  grid is (bracket grid points, Newton steps)."""
+    n_grid, newton_steps = grid
     theta_grid = np.linspace(0.0, math.pi, n_grid)
     cdf_table = np.empty((qs.size, n_grid))
-    for i, q in enumerate(qs):
-        cdf_table[i] = cdf(LocalMeasure(q), theta_grid)
-
-    # Ideals are permuted so that norm groups and groups sharing a series
-    # length become contiguous row ranges of the ideal-major matrix.
     by_terms = {}
-    for i, (q, j0, c, n_terms) in enumerate(zip(qs, starts, counts, terms)):
-        by_terms.setdefault(n_terms, []).append((i, int(j0), int(j0 + c)))
+    for i, (q, j0, c) in enumerate(zip(qs, starts, counts)):
+        cdf_table[i] = cdf(LocalMeasure(q), theta_grid)
+        by_terms.setdefault(_local_tail_length(q), []).append((i, int(j0), int(j0 + c)))
     perm_parts = []
     p_groups = []
     buckets = []
@@ -442,27 +397,9 @@ def _build_context(fs, level, x, statistic) -> _Context:
             qcol_parts.append(np.full(width, float(qs[row])))
             offset += width
         qcol = np.concatenate(qcol_parts)[:, None]
-        w = 1.0 / qcol
-        c1 = [w**n / (_TWO_PI * n) for n in range(1, n_terms + 1)]
-        c2 = [w**n / (_TWO_PI * (n + 1)) for n in range(1, n_terms + 1)]
-        buckets.append(_Bucket(k0, offset, c1, c2, qcol + 2.0 + 1.0 / qcol, qcol + 1.0))
-
-    return _Context(
-        kind="smooth",
-        n_ideals=count,
-        pi_L_x=count,
-        center=count * float(coef_f[0]),
-        scale=math.sqrt(count * float(v_weight)),
-        mean_model=mean_model,
-        variance_model=variance_model,
-        perm=np.concatenate(perm_parts),
-        p_groups=p_groups,
-        buckets=buckets,
-        theta_grid=theta_grid,
-        cdf_table=cdf_table,
-        newton_steps=newton_steps,
-        spec=spec,
-        big_m=big_m,
+        buckets.append((k0, offset, _series(qcol, n_terms)))
+    return _Inverter(
+        np.concatenate(perm_parts), p_groups, buckets, theta_grid, cdf_table, newton_steps
     )
 
 
@@ -475,20 +412,17 @@ def _context(config: EnsembleConfig) -> _Context:
     return _context_cached(config.field, config.level, config.x, config.statistic)
 
 
-def _angles(ctx: _Context, up: np.ndarray) -> np.ndarray:
-    """Angles for uniforms laid out ideal-major: row j is ideal ctx.perm[j]."""
-    lo, hi, r_lo, r_hi, theta = (np.empty_like(up) for _ in range(5))
-    for row, k0, k1 in ctx.p_groups:
-        tab = ctx.cdf_table[row]
-        idx = np.searchsorted(tab, up[k0:k1], side="left").clip(1, tab.size - 1)
-        lo[k0:k1] = ctx.theta_grid[idx - 1]
-        hi[k0:k1] = ctx.theta_grid[idx]
-        r_lo[k0:k1] = tab[idx - 1]
-        r_hi[k0:k1] = tab[idx]
-    for b in ctx.buckets:
-        s = slice(b.k0, b.k1)
-        brackets = (lo[s], hi[s], r_lo[s], r_hi[s])
-        theta[s] = _invert_rows(up[s], *brackets, b, ctx.newton_steps)
+def _angles(inv: _Inverter, up: np.ndarray) -> np.ndarray:
+    """Angles for uniforms laid out ideal-major: row j is ideal inv.perm[j]."""
+    idx = np.empty(up.shape, dtype=np.intp)
+    r_lo, r_hi, theta = (np.empty_like(up) for _ in range(3))
+    for row, k0, k1 in inv.p_groups:
+        idx[k0:k1], r_lo[k0:k1], r_hi[k0:k1] = _bracket(inv.cdf_table[row], up[k0:k1])
+    for k0, k1, series in inv.buckets:
+        s = slice(k0, k1)
+        theta[s] = _invert(
+            up[s], idx[s], r_lo[s], r_hi[s], inv.theta_grid, series, inv.newton_steps
+        )
     return theta
 
 
@@ -498,7 +432,8 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
         u = uniform_matrix(keys, ctx.n_ideals)
         inside = (u >= ctx.lo_u[None, :]) & (u <= ctx.hi_u[None, :])
         return inside.sum(axis=1).astype(np.float64)
-    theta = _angles(ctx, uniforms_at(keys[None, :], ctx.perm[:, None]))
+    inv = ctx.inverter
+    theta = _angles(inv, uniforms_at(keys[None, :], inv.perm[:, None]))
     phi = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi))
     return np.ascontiguousarray(phi.T).sum(axis=1)
 

@@ -9,6 +9,12 @@ whose Chebyshev moments are exactly q^{-m/2} for even m and 0 for odd m.
 The identity behind both facts is the geometric expansion of the density
 ratio in U_{2n}(cos theta) q^{-n}, which also yields a closed-form CDF used
 by the inverse-transform sampler.
+
+cdf, quantile and the ensemble sampler share one series kernel
+(_cdf_series) and one inverter (_invert: table bracket, then Newton steps).
+The inverter leaves |cdf(theta) - u| <= 1e-15 for every u in [0, 1], and
+theta within 1e-12 rad of the root for u in [1e-12, 1 - 1e-5]; nearer the
+ends a cdf rounding error of 1e-16 moves the root by more than that.
 """
 from __future__ import annotations
 
@@ -29,12 +35,18 @@ __all__ = [
     "cdf",
     "quantile",
     "sample",
-    "interval_mass",
 ]
 
 # Geometric tail: terms with q^{ -n } below this are dropped from the CDF
 # series, giving absolute truncation error under 2e-14.
 _TAIL_EPS = 1e-14
+_TWO_PI = 2.0 * math.pi
+# Bracket grid points and Newton steps of quantile (and of the sampler while
+# its table fits in memory).
+_FINE_GRID = (4097, 2)
+# Cells at each end of a bracket grid where the inverter starts from cube-root
+# interpolation: there the cdf is cubic in the distance to the endpoint.
+_TAIL_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,54 @@ def _local_tail_length(q: float) -> int:
     return int(math.floor(-math.log(_TAIL_EPS) / math.log(q)))
 
 
+@dataclass(frozen=True)
+class _Series:
+    """Hoisted factors of the cdf series at one norm or at a column of norms.
+
+    c1[n-1] = q^{-n}/(2 pi n) and c2[n-1] = q^{-n}/(2 pi (n + 1)); the density
+    ratio to the limiting measure is fac/(qp - 4 cos^2 theta) with
+    qp = q + 2 + 1/q and fac = q + 1.  The limiting measure has no terms and
+    qp = fac = None (ratio 1).
+    """
+
+    c1: tuple = ()
+    c2: tuple = ()
+    qp: object = None
+    fac: object = None
+
+
+def _series(q, n_terms: int) -> _Series:
+    """Factors for norm q (a float or a column of floats) and n_terms terms."""
+    w = 1.0 / q
+    c1 = tuple(w**n / (_TWO_PI * n) for n in range(1, n_terms + 1))
+    c2 = tuple(w**n / (_TWO_PI * (n + 1)) for n in range(1, n_terms + 1))
+    return _Series(c1, c2, q + 2.0 + 1.0 / q, q + 1.0)
+
+
+def _measure_series(measure) -> _Series:
+    if isinstance(measure, SatoTateMeasure):
+        return _Series()
+    return _series(measure.q, _local_tail_length(measure.q))
+
+
+def _cdf_series(theta, sin_t, cos_t, series: _Series):
+    """The local cdf series, given sin theta and cos theta.
+
+    sin 2 theta and 2 cos 2 theta come from the caller's sin and cos, and
+    sin 2 n theta by the three-term recurrence.
+    """
+    s1 = 2.0 * sin_t * cos_t
+    total = theta / math.pi - s1 / _TWO_PI
+    c = 2.0 * (cos_t * cos_t - sin_t * sin_t)
+    sk_prev = np.zeros_like(theta)
+    sk = s1
+    for c1, c2 in zip(series.c1, series.c2):
+        sk_next = c * sk - sk_prev
+        total += c1 * sk - c2 * sk_next
+        sk_prev, sk = sk, sk_next
+    return total
+
+
 def cdf(measure, theta):
     """Distribution function on [0, pi]; closed form, vectorized.
 
@@ -105,54 +165,72 @@ def cdf(measure, theta):
     Both endpoints are exact: cdf(0) = 0 and cdf(pi) = 1.
     """
     t = _check_theta(theta)
-    x = 2.0 * t
-    s1 = np.sin(x)
-    total = t / math.pi - s1 / (2.0 * math.pi)
-    if isinstance(measure, SatoTateMeasure):
-        return total
-    q = measure.q
-    n_max = _local_tail_length(q)
-    if n_max >= 1:
-        c = 2.0 * np.cos(x)
-        sk_prev = np.zeros_like(x)  # sin(0 * x)
-        sk = s1
-        w = 1.0
-        for n in range(1, n_max + 1):
-            w /= q
-            sk_next = c * sk - sk_prev  # sin((n+1) x)
-            total = total + (w / math.pi) * (sk / (2.0 * n) - sk_next / (2.0 * n + 2.0))
-            sk_prev, sk = sk, sk_next
-    return total
+    return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))
+
+
+def _bracket(table: np.ndarray, u):
+    """Cell index idx with table[idx - 1] < u <= table[idx], and those two values."""
+    idx = np.searchsorted(table, u, side="left").clip(1, table.size - 1)
+    return idx, table[idx - 1], table[idx]
+
+
+def _lerp(v, v0, v1, a, b):
+    return a + (v - v0) / np.maximum(v1 - v0, 1e-300) * (b - a)
+
+
+def _invert(u, idx, r_lo, r_hi, grid, series: _Series, steps: int):
+    """Quantiles of u inside the table cells [grid[idx - 1], grid[idx]].
+
+    r_lo and r_hi are the cdf at the cell ends.  The start point is inverse
+    interpolation across the cell: linear in the interior, and linear in the
+    cube roots of u and of the table values (of 1 - u and 1 - table near pi)
+    in the first and last _TAIL_CELLS cells, where the cdf is cubic in the
+    distance to the endpoint.  Each of the `steps` Newton steps is clipped
+    to the cell and skipped where the density is below 1e-12.
+    """
+    lo = grid[idx - 1]
+    hi = grid[idx]
+    theta = _lerp(u, r_lo, r_hi, lo, hi)
+    head = np.nonzero(idx <= _TAIL_CELLS)
+    theta[head] = _lerp(
+        np.cbrt(u[head]), np.cbrt(r_lo[head]), np.cbrt(r_hi[head]), lo[head], hi[head]
+    )
+    tail = np.nonzero(idx >= grid.size - _TAIL_CELLS)
+    theta[tail] = _lerp(
+        np.cbrt(1.0 - u[tail]),
+        np.cbrt(1.0 - r_hi[tail]),
+        np.cbrt(1.0 - r_lo[tail]),
+        hi[tail],
+        lo[tail],
+    )
+    for _ in range(steps):
+        sin_t = np.sin(theta)
+        cos_t = np.cos(theta)
+        dens = (2.0 / math.pi) * sin_t * sin_t
+        if series.fac is not None:
+            dens = dens * series.fac / (series.qp - 4.0 * cos_t * cos_t)
+        resid = _cdf_series(theta, sin_t, cos_t, series) - u
+        step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
+        theta = np.clip(theta - step, lo, hi)
+    return np.where(u == 0.0, 0.0, np.where(u == 1.0, math.pi, theta))
 
 
 def quantile(measure, u):
-    """Inverse of cdf by 42 bisection halvings plus two Newton polish steps.
+    """Inverse of cdf: a 4097-point table bracket, then two Newton steps.
 
-    Bisection brings the bracket below 1e-12; the Newton steps (clipped to
-    the final bracket, skipped where the density is degenerate) sharpen the
-    root without risking escape near the endpoints.
+    |cdf(quantile(u)) - u| <= 1e-15 for every u in [0, 1], and for u in
+    [1e-12, 1 - 1e-5] the angle is within 1e-12 rad of the root.
+    quantile(0) = 0 and quantile(1) = pi exactly.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise ValueError("u must lie in [0, 1]")
-    shape = u_arr.shape
     u_flat = np.atleast_1d(u_arr).ravel()
-    lo = np.zeros_like(u_flat)
-    hi = np.full_like(u_flat, math.pi)
-    for _ in range(42):
-        mid = 0.5 * (lo + hi)
-        less = cdf(measure, mid) < u_flat
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
-    theta = 0.5 * (lo + hi)
-    for _ in range(2):
-        dens = density(measure, theta)
-        resid = cdf(measure, theta) - u_flat
-        step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
-        theta = np.clip(theta - step, lo, hi)
-    theta = np.where(u_flat == 0.0, 0.0, np.where(u_flat == 1.0, math.pi, theta))
-    out = theta.reshape(shape) if shape else theta[0]
-    return out
+    n_grid, steps = _FINE_GRID
+    grid = np.linspace(0.0, math.pi, n_grid)
+    table = cdf(measure, grid)
+    theta = _invert(u_flat, *_bracket(table, u_flat), grid, _measure_series(measure), steps)
+    return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]
 
 
 def sample(measure, rng: CounterRng, size=None):
@@ -161,18 +239,3 @@ def sample(measure, rng: CounterRng, size=None):
     u = rng.uniforms(n)
     theta = quantile(measure, u)
     return float(theta[0]) if size is None else theta
-
-
-def interval_mass(measure, interval) -> float:
-    """Mass cdf(b) - cdf(a) of an angle interval [a, b] in [0, pi].
-
-    Accepts anything exposing endpoints a and b (an ArcInterval) or a plain
-    pair.
-    """
-    if hasattr(interval, "a") and hasattr(interval, "b"):
-        a, b = float(interval.a), float(interval.b)
-    else:
-        a, b = (float(v) for v in interval)
-    if b < a:
-        raise ValueError("interval endpoints must satisfy a <= b")
-    return float(cdf(measure, b) - cdf(measure, a))

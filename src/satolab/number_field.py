@@ -12,6 +12,7 @@ the second being the closed form of sum_{r >= 2} N^{-r}.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -146,12 +147,15 @@ class FieldSpec:
 
     @classmethod
     def from_name(cls, name: str) -> "FieldSpec":
-        name = name.strip().lower()
-        if name in ("q", "rationals", "rational"):
+        """'rationals' (or 'q', 'Q'), or 'sqrtD' for Q(sqrt D) with D squarefree."""
+        if not isinstance(name, str):
+            raise ValueError(f"field name must be a string, got {name!r}")
+        if name in ("rationals", "q", "Q"):
             return cls.rationals()
-        if name.startswith("sqrt"):
-            return cls.real_quadratic(int(name[4:]))
-        raise ValueError(f"unknown field name {name!r}; use 'rationals' or 'sqrtD'")
+        m = re.fullmatch(r"sqrt(\d+)", name)
+        if m:
+            return cls.real_quadratic(int(m.group(1)))
+        raise ValueError(f"unknown field '{name}' (use rationals or sqrtD)")
 
 
 @dataclass(frozen=True, order=True)

@@ -1,0 +1,34 @@
+"""Reference implementations that the tests compare the program against."""
+import math
+
+import numpy as np
+
+from satolab.measures import cdf, density
+
+
+def bisection_quantile(measure, u):
+    """Inverse of measures.cdf by 42 bisection halvings plus two Newton polish steps.
+
+    Bisection brings the bracket below 1e-12; the Newton steps (clipped to
+    the final bracket, skipped where the density is degenerate) sharpen the
+    root without risking escape near the endpoints.  About 40 cdf
+    evaluations per angle: slow, but it shares no bracket table and no
+    start-point rule with measures.quantile.
+    """
+    u_arr = np.asarray(u, dtype=np.float64)
+    u_flat = np.atleast_1d(u_arr).ravel()
+    lo = np.zeros_like(u_flat)
+    hi = np.full_like(u_flat, math.pi)
+    for _ in range(42):
+        mid = 0.5 * (lo + hi)
+        less = cdf(measure, mid) < u_flat
+        lo = np.where(less, mid, lo)
+        hi = np.where(less, hi, mid)
+    theta = 0.5 * (lo + hi)
+    for _ in range(2):
+        dens = density(measure, theta)
+        resid = cdf(measure, theta) - u_flat
+        step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
+        theta = np.clip(theta - step, lo, hi)
+    theta = np.where(u_flat == 0.0, 0.0, np.where(u_flat == 1.0, math.pi, theta))
+    return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]

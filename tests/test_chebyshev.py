@@ -17,15 +17,17 @@ from satolab.chebyshev import (
 
 
 def recurrence_oracle(n: int, x: float) -> float:
-    # Exact rational three-term recurrence seeded with the float value of x;
-    # independent of the sine-quotient path under test.
-    xf = Fraction(x)
-    pm1, p = Fraction(1), 2 * xf
+    # Exact three-term recurrence seeded with the float value of x;
+    # independent of the sine-quotient path under test.  With x = num/2^e,
+    # P_k = U_k(x) 2^{e k} is an integer: P_k = 2 num P_{k-1} - 4^e P_{k-2}.
+    num, den = float(x).as_integer_ratio()
+    e = den.bit_length() - 1
+    pm1, p = 1, 2 * num
     if n == 0:
         return 1.0
     for _ in range(n - 1):
-        pm1, p = p, 2 * xf * p - pm1
-    return float(p)
+        pm1, p = p, 2 * num * p - (pm1 << (2 * e))
+    return float(Fraction(p, 1 << (e * n)))
 
 
 def monomial_coeffs(n: int) -> np.ndarray:

@@ -8,6 +8,8 @@ byte-for-byte reproducibility contract.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -240,9 +242,23 @@ def test_config_error_exit_codes(tmp_path, capsys):
     # invalid residue norm
     assert main(["measures", "--q", "1", "--out", out]) == 2
     assert "q" in capsys.readouterr().err
-    # unknown field name
-    assert main(["primes", "--field", "cubic7", "--x", "100", "--out", out]) == 2
-    assert "field" in capsys.readouterr().err
+    # unknown field name, and a D that is not squarefree
+    for name in ("cubic7", "sqrt4"):
+        assert main(["primes", "--field", name, "--x", "100", "--out", out]) == 2
+        assert "'field'" in capsys.readouterr().err
+    # out-of-range values name their key
+    for argv, key in (
+        (["measures", "--q", "4", "--points", "0"], "points"),
+        (["measures", "--q", "4", "--points", "-2"], "points"),
+        (["approx", "--interval", *QUARTER, "--M", "2"], "m"),
+        (["theory", "--x", "16", "--interval", *QUARTER], "m"),
+        (["clt", "--field", "sqrt5", "--x", "2e8", "--size", "100", "--seed", "1",
+          "--interval", *QUARTER], "x"),
+        (["primes", "--x", "10"], "x"),
+        (["smooth", "--smooth-m", "0.5"], "smooth_m"),
+    ):
+        assert main(argv + ["--out", out]) == 2, argv
+        assert f"'{key}'" in capsys.readouterr().err, argv
     # ensemble too small for jackknife summaries
     assert (
         main(
@@ -273,6 +289,10 @@ def test_config_file_validation(tmp_path, capsys):
     notjson.write_text("{broken")
     assert main(["measures", "--config", str(notjson), "--out", out]) == 2
     capsys.readouterr()
+    not_a_name = tmp_path / "field5.json"
+    not_a_name.write_text('{"field": 5, "x": 100}')
+    assert main(["primes", "--config", str(not_a_name), "--out", out]) == 2
+    assert "'field'" in capsys.readouterr().err
 
 
 def test_contract_violation_exits_one(tmp_path, capsys, monkeypatch):
@@ -282,6 +302,27 @@ def test_contract_violation_exits_one(tmp_path, capsys, monkeypatch):
     code = main(["approx", "--interval", *QUARTER, "--M", "10", "--out", out])
     assert code == 1
     assert "contract violation" in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_one(tmp_path):
+    # a ValueError from inside a run is a numerical failure, not a config error
+    script = (
+        "import sys\n"
+        "import satolab.cli as cli\n"
+        "def boom(args):\n"
+        "    raise ValueError('internal failure')\n"
+        "cli._RUNNERS['smooth'] = boom\n"
+        "sys.exit(cli.main(['smooth']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 1
+    assert "ValueError: internal failure" in proc.stderr
+    assert "config error" not in proc.stderr
 
 
 def test_threads_env_hint(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Ensemble sampler: oracles against the audited quantile route, model-mean
+"""Ensemble sampler: oracles against the bisection quantile, model-mean
 identities, determinism contracts, and the trace-identity closed form."""
 import math
 
@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import bisection_quantile
 from satolab.chebyshev import simpson_quadrature
 from satolab.ensemble import (
+    _COARSE_GRID,
     EnsembleConfig,
     IndicatorStatistic,
     SmoothSpec,
     SmoothStatistic,
     _angles,
     _context,
+    _inverter,
     _jackknife_se,
     _ks_to_normal,
     _member_values,
@@ -21,11 +24,10 @@ from satolab.ensemble import (
     member_statistic,
     run_ensemble,
     smooth_weight,
-    standardize,
     trace_identity_check,
 )
 from satolab.errors import ConfigError
-from satolab.measures import LocalMeasure, density, quantile
+from satolab.measures import _FINE_GRID, LocalMeasure, SatoTateMeasure, cdf, density, quantile
 from satolab.number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, split_prime
 from satolab.rng import CounterRng, member_keys, uniforms_at
 from satolab.selberg import ArcInterval
@@ -47,13 +49,13 @@ def _indicator_config(x=1000.0, size=400, seed=20260816, interval=QUARTER_ARC):
 
 
 def _member_oracle(config, member_index, weight=None):
-    """Member statistic recomputed through the audited measures.quantile path."""
+    """Member statistic recomputed through the bisection quantile."""
     ideals = enumerate_prime_ideals(config.field, config.x, config.level)
     key = member_keys(config.seed, np.asarray([member_index]))[0]
     u = CounterRng(key=np.uint64(key)).uniforms(len(ideals))
     total = 0.0
     for j, ideal in enumerate(ideals):
-        theta = float(quantile(LocalMeasure(ideal.norm), u[j]))
+        theta = float(bisection_quantile(LocalMeasure(ideal.norm), u[j]))
         if weight is None:
             stat = config.statistic
             total += 1.0 if stat.interval.a <= theta <= stat.interval.b else 0.0
@@ -120,7 +122,7 @@ def test_member_values_independent_of_batching():
 
 
 def _worst_angle_error(x, members):
-    """Largest |_angles - measures.quantile| over `members` members at norm bound x."""
+    """Largest |_angles - bisection quantile| over `members` members at norm bound x."""
     cfg = EnsembleConfig(
         field=Q5,
         level=NO_LEVEL,
@@ -129,16 +131,16 @@ def _worst_angle_error(x, members):
         seed=1,
         statistic=SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=2.0), M=2.0),
     )
-    ctx = _context(cfg)
+    inv = _context(cfg).inverter
     ideals = enumerate_prime_ideals(Q5, x)
     keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
-    up = uniforms_at(keys[None, :], ctx.perm[:, None])
-    theta = _angles(ctx, up)
+    up = uniforms_at(keys[None, :], inv.perm[:, None])
+    theta = _angles(inv, up)
     worst = 0.0
-    for _, k0, k1 in ctx.p_groups:
-        slow = quantile(LocalMeasure(ideals[ctx.perm[k0]].norm), up[k0:k1])
+    for _, k0, k1 in inv.p_groups:
+        slow = bisection_quantile(LocalMeasure(ideals[inv.perm[k0]].norm), up[k0:k1])
         worst = max(worst, float(np.max(np.abs(theta[k0:k1] - slow))))
-    return ctx.theta_grid.size, worst
+    return inv.theta_grid.size, worst
 
 
 def test_fast_inversion_agrees_with_quantile():
@@ -153,6 +155,40 @@ def test_coarse_grid_inversion_agrees_with_quantile():
     grid, worst = _worst_angle_error(4e4, 4)
     assert grid == 513
     assert worst < 1e-12
+
+
+# Tail inputs: a geometric grid in [1e-12, 1e-3], its mirror down to
+# 1 - 1e-5, and the extreme points.  Angles are compared with the oracle only
+# on [1e-12, 1 - 1e-5]; nearer the ends a cdf rounding error of 1e-16 moves
+# the root by more than 1e-12.
+_GEOM = np.geomspace(1e-12, 1e-3, 37)
+TAIL_US = np.concatenate(
+    [_GEOM, 1.0 - _GEOM[_GEOM >= 1e-5], [0.0, 1e-300, 1e-17, 2.0**-53, 1.0 - 2.0**-53, 1.0]]
+)
+_ANGLE_CHECKED = (TAIL_US >= 1e-12) & (TAIL_US <= 1.0 - 1e-5)
+TAIL_QS = (2.0, 3.0, 9.0, 1e5, 1e8)
+
+
+def _tail_errors(measure, theta):
+    """(max |cdf(theta) - u|, max angle error against the oracle) on TAIL_US."""
+    resid = float(np.max(np.abs(cdf(measure, theta) - TAIL_US)))
+    want = bisection_quantile(measure, TAIL_US[_ANGLE_CHECKED])
+    return resid, float(np.max(np.abs(theta[_ANGLE_CHECKED] - want)))
+
+
+def test_inversion_exact_in_the_tails():
+    # in the first and last cells F ~ A theta^3; a linear start there ends two
+    # Newton steps up to 4e-4 rad and 1.7e-10 in F away from the root
+    for measure in [SatoTateMeasure()] + [LocalMeasure(q) for q in TAIL_QS]:
+        resid, err = _tail_errors(measure, quantile(measure, TAIL_US))
+        assert resid <= 1e-15 and err <= 1e-12, (measure, resid, err)
+    qs = np.array(TAIL_QS)
+    for grid in (_FINE_GRID, _COARSE_GRID):
+        inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
+        theta = _angles(inv, np.tile(TAIL_US, (qs.size, 1)))
+        for row, k0, _ in inv.p_groups:
+            resid, err = _tail_errors(LocalMeasure(qs[row]), theta[k0])
+            assert resid <= 1e-15 and err <= 1e-12, (grid, qs[row], resid, err)
 
 
 def test_exact_mean_and_variance_oracle():
@@ -209,21 +245,6 @@ def test_thread_count_never_changes_report():
     one = run_ensemble(cfg, threads=1)
     many = run_ensemble(cfg, threads=3)
     assert one == many
-
-
-def test_standardize_affine_examples():
-    ideals = enumerate_prime_ideals(Q5, 1000.0)
-    mu = (QUARTER_ARC.b - QUARTER_ARC.a) / math.pi - (
-        math.sin(2 * QUARTER_ARC.b) - math.sin(2 * QUARTER_ARC.a)
-    ) / (2 * math.pi)
-    center = len(ideals) * mu
-    scale = math.sqrt(len(ideals) * mu * (1 - mu))
-    assert standardize(center, Q5, 1000.0, QUARTER_ARC) == pytest.approx(0.0, abs=1e-12)
-    assert standardize(center + scale, Q5, 1000.0, QUARTER_ARC) == pytest.approx(
-        1.0, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        standardize(1.0, Q5, 1000.0, ArcInterval(0.0, math.pi))
 
 
 def test_gaussian_moment_recursion():

@@ -12,7 +12,6 @@ from satolab.measures import (
     cdf,
     chebyshev_moment,
     density,
-    interval_mass,
     moment_quadrature,
     quantile,
     sample,
@@ -100,6 +99,11 @@ def test_cdf_examples():
     assert cdf(MU, math.pi / 4) == pytest.approx(0.25 - 1 / (2 * math.pi), abs=1e-14)
     assert cdf(LocalMeasure(2), math.pi) == pytest.approx(1.0, abs=1e-12)
     assert cdf(LocalMeasure(2), 0.0) == 0.0
+    # symmetry about pi/2, and the limiting cdf within O(1/q) at large q
+    assert cdf(LocalMeasure(2), math.pi / 2) == pytest.approx(0.5, abs=1e-12)
+    big = LocalMeasure(1e6)
+    for theta in (math.pi / 4, math.pi / 2):
+        assert cdf(big, theta) == pytest.approx(cdf(MU, theta), abs=1e-5)
 
 
 def test_cdf_matches_quadrature():
@@ -176,15 +180,3 @@ def test_sample_interval_mass_within_four_se():
     hits = float(np.mean((angles >= a) & (angles <= b)))
     se = math.sqrt(p * (1 - p) / n)
     assert abs(hits - p) < 4 * se
-
-
-def test_interval_mass_examples():
-    assert interval_mass(LocalMeasure(2), (0.0, math.pi)) == pytest.approx(1.0, abs=1e-12)
-    big = interval_mass(LocalMeasure(1e6), (math.pi / 4, math.pi / 2))
-    assert big == pytest.approx(mu_infty_mass(math.pi / 4, math.pi / 2), abs=1e-5)
-    assert interval_mass(LocalMeasure(2), (0.0, math.pi / 2)) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_interval_mass_rejects_reversed():
-    with pytest.raises(ValueError):
-        interval_mass(MU, (1.0, 0.5))

@@ -76,7 +76,11 @@ def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec.of_degree(3, 7)
     assert FieldSpec.from_name("sqrt5") == Q5
-    assert FieldSpec.from_name("rationals") == QQ
+    for name in ("rationals", "q", "Q"):
+        assert FieldSpec.from_name(name) == QQ
+    for bad in ("sqrt4", "sqrt", "sqrt-5", " sqrt5", "rational", 5, None):
+        with pytest.raises(ValueError):
+            FieldSpec.from_name(bad)
 
 
 def test_split_prime_examples():
