@@ -28,6 +28,7 @@ from .measures import (
     _FINE_GRID,
     LocalMeasure,
     _bracket,
+    _guide,
     _invert,
     _local_tail_length,
     _series,
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _BLOCK = 2048  # members per work item; any value gives identical output
+_TILE = 2**15  # cells per cache-sized inverter tile; any value gives identical output
 # Bracket grid past 2048 distinct norms: coarser, with one more Newton step.
 _COARSE_GRID = (513, 3)
 _GAUSS_TAIL_LOG = 34.6  # exp(-34.6) ~ 9e-16, keeps the dropped tail < 1e-12
@@ -250,16 +252,19 @@ class _Inverter:
 
     Ideals are permuted so that norm groups and groups sharing a series
     length become contiguous row ranges of the ideal-major matrix: row j
-    holds ideal perm[j], p_groups lists (table row, k0, k1) per norm, and
-    buckets list (k0, k1, series) per series length, with the series
-    factors as (k, 1) columns that broadcast over members.
+    holds ideal perm[j], of cdf and guide rows rows[j], and buckets list
+    (k0, k1, series) per series length, with the series factors as (k, 1)
+    columns that broadcast over members.  walk is the longest walk that a
+    guide row needs, and buckets are inverted in tiles of about _TILE cells.
     """
 
     perm: np.ndarray
-    p_groups: list
+    rows: np.ndarray
     buckets: list
     theta_grid: np.ndarray
     cdf_table: np.ndarray
+    guide: np.ndarray
+    walk: int
     newton_steps: int
 
 
@@ -316,46 +321,31 @@ def _build_context(fs, level, x, statistic) -> _Context:
     if isinstance(statistic, IndicatorStatistic):
         interval = statistic.interval
         mu = mu_infty_interval(interval)
-        lo_u = np.empty(count)
-        hi_u = np.empty(count)
-        mean_parts = []
-        var_parts = []
-        for q, j0, c in zip(qs, starts, counts):
-            meas = LocalMeasure(q)
-            a_u = float(cdf(meas, interval.a))
-            b_u = float(cdf(meas, interval.b))
-            lo_u[j0 : j0 + c] = a_u
-            hi_u[j0 : j0 + c] = b_u
-            mass = b_u - a_u
-            mean_parts.append(c * mass)
-            var_parts.append(c * mass * (1.0 - mass))
-        mean_model = math.fsum(mean_parts)
-        variance_model = math.fsum(var_parts)
+        # ideals come sorted by norm, so each norm is one run of counts[i] ideals
+        a_u, b_u = (
+            np.array([float(cdf(LocalMeasure(q), t)) for q in qs])
+            for t in (interval.a, interval.b)
+        )
+        mass = b_u - a_u
         return _Context(
             kind="indicator",
             n_ideals=count,
             pi_L_x=count,
             center=count * mu,
             scale=math.sqrt(count * max(mu * (1.0 - mu), 0.0)),
-            mean_model=mean_model,
-            variance_model=variance_model,
-            lo_u=lo_u,
-            hi_u=hi_u,
+            mean_model=math.fsum(counts * mass),
+            variance_model=math.fsum(counts * mass * (1.0 - mass)),
+            lo_u=np.repeat(a_u, counts),
+            hi_u=np.repeat(b_u, counts),
         )
 
     spec = statistic.phi
     big_m = statistic.M
     terms = [_local_tail_length(q) for q in qs]
     coef_f, coef_g = _smooth_profile(spec, big_m, max(terms))
-    mean_parts = []
-    var_parts = []
-    for q, c, n_terms in zip(qs, counts, terms):
-        m_q = _local_series(coef_f, q, n_terms)
-        s_q = _local_series(coef_g, q, n_terms)
-        mean_parts.append(c * m_q)
-        var_parts.append(c * (s_q - m_q * m_q))
-    mean_model = math.fsum(mean_parts)
-    variance_model = math.fsum(var_parts)
+    m_q, s_q = (
+        np.array([_local_series(c, q, n) for q, n in zip(qs, terms)]) for c in (coef_f, coef_g)
+    )
     v_weight = max(float(coef_g[0] - coef_f[0] ** 2), 0.0)
     # Fine bracket grid while the table fits comfortably in memory.
     grid = _FINE_GRID if qs.size <= 2048 else _COARSE_GRID
@@ -365,8 +355,8 @@ def _build_context(fs, level, x, statistic) -> _Context:
         pi_L_x=count,
         center=count * float(coef_f[0]),
         scale=math.sqrt(count * float(v_weight)),
-        mean_model=mean_model,
-        variance_model=variance_model,
+        mean_model=math.fsum(counts * m_q),
+        variance_model=math.fsum(counts * (s_q - m_q * m_q)),
         inverter=_inverter(qs, starts, counts, grid),
         spec=spec,
         big_m=big_m,
@@ -379,28 +369,20 @@ def _inverter(qs, starts, counts, grid) -> _Inverter:
     n_grid, newton_steps = grid
     theta_grid = np.linspace(0.0, math.pi, n_grid)
     cdf_table = np.empty((qs.size, n_grid))
-    by_terms = {}
-    for i, (q, j0, c) in enumerate(zip(qs, starts, counts)):
+    for i, q in enumerate(qs):
         cdf_table[i] = cdf(LocalMeasure(q), theta_grid)
-        by_terms.setdefault(_local_tail_length(q), []).append((i, int(j0), int(j0 + c)))
-    perm_parts = []
-    p_groups = []
-    buckets = []
-    offset = 0
-    for n_terms in sorted(by_terms):
-        k0 = offset
-        qcol_parts = []
-        for row, j0, j1 in by_terms[n_terms]:
-            width = j1 - j0
-            perm_parts.append(np.arange(j0, j1))
-            p_groups.append((row, offset, offset + width))
-            qcol_parts.append(np.full(width, float(qs[row])))
-            offset += width
-        qcol = np.concatenate(qcol_parts)[:, None]
-        buckets.append((k0, offset, _series(qcol, n_terms)))
-    return _Inverter(
-        np.concatenate(perm_parts), p_groups, buckets, theta_grid, cdf_table, newton_steps
-    )
+    guides, walks = zip(*map(_guide, cdf_table))
+    terms = np.array([_local_tail_length(q) for q in qs])
+    order = np.argsort(terms, kind="stable")
+    rows = np.repeat(order, counts[order])
+    perm = np.concatenate([np.arange(starts[i], starts[i] + counts[i]) for i in order])
+    edges = [0, *(np.flatnonzero(np.diff(terms[rows])) + 1), rows.size]
+    buckets = [
+        (k0, k1, _series(qs[rows[k0:k1], None], int(terms[rows[k0]])))
+        for k0, k1 in zip(edges, edges[1:])
+    ]
+    guide = np.array(guides)
+    return _Inverter(perm, rows, buckets, theta_grid, cdf_table, guide, max(walks), newton_steps)
 
 
 @lru_cache(maxsize=4)
@@ -414,15 +396,14 @@ def _context(config: EnsembleConfig) -> _Context:
 
 def _angles(inv: _Inverter, up: np.ndarray) -> np.ndarray:
     """Angles for uniforms laid out ideal-major: row j is ideal inv.perm[j]."""
-    idx = np.empty(up.shape, dtype=np.intp)
-    r_lo, r_hi, theta = (np.empty_like(up) for _ in range(3))
-    for row, k0, k1 in inv.p_groups:
-        idx[k0:k1], r_lo[k0:k1], r_hi[k0:k1] = _bracket(inv.cdf_table[row], up[k0:k1])
+    theta = np.empty_like(up)
+    step = max(1, _TILE // up.shape[1])
     for k0, k1, series in inv.buckets:
-        s = slice(k0, k1)
-        theta[s] = _invert(
-            up[s], idx[s], r_lo[s], r_hi[s], inv.theta_grid, series, inv.newton_steps
-        )
+        for a in range(k0, k1, step):
+            s = slice(a, min(a + step, k1))
+            bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[s, None], up[s])
+            tile = series[a - k0 : s.stop - k0]
+            theta[s] = _invert(up[s], *bracket, inv.theta_grid, tile, inv.newton_steps)
     return theta
 
 

@@ -11,10 +11,14 @@ ratio in U_{2n}(cos theta) q^{-n}, which also yields a closed-form CDF used
 by the inverse-transform sampler.
 
 cdf, quantile and the ensemble sampler share one series kernel
-(_cdf_series) and one inverter (_invert: table bracket, then Newton steps).
-The inverter leaves |cdf(theta) - u| <= 1e-15 for every u in [0, 1], and
-theta within 1e-12 rad of the root for u in [1e-12, 1 - 1e-5]; nearer the
-ends a cdf rounding error of 1e-16 moves the root by more than that.
+(_cdf_series), one bracket and one inverter (_invert: Newton steps in the
+bracketed cell).  The bracket is a guide table in g(u) = (1 + cbrt u -
+cbrt(1 - u))/2, which flattens the cubic cdf tails: one gather, then a walk up
+the table as long as the built guide needs (2 steps on the 4097-point grid, 1
+on the 513-point one).  The inverter leaves |cdf(theta) - u| <= 1e-15 for
+every u in [0, 1], and theta within 1e-12 rad of the root for u in
+[1e-12, 1 - 1e-5]; nearer the ends a cdf rounding error of 1e-16 moves the
+root by more than that.
 """
 from __future__ import annotations
 
@@ -47,6 +51,9 @@ _FINE_GRID = (4097, 2)
 # Cells at each end of a bracket grid where the inverter starts from cube-root
 # interpolation: there the cdf is cubic in the distance to the endpoint.
 _TAIL_CELLS = 32
+# Guide cells per cdf table row, and a slack on their edges far above the
+# rounding error of _guide_map.
+_GUIDE, _GUIDE_SLACK = 4096, 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,7 @@ class LocalMeasure:
 def density(measure, theta):
     """Density of the measure with respect to dtheta, vectorized."""
     t = _check_theta(theta)
-    base = (2.0 / math.pi) * np.sin(t) ** 2
-    if isinstance(measure, SatoTateMeasure):
-        return base
-    q = measure.q
-    denom = (math.sqrt(q) + 1.0 / math.sqrt(q)) ** 2 - 4.0 * np.cos(t) ** 2
-    return base * (q + 1.0) / denom
+    return _density(np.sin(t), np.cos(t), _measure_series(measure))
 
 
 def chebyshev_moment(measure, m: int) -> float:
@@ -120,6 +122,10 @@ class _Series:
     qp: object = None
     fac: object = None
 
+    def __getitem__(self, rows):  # the factors of some rows of a column series
+        c1, c2 = (tuple(c[rows] for c in cs) for cs in (self.c1, self.c2))
+        return _Series(c1, c2, self.qp[rows], self.fac[rows])
+
 
 def _series(q, n_terms: int) -> _Series:
     """Factors for norm q (a float or a column of floats) and n_terms terms."""
@@ -133,6 +139,13 @@ def _measure_series(measure) -> _Series:
     if isinstance(measure, SatoTateMeasure):
         return _Series()
     return _series(measure.q, _local_tail_length(measure.q))
+
+
+def _density(sin_t, cos_t, series: _Series):  # given sin theta and cos theta
+    dens = (2.0 / math.pi) * sin_t * sin_t
+    if series.fac is not None:
+        dens = dens * series.fac / (series.qp - 4.0 * cos_t * cos_t)
+    return dens
 
 
 def _cdf_series(theta, sin_t, cos_t, series: _Series):
@@ -168,10 +181,37 @@ def cdf(measure, theta):
     return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))
 
 
-def _bracket(table: np.ndarray, u):
-    """Cell index idx with table[idx - 1] < u <= table[idx], and those two values."""
-    idx = np.searchsorted(table, u, side="left").clip(1, table.size - 1)
-    return idx, table[idx - 1], table[idx]
+def _guide_map(u):  # flat in the cubic tails of every cdf
+    return 0.5 * (1.0 + np.cbrt(u) - np.cbrt(1.0 - u))
+
+
+def _guide(table: np.ndarray):
+    """Guide row of a cdf table row (Chen & Asau, 1974), and its walk length.
+
+    Entry j counts the nodes with g(table) < j/_GUIDE - _GUIDE_SLACK, clipped
+    to [1, n - 1]; the cell of any u with floor(_GUIDE g(u)) = j lies from
+    there to `walk` indices above, whether or not rounding keeps g monotone.
+    """
+    mapped = _guide_map(table)
+
+    def below(shift):  # node counts below j/_GUIDE + shift, j = 0.._GUIDE + 1
+        cells = (_GUIDE * (mapped - shift)).astype(np.intp) + 1
+        return np.cumsum(np.bincount(cells, minlength=_GUIDE + 2)).clip(1, table.size - 1)
+
+    lo = below(-_GUIDE_SLACK)[:-1]
+    return lo.astype(np.int32), int(np.max(below(_GUIDE_SLACK)[1:] - lo))
+
+
+def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u):
+    """Cell index idx with table[row, idx - 1] < u <= table[row, idx], clipped
+    to [1, n - 1], and those two values; rows broadcasts against u."""
+    flat = table.ravel()
+    idx = guide.ravel()[rows * guide.shape[-1] + (_GUIDE * _guide_map(u)).astype(np.intp)]
+    base = rows * table.shape[-1]
+    for _ in range(walk):
+        idx += flat[base + idx] < u
+    at = base + idx
+    return idx, flat[at - 1], flat[at]
 
 
 def _lerp(v, v0, v1, a, b):
@@ -206,9 +246,7 @@ def _invert(u, idx, r_lo, r_hi, grid, series: _Series, steps: int):
     for _ in range(steps):
         sin_t = np.sin(theta)
         cos_t = np.cos(theta)
-        dens = (2.0 / math.pi) * sin_t * sin_t
-        if series.fac is not None:
-            dens = dens * series.fac / (series.qp - 4.0 * cos_t * cos_t)
+        dens = _density(sin_t, cos_t, series)
         resid = _cdf_series(theta, sin_t, cos_t, series) - u
         step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
         theta = np.clip(theta - step, lo, hi)
@@ -216,7 +254,7 @@ def _invert(u, idx, r_lo, r_hi, grid, series: _Series, steps: int):
 
 
 def quantile(measure, u):
-    """Inverse of cdf: a 4097-point table bracket, then two Newton steps.
+    """Inverse of cdf: a 4097-point guide-table bracket, then two Newton steps.
 
     |cdf(quantile(u)) - u| <= 1e-15 for every u in [0, 1], and for u in
     [1e-12, 1 - 1e-5] the angle is within 1e-12 rad of the root.
@@ -229,7 +267,8 @@ def quantile(measure, u):
     n_grid, steps = _FINE_GRID
     grid = np.linspace(0.0, math.pi, n_grid)
     table = cdf(measure, grid)
-    theta = _invert(u_flat, *_bracket(table, u_flat), grid, _measure_series(measure), steps)
+    bracket = _bracket(table, *_guide(table), 0, u_flat)
+    theta = _invert(u_flat, *bracket, grid, _measure_series(measure), steps)
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]
 
 

@@ -32,3 +32,10 @@ def bisection_quantile(measure, u):
         theta = np.clip(theta - step, lo, hi)
     theta = np.where(u_flat == 0.0, 0.0, np.where(u_flat == 1.0, math.pi, theta))
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]
+
+
+def searchsorted_bracket(table, u):
+    """Cell index idx with table[idx - 1] < u <= table[idx] by binary search,
+    clipped to [1, n - 1], and those two values."""
+    idx = np.searchsorted(table, u, side="left").clip(1, table.size - 1)
+    return idx, table[idx - 1], table[idx]

@@ -1,12 +1,14 @@
 """Ensemble sampler: oracles against the bisection quantile, model-mean
 identities, determinism contracts, and the trace-identity closed form."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import bisection_quantile
+from oracles import bisection_quantile, searchsorted_bracket
+from satolab import ensemble
 from satolab.chebyshev import simpson_quadrature
 from satolab.ensemble import (
     _COARSE_GRID,
@@ -27,7 +29,15 @@ from satolab.ensemble import (
     trace_identity_check,
 )
 from satolab.errors import ConfigError
-from satolab.measures import _FINE_GRID, LocalMeasure, SatoTateMeasure, cdf, density, quantile
+from satolab.measures import (
+    _FINE_GRID,
+    LocalMeasure,
+    SatoTateMeasure,
+    _bracket,
+    cdf,
+    density,
+    quantile,
+)
 from satolab.number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, split_prime
 from satolab.rng import CounterRng, member_keys, uniforms_at
 from satolab.selberg import ArcInterval
@@ -136,10 +146,12 @@ def _worst_angle_error(x, members):
     keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
     up = uniforms_at(keys[None, :], inv.perm[:, None])
     theta = _angles(inv, up)
+    norms = np.array([ideals[j].norm for j in inv.perm], dtype=np.float64)
     worst = 0.0
-    for _, k0, k1 in inv.p_groups:
-        slow = bisection_quantile(LocalMeasure(ideals[inv.perm[k0]].norm), up[k0:k1])
-        worst = max(worst, float(np.max(np.abs(theta[k0:k1] - slow))))
+    for q in np.unique(norms):
+        at = norms == q
+        slow = bisection_quantile(LocalMeasure(q), up[at])
+        worst = max(worst, float(np.max(np.abs(theta[at] - slow))))
     return inv.theta_grid.size, worst
 
 
@@ -186,9 +198,69 @@ def test_inversion_exact_in_the_tails():
     for grid in (_FINE_GRID, _COARSE_GRID):
         inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
         theta = _angles(inv, np.tile(TAIL_US, (qs.size, 1)))
-        for row, k0, _ in inv.p_groups:
-            resid, err = _tail_errors(LocalMeasure(qs[row]), theta[k0])
+        for k, row in enumerate(inv.perm):
+            resid, err = _tail_errors(LocalMeasure(qs[row]), theta[k])
             assert resid <= 1e-15 and err <= 1e-12, (grid, qs[row], resid, err)
+
+
+def test_guide_bracket_matches_binary_search():
+    # one guide gather and the computed walk land on the binary-search cell,
+    # bit for bit, at random draws, at every table node and its neighbours,
+    # and at the extreme uniforms
+    qs = np.array([2.0, 3.0, 9.0, 49.0, 1e5, 1e8])
+    rng = np.random.default_rng(6)
+    for grid, walk in ((_FINE_GRID, 2), (_COARSE_GRID, 1)):
+        inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
+        assert inv.walk <= walk
+        for row, table in enumerate(inv.cdf_table):
+            u = np.concatenate(
+                [
+                    rng.random(20_000),
+                    table,
+                    np.nextafter(table, 0.0),
+                    np.nextafter(table, 1.0),
+                    [0.0, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 1.0],
+                ]
+            )
+            got = _bracket(inv.cdf_table, inv.guide, inv.walk, row, u)
+            want = searchsorted_bracket(table, u)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (grid, qs[row])
+
+
+def _smooth_block(x, members):
+    cfg = EnsembleConfig(
+        field=Q5,
+        level=NO_LEVEL,
+        x=x,
+        size=max(members, 100),
+        seed=9,
+        statistic=SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0),
+    )
+    inv = _context(cfg).inverter
+    keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
+    return inv, uniforms_at(keys[None, :], inv.perm[:, None])
+
+
+def test_angles_do_not_depend_on_tile_size(monkeypatch):
+    inv, up = _smooth_block(400.0, 48)
+    want = _angles(inv, up)
+    for tile in (1, up.size):
+        monkeypatch.setattr(ensemble, "_TILE", tile)
+        assert np.array_equal(_angles(inv, up), want)
+
+
+def test_angles_temporaries_stay_tile_sized():
+    # one 2,048-member block at x = 1e4: the 20 MB output plus tile-sized
+    # temporaries; bracketing and inverting whole buckets peaked near 290 MB
+    inv, up = _smooth_block(1e4, 2048)
+    tracemalloc.start()
+    try:
+        _angles(inv, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak / 2**20
 
 
 def test_exact_mean_and_variance_oracle():
