@@ -4,7 +4,9 @@ Every subcommand resolves its parameters from defaults, an optional JSON
 config file, and flags (flags win), writes the resolved configuration back
 out as JSON, and emits JSON reports plus CSV tables. All floats are
 serialized with 17 significant digits so a rerun from the resolved config
-reproduces the outputs byte for byte.
+reproduces the outputs byte for byte. One table, _SCHEMA, lists each
+subcommand's keys; it builds the argument parser, drives the resolution
+and range checks, and orders the resolved-config echo.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .ensemble import (
 from .errors import ConfigError, ContractViolation
 from .measures import LocalMeasure, chebyshev_moment, moment_quadrature
 from .moments_engine import (
+    _POWER_GUARD,
     WeightVector,
     growth_bookkeeping,
     main_term_report,
@@ -40,6 +44,7 @@ from .number_field import (
     LevelSpec,
     enumerate_prime_ideals,
     higher_power_sum,
+    is_prime,
     mertens_sum,
 )
 from .selberg import (
@@ -52,45 +57,6 @@ from .selberg import (
 )
 
 _SANDWICH_SLACK = 1e-9
-
-
-def _checked(key: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a ValueError reported as a ConfigError naming key."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
-
-
-def _as_float(resolved: dict, key: str) -> float:
-    try:
-        return float(resolved[key])
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected a number, got {resolved[key]!r}")
-
-
-def _as_int(resolved: dict, key: str) -> int:
-    val = resolved[key]
-    try:
-        if isinstance(val, bool) or int(val) != float(val):
-            raise ValueError
-        return int(val)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected an integer, got {val!r}")
-
-
-def _norm_bound(resolved: dict, low: float) -> float:
-    x = _as_float(resolved, "x")
-    if not low <= x <= _SIEVE_CAPACITY:
-        raise ConfigError("x", f"norm bound must lie in [{low:g}, {_SIEVE_CAPACITY:g}]")
-    return x
-
-
-def _as_int_list(resolved: dict, key: str) -> list:
-    try:
-        return [int(v) for v in resolved[key]]
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected a list of integers, got {resolved[key]!r}")
 
 
 def _fmt_float(v: float) -> str:
@@ -152,15 +118,161 @@ def _write_csv(path: str, header, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _interval_from(resolved_value, degrees: bool) -> ArcInterval:
-    try:
-        a, b = (float(v) for v in resolved_value)
-    except (TypeError, ValueError):
-        raise ConfigError("interval", "expected two endpoints")
-    if degrees:
-        a *= math.pi / 180.0
-        b *= math.pi / 180.0
-    return _checked("interval", ArcInterval, a, b)
+# ----------------------------------------------------------------- schema
+
+_REQUIRED = object()
+
+
+class _Type(NamedTuple):
+    """How one kind of config value is read: coerce raises TypeError,
+    ValueError or OverflowError on a malformed value, what names the form
+    it expects, and flag holds the argparse settings of its flags."""
+
+    coerce: object
+    what: str
+    flag: dict = {}
+
+
+def _integer(v) -> int:
+    if isinstance(v, bool) or not math.isfinite(float(v)) or int(v) != float(v):
+        raise ValueError(v)
+    return int(v)
+
+
+def _arc(v) -> list:
+    a, b = map(float, v)
+    return [a, b]
+
+
+def _field_name(v) -> str:
+    FieldSpec.from_name(v)
+    return v
+
+
+_TEXT = _Type(str, "a string")
+_FIELD_NAME = _Type(_field_name, "rationals, q, Q or sqrtD with D > 1 squarefree")
+_NUMBER = _Type(float, "a number", {"type": float})
+_INTEGER = _Type(_integer, "an integer", {"type": int})
+_INTEGERS = _Type(
+    lambda v: [_integer(u) for u in v], "a list of integers", {"nargs": "*", "type": int}
+)
+_ARC = _Type(_arc, "two endpoints", {"nargs": 2, "type": float, "metavar": ("A", "B")})
+_PAIRS = _Type(lambda v: tuple((float(u), float(w)) for u, w in v), "[u, value] pairs")
+
+
+class _Key(NamedTuple):
+    """One config key: check is the range predicate on the coerced value
+    and msg its complaint; flag is None for a file-only key, and rows makes
+    the key an object of sub-keys (clt's statistic)."""
+
+    name: str
+    type: _Type = None
+    default: object = _REQUIRED
+    check: object = None
+    msg: str = ""
+    flag: str = None
+    help: str = None
+    choices: tuple = None
+    rows: tuple = ()
+
+
+def _positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+def _x_key(low: float) -> _Key:
+    return _Key(
+        "x", _NUMBER, _REQUIRED, lambda x: low <= x <= _SIEVE_CAPACITY,
+        f"norm bound must lie in [{low:g}, {_SIEVE_CAPACITY:g}]", "--x",
+    )
+
+
+_FIELD = _Key("field", _FIELD_NAME, "rationals", flag="--field", help="rationals or sqrtD")
+_EXCLUDE = _Key(
+    "exclude_primes", _INTEGERS, [], lambda ps: all(map(is_prime, ps)) and len(set(ps)) == len(ps),
+    "entries must be distinct rational primes", "--exclude-primes",
+)
+_INTERVAL = _Key(
+    "interval", _ARC, _REQUIRED, lambda ab: 0.0 <= ab[0] < ab[1] <= math.pi,
+    "need 0 <= a < b <= pi", "--interval",
+)
+_PHI = _Key("phi", _TEXT, "gaussian", flag="--phi", choices=("gaussian", "custom"))
+_LAM = _Key("lam", _NUMBER, 1.0, _positive, "decay rate must be positive", "--lam")
+_OMEGA = _Key("omega", _NUMBER, 2.0, _positive, "decay exponent must be positive", "--omega")
+_TABLE = _Key("table", _PAIRS, ())
+_SCALE = _Key(
+    "M", _NUMBER, 4.0, lambda v: 1.0 <= v < math.inf, "periodization scale must be finite and >= 1",
+    "--smooth-m",
+)
+
+# subcommand: (help, keys in echo order)
+_SCHEMA = {
+    "approx": ("extremal majorant/minorant diagnostics", (
+        _INTERVAL,
+        _Key("m", _INTEGER, 20, lambda m: m >= 3, "trigonometric degree must be >= 3", "--M"),
+        _Key("grid", _INTEGER, 4097, lambda g: g >= 3, "need at least 3 sandwich check points",
+             "--grid", "sandwich check points"),
+    )),
+    "measures": ("local Chebyshev moment table", (
+        _Key("q", _NUMBER, _REQUIRED, lambda q: 2.0 <= q < math.inf,
+             "local measure norm q must be finite and >= 2", "--q"),
+        _Key("max_m", _INTEGER, 6, lambda m: m >= 0, "moment order cap must be nonnegative",
+             "--max-m"),
+        _Key("points", _INTEGER, 4096, lambda p: p >= 1, "need at least 1 quadrature point",
+             "--points", "quadrature points"),
+    )),
+    "primes": ("prime ideal enumeration and sums", (_FIELD, _x_key(16.0), _EXCLUDE)),
+    "clt": ("Monte Carlo ensemble run", (
+        _FIELD._replace(default=_REQUIRED),
+        _x_key(2.0),
+        _Key("size", _INTEGER, flag="--size"),
+        _Key("seed", _INTEGER, flag="--seed"),
+        _Key("max_moment", _INTEGER, 6, flag="--max-moment"),
+        _EXCLUDE,
+        _Key("statistic", default={}, rows=(
+            _Key("kind", _TEXT, "indicator", flag="--statistic", choices=("indicator", "smooth")),
+            _INTERVAL._replace(default=None),
+            _PHI, _SCALE, _LAM, _OMEGA, _TABLE,
+        )),
+    )),
+    "theory": ("deterministic moment main terms", (
+        _FIELD,
+        _x_key(16.0),
+        _Key("n", _INTEGER, 2, lambda n: 1 <= n <= 8, "moment order must lie in 1..8", "--n"),
+        _INTERVAL,
+        _Key("m", _INTEGER, 0, lambda m: m == 0 or m >= 3, "expansion degree must be 0 or >= 3",
+             "--M", "0 picks the limit-law degree"),
+        _Key("sign", _TEXT, "plus", flag="--sign", choices=("plus", "minus")),
+        _Key("weights", _INTEGERS, [], lambda ks: all(k >= 4 and k % 2 == 0 for k in ks),
+             "weights must be even integers >= 4", "--weights"),
+    )),
+    "smooth": ("periodized weight profile and moments", (
+        _PHI, _LAM, _OMEGA, _TABLE, _SCALE._replace(name="smooth_m"),
+        _Key("points", _INTEGER, 513, lambda p: p >= 2, "need at least 2 profile points",
+             "--points"),
+    )),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="satolab",
+        description="Numerical laboratory for angle statistics over number fields.",
+    )
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    for sub, (about, rows) in _SCHEMA.items():
+        p = subparsers.add_parser(sub, help=about)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out", help="output directory (default: current)")
+        for key in (k for row in rows for k in row.rows or (row,)):
+            if key.flag:
+                p.add_argument(key.flag, dest=key.name, help=key.help, choices=key.choices,
+                               **key.type.flag)
+            if key.type is _ARC:
+                p.add_argument("--degrees", action="store_true", help="interval in degrees")
+        if sub == "clt":
+            p.add_argument("--threads", type=int)
+    return parser
 
 
 def _load_config_file(path: str) -> dict:
@@ -176,33 +288,66 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve(sub: str, defaults: dict, args, flag_names) -> dict:
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key == "subcommand":
-                if val != sub:
-                    raise ConfigError(
-                        "subcommand", f"config file is for '{val}', not '{sub}'"
-                    )
-                continue
-            if key not in defaults:
-                raise ConfigError(key, "unknown config key")
-            resolved[key] = val
-    for name in flag_names:
-        val = getattr(args, name, None)
-        if val is not None:
-            resolved[name] = val
-    for key, val in resolved.items():
-        if val is None:
-            raise ConfigError(key, "required value missing")
+def _resolve(sub: str, args) -> dict:
+    """The resolved config of a run, which is also its echo: schema
+    defaults, then the config file, then flags, each value coerced and
+    range-checked."""
+    given = _load_config_file(args.config) if args.config else {}
+    named = given.pop("subcommand", sub)
+    if named != sub:
+        raise ConfigError("subcommand", f"config file is for '{named}', not '{sub}'")
+    return {"subcommand": sub, **_resolve_rows(_SCHEMA[sub][1], given, args, "")}
+
+
+def _resolve_rows(rows, given: dict, args, prefix: str) -> dict:
+    names = {key.name for key in rows}
+    for name in given:
+        if name not in names:
+            raise ConfigError(prefix + name, "unknown config key")
+    resolved = {}
+    for key in rows:
+        name = prefix + key.name
+        val = given.get(key.name, key.default)
+        if key.rows:
+            if not isinstance(val, dict):
+                raise ConfigError(name, "expected an object")
+            resolved[key.name] = _resolve_rows(key.rows, val, args, name + ".")
+            continue
+        if key.flag and getattr(args, key.name) is not None:
+            val = getattr(args, key.name)
+            if key.type is _ARC and args.degrees:  # file values stay radians
+                val = [v * (math.pi / 180.0) for v in val]
+        if val is _REQUIRED:
+            raise ConfigError(name, "required value missing")
+        if val is not None or key.default is not None:  # None leaves an optional key unset
+            try:
+                val = key.type.coerce(val)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(name, f"expected {key.type.what}, got {val!r}") from None
+            if key.choices and val not in key.choices:
+                raise ConfigError(name, f"expected one of {', '.join(key.choices)}")
+            if key.check and not key.check(val):
+                raise ConfigError(name, key.msg)
+        resolved[key.name] = val
     return resolved
 
 
-def _out_dir(args) -> str:
+def _smooth_spec(values: dict) -> SmoothSpec:
+    """The weight of a resolved phi/lam/omega/table group: clt's smooth
+    statistic and the smooth subcommand share these keys."""
+    return SmoothSpec(values["phi"], values["lam"], values["omega"], values["table"])
+
+
+def _emit(args, config: dict, report_name: str, report: dict, table: tuple = None) -> None:
+    """Write the resolved-config echo, the report (led by that echo) and,
+    given as (file name, header, rows), the CSV table of one run."""
     out = getattr(args, "out", None) or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    _write_json(os.path.join(out, "resolved_config.json"), config)
+    _write_json(os.path.join(out, report_name), {"config": config, **report})
+    if table:
+        name, header, rows = table
+        _write_csv(os.path.join(out, name), header, rows)
 
 
 def _threads(args) -> int:
@@ -220,27 +365,13 @@ def _threads(args) -> int:
     return int(val)
 
 
-def _echo_path(out: str) -> str:
-    return os.path.join(out, "resolved_config.json")
-
-
 # ---------------------------------------------------------------- approx
 
 
 def _run_approx(args) -> int:
-    resolved = _resolve(
-        "approx",
-        {"interval": None, "m": 20, "grid": 4097},
-        args,
-        ("interval", "m", "grid"),
-    )
-    interval = _interval_from(resolved["interval"], getattr(args, "degrees", False))
-    m = _as_int(resolved, "m")
-    if m < 3:
-        raise ConfigError("m", "trigonometric degree must be >= 3")
-    grid = _as_int(resolved, "grid")
-    if grid < 3:
-        raise ConfigError("grid", "need at least 3 sandwich check points")
+    config = _resolve("approx", args)
+    interval = ArcInterval(*config["interval"])
+    m, grid = config["m"], config["grid"]
     pair = to_chebyshev(interval, m)
 
     circle = interval.to_circle()
@@ -265,15 +396,7 @@ def _run_approx(args) -> int:
     )
     sums = variance_sum(pair)
     defect = 1.0 / (m + 1)
-    config = {
-        "subcommand": "approx",
-        "interval": [interval.a, interval.b],
-        "m": m,
-        "grid": grid,
-    }
-    out = _out_dir(args)
     report = {
-        "config": config,
         "mass_defect_plus": float(pair.s_plus[0].real - circle.length),
         "mass_defect_minus": float(pair.s_minus[0].real - circle.length),
         "defect_target": defect,
@@ -286,16 +409,9 @@ def _run_approx(args) -> int:
         "variance_sum_plus": sums.plus,
         "variance_sum_minus": sums.minus,
     }
-    _write_json(_echo_path(out), config)
-    _write_json(os.path.join(out, "approx_report.json"), report)
-    _write_csv(
-        os.path.join(out, "approx_coefficients.csv"),
-        ("m", "f_plus", "f_minus"),
-        [
-            (k, pair.f_plus.coeffs[k], pair.f_minus.coeffs[k])
-            for k in range(m + 1)
-        ],
-    )
+    coeffs = [(k, pair.f_plus.coeffs[k], pair.f_minus.coeffs[k]) for k in range(m + 1)]
+    _emit(args, config, "approx_report.json", report,
+          ("approx_coefficients.csv", ("m", "f_plus", "f_minus"), coeffs))
     print(
         f"approx: M={m} defect=+/-{defect:.6g} "
         f"closeness_max={max(close_plus, close_minus):.6g}"
@@ -307,20 +423,9 @@ def _run_approx(args) -> int:
 
 
 def _run_measures(args) -> int:
-    resolved = _resolve(
-        "measures",
-        {"q": None, "max_m": 6, "points": 4096},
-        args,
-        ("q", "max_m", "points"),
-    )
-    q = _as_float(resolved, "q")
-    max_m = _as_int(resolved, "max_m")
-    points = _as_int(resolved, "points")
-    if max_m < 0:
-        raise ConfigError("max_m", "moment order cap must be nonnegative")
-    if points < 1:
-        raise ConfigError("points", "need at least 1 quadrature point")
-    measure = _checked("q", LocalMeasure, q)
+    config = _resolve("measures", args)
+    q, max_m, points = config["q"], config["max_m"], config["points"]
+    measure = LocalMeasure(q)
     rows = []
     worst = 0.0
     for m in range(max_m + 1):
@@ -329,18 +434,8 @@ def _run_measures(args) -> int:
         err = abs(exact - quad)
         worst = max(worst, err)
         rows.append((q, m, exact, quad, err))
-    config = {"subcommand": "measures", "q": q, "max_m": max_m, "points": points}
-    out = _out_dir(args)
-    _write_json(_echo_path(out), config)
-    _write_csv(
-        os.path.join(out, "measures_table.csv"),
-        ("q", "m", "exact", "quadrature", "abs_err"),
-        rows,
-    )
-    _write_json(
-        os.path.join(out, "measures_report.json"),
-        {"config": config, "max_abs_err": worst},
-    )
+    _emit(args, config, "measures_report.json", {"max_abs_err": worst},
+          ("measures_table.csv", ("q", "m", "exact", "quadrature", "abs_err"), rows))
     print(f"measures: q={q:g} max_m={max_m} max_abs_err={worst:.3e}")
     return 0
 
@@ -349,151 +444,53 @@ def _run_measures(args) -> int:
 
 
 def _run_primes(args) -> int:
-    resolved = _resolve(
-        "primes",
-        {"field": "rationals", "x": None, "exclude_primes": []},
-        args,
-        ("field", "x", "exclude_primes"),
-    )
-    fs = _checked("field", FieldSpec.from_name, resolved["field"])
-    x = _norm_bound(resolved, 16.0)
-    excl = _as_int_list(resolved, "exclude_primes")
-    level = _checked("exclude_primes", LevelSpec.above_primes, fs, excl)
-    ideals = enumerate_prime_ideals(fs, x, level)
+    config = _resolve("primes", args)
+    fs = FieldSpec.from_name(config["field"])
+    x = config["x"]
+    ideals = enumerate_prime_ideals(fs, x, LevelSpec.above_primes(fs, config["exclude_primes"]))
     mert = mertens_sum(fs, x)
     higher = higher_power_sum(fs, x)
-    config = {
-        "subcommand": "primes",
-        "field": resolved["field"],
-        "x": x,
-        "exclude_primes": excl,
-    }
-    out = _out_dir(args)
     report = {
-        "config": config,
         "pi_L_x": len(ideals),
         "mertens_sum": mert,
         "mertens_minus_loglog": mert - math.log(math.log(x)),
         "higher_power_sum": higher,
     }
-    _write_json(_echo_path(out), config)
-    _write_json(os.path.join(out, "primes_report.json"), report)
-    _write_csv(
-        os.path.join(out, "primes_table.csv"),
-        ("norm", "p", "label", "residue_degree", "split_type"),
-        [(i.norm, i.p, i.label, i.f, i.split_type) for i in ideals],
-    )
-    print(f"primes: field={resolved['field']} x={x:g} pi_L={len(ideals)}")
+    table = [(i.norm, i.p, i.label, i.f, i.split_type) for i in ideals]
+    _emit(args, config, "primes_report.json", report,
+          ("primes_table.csv", ("norm", "p", "label", "residue_degree", "split_type"), table))
+    print(f"primes: field={config['field']} x={x:g} pi_L={len(ideals)}")
     return 0
 
 
 # -------------------------------------------------------------------- clt
 
 
-def _statistic_echo(stat) -> dict:
-    if isinstance(stat, IndicatorStatistic):
-        return {
-            "kind": "indicator",
-            "interval": [stat.interval.a, stat.interval.b],
-        }
-    echo = {"kind": "smooth", "phi": stat.phi.kind, "M": float(stat.M)}
-    if stat.phi.kind == "gaussian":
-        echo["lam"] = float(stat.phi.lam)
-    else:
-        echo["omega"] = float(stat.phi.omega)
-        echo["table"] = [[float(u), float(v)] for u, v in stat.phi.table]
-    return echo
-
-
-def _statistic_from(resolved: dict, args) -> object:
-    stat = resolved["statistic"]
-    if not isinstance(stat, dict):
-        raise ConfigError("statistic", "expected an object")
-    stat = dict(stat)
-    for flag, key in (
-        ("statistic", "kind"),
-        ("interval", "interval"),
-        ("phi", "phi"),
-        ("lam", "lam"),
-        ("smooth_m", "M"),
-        ("omega", "omega"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            stat[key] = val
-    kind = stat.get("kind", "indicator")
-    if kind == "indicator":
-        if "interval" not in stat:
-            raise ConfigError("interval", "indicator statistic needs an interval")
-        return IndicatorStatistic(
-            _interval_from(stat["interval"], getattr(args, "degrees", False))
-        )
-    if kind == "smooth":
-        phi_kind = stat.get("phi", "gaussian")
-        table = stat.get("table", ())
-        try:
-            table = tuple((float(u), float(v)) for u, v in table)
-        except (TypeError, ValueError):
-            raise ConfigError("statistic.phi.table", "expected [u, value] pairs")
-
-        def number(key, default, name):
-            try:
-                return float(stat.get(key, default))
-            except (TypeError, ValueError):
-                raise ConfigError(name, f"expected a number, got {stat[key]!r}")
-
-        spec = SmoothSpec(
-            kind=phi_kind,
-            lam=number("lam", 1.0, "statistic.phi.lambda"),
-            omega=number("omega", 2.0, "statistic.phi.omega"),
-            table=table,
-        )
-        return SmoothStatistic(phi=spec, M=number("M", 4.0, "statistic.M"))
-    raise ConfigError("statistic.kind", f"unknown statistic kind '{kind}'")
-
-
 def _run_clt(args) -> int:
-    resolved = _resolve(
-        "clt",
-        {
-            "field": None,
-            "x": None,
-            "size": None,
-            "seed": None,
-            "max_moment": 6,
-            "exclude_primes": [],
-            "statistic": {},
-        },
-        args,
-        ("field", "x", "size", "seed", "max_moment", "exclude_primes"),
-    )
-    fs = _checked("field", FieldSpec.from_name, resolved["field"])
-    excl = _as_int_list(resolved, "exclude_primes")
-    level = _checked("exclude_primes", LevelSpec.above_primes, fs, excl)
-    statistic = _statistic_from(resolved, args)
+    echo = _resolve("clt", args)
+    fs = FieldSpec.from_name(echo["field"])
+    stat = echo["statistic"]
+    if stat["kind"] == "indicator":
+        if stat["interval"] is None:
+            raise ConfigError("statistic.interval", "indicator statistic needs an interval")
+        statistic = IndicatorStatistic(ArcInterval(*stat["interval"]))
+        shown = ("kind", "interval")
+    else:
+        statistic = SmoothStatistic(phi=_smooth_spec(stat), M=stat["M"])
+        used = ("lam",) if stat["phi"] == "gaussian" else ("omega", "table")
+        shown = ("kind", "phi", "M") + used
+    echo["statistic"] = {key: stat[key] for key in shown}
     config = EnsembleConfig(
         field=fs,
-        level=level,
-        x=_norm_bound(resolved, 2.0),
-        size=_as_int(resolved, "size"),
-        seed=_as_int(resolved, "seed"),
+        level=LevelSpec.above_primes(fs, echo["exclude_primes"]),
+        x=echo["x"],
+        size=echo["size"],
+        seed=echo["seed"],
         statistic=statistic,
-        max_moment=_as_int(resolved, "max_moment"),
+        max_moment=echo["max_moment"],
     )
     report = run_ensemble(config, threads=_threads(args))
-    echo = {
-        "subcommand": "clt",
-        "field": resolved["field"],
-        "x": config.x,
-        "size": config.size,
-        "seed": config.seed,
-        "max_moment": config.max_moment,
-        "exclude_primes": excl,
-        "statistic": _statistic_echo(statistic),
-    }
-    out = _out_dir(args)
     body = {
-        "config": echo,
         "pi_L_x": report.pi_L_x,
         "size": report.size,
         "center": report.center,
@@ -510,17 +507,10 @@ def _run_clt(args) -> int:
         "underflow": report.underflow,
         "overflow": report.overflow,
     }
-    _write_json(_echo_path(out), echo)
-    _write_json(os.path.join(out, "report.json"), body)
-    edges = report.histogram_edges
-    _write_csv(
-        os.path.join(out, "histogram.csv"),
-        ("bin_left", "bin_right", "count"),
-        [
-            (edges[i], edges[i + 1], report.histogram_counts[i])
-            for i in range(len(report.histogram_counts))
-        ],
-    )
+    edges, counts = report.histogram_edges, report.histogram_counts
+    bins = [(edges[i], edges[i + 1], counts[i]) for i in range(len(counts))]
+    _emit(args, echo, "report.json", body,
+          ("histogram.csv", ("bin_left", "bin_right", "count"), bins))
     print(
         f"clt: size={report.size} ks={report.ks_statistic:.6f} "
         f"model_ks={report.model_centered_ks:.6f}"
@@ -532,42 +522,26 @@ def _run_clt(args) -> int:
 
 
 def _run_theory(args) -> int:
-    resolved = _resolve(
-        "theory",
-        {
-            "field": "rationals",
-            "x": None,
-            "n": 2,
-            "interval": None,
-            "m": 0,
-            "sign": "plus",
-            "weights": [],
-        },
-        args,
-        ("field", "x", "n", "interval", "m", "sign", "weights"),
-    )
-    fs = _checked("field", FieldSpec.from_name, resolved["field"])
-    x = _norm_bound(resolved, 16.0)
-    n = _as_int(resolved, "n")
-    sign = str(resolved["sign"])
-    if sign not in ("plus", "minus"):
-        raise ConfigError("sign", "sign must be 'plus' or 'minus'")
-    interval = _interval_from(resolved["interval"], getattr(args, "degrees", False))
-    m = _as_int(resolved, "m")
-    if m == 0:
-        m = limit_law_m(fs, x)
-    if m < 3:
-        raise ConfigError("m", f"expansion degree {m} is below 3; raise M or x")
-    pair = to_chebyshev(interval, m)
-    rep = _checked("n", main_term_report, n, fs, x, pair, sign=sign)
+    config = _resolve("theory", args)
+    fs = FieldSpec.from_name(config["field"])
+    x, n, sign, weights = config["x"], config["n"], config["sign"], config["weights"]
+    if config["m"] == 0:
+        config["m"] = limit_law_m(fs, x)
+        if config["m"] < 3:
+            raise ConfigError("m", f"limit-law degree {config['m']} is below 3; raise M or x")
+    m = config["m"]
+    if n * m > _POWER_GUARD:
+        raise ConfigError(
+            "m", f"n * M = {n} * {m} exceeds the exact-expansion guard {_POWER_GUARD}"
+        )
+    pair = to_chebyshev(ArcInterval(*config["interval"]), m)
+    rep = main_term_report(n, fs, x, pair, sign=sign)
     sums = variance_sum(pair)
     v = sums.plus if sign == "plus" else sums.minus
     target = gaussian_moment(n) * v ** (n / 2.0)
-    weights = _as_int_list(resolved, "weights")
     growth = None
     if weights:
-        wv = _checked("weights", WeightVector, ks=tuple(weights))
-        g = growth_bookkeeping(x, wv, fs=fs, n=n)
+        g = growth_bookkeeping(x, WeightVector(ks=tuple(weights)), fs=fs, n=n)
         growth = {
             "degree": g.degree,
             "m_weight_rule_short": g.m_weight_rule_short,
@@ -579,19 +553,7 @@ def _run_theory(args) -> int:
             "budget": g.budget,
             "within_budget": g.within_budget,
         }
-    config = {
-        "subcommand": "theory",
-        "field": resolved["field"],
-        "x": x,
-        "n": n,
-        "interval": [interval.a, interval.b],
-        "m": m,
-        "sign": sign,
-        "weights": weights,
-    }
-    out = _out_dir(args)
     body = {
-        "config": config,
         "n": n,
         "m_used": m,
         "pi_L_x": rep.pi_L_x,
@@ -610,8 +572,7 @@ def _run_theory(args) -> int:
         ],
         "growth": growth,
     }
-    _write_json(_echo_path(out), config)
-    _write_json(os.path.join(out, "theory_report.json"), body)
+    _emit(args, config, "theory_report.json", body)
     ratio_txt = "n/a" if target == 0.0 else f"{rep.total / target:.6f}"
     print(f"theory: n={n} M={m} main_term={rep.total:.6g} ratio={ratio_txt}")
     return 0
@@ -621,35 +582,9 @@ def _run_theory(args) -> int:
 
 
 def _run_smooth(args) -> int:
-    resolved = _resolve(
-        "smooth",
-        {
-            "phi": "gaussian",
-            "lam": 1.0,
-            "omega": 2.0,
-            "table": [],
-            "smooth_m": 4.0,
-            "points": 513,
-        },
-        args,
-        ("phi", "lam", "omega", "smooth_m", "points"),
-    )
-    try:
-        table = tuple((float(u), float(v)) for u, v in resolved["table"])
-    except (TypeError, ValueError):
-        raise ConfigError("statistic.phi.table", "expected [u, value] pairs")
-    spec = SmoothSpec(
-        kind=str(resolved["phi"]),
-        lam=_as_float(resolved, "lam"),
-        omega=_as_float(resolved, "omega"),
-        table=table,
-    )
-    big_m = _as_float(resolved, "smooth_m")
-    if not 1.0 <= big_m < math.inf:
-        raise ConfigError("smooth_m", "periodization scale must be finite and >= 1")
-    points = _as_int(resolved, "points")
-    if points < 2:
-        raise ConfigError("points", "need at least 2 profile points")
+    config = _resolve("smooth", args)
+    spec = _smooth_spec(config)
+    big_m, points = config["smooth_m"], config["points"]
     ts = np.linspace(0.0, 1.0, points)
     profile = smooth_weight(spec, big_m, ts)
 
@@ -659,31 +594,13 @@ def _run_smooth(args) -> int:
     mean_weight = fourier_coefficient(f, 0)
     second = fourier_coefficient(lambda th: f(th) ** 2, 0)
     variance_weight = second - mean_weight**2
-    config = {
-        "subcommand": "smooth",
-        "phi": spec.kind,
-        "lam": spec.lam,
-        "omega": spec.omega,
-        "table": [[u, v] for u, v in spec.table],
-        "smooth_m": big_m,
-        "points": points,
+    report = {
+        "phi_at_zero": float(smooth_weight(spec, big_m, 0.0)),
+        "mean_weight": mean_weight,
+        "variance_weight": variance_weight,
     }
-    out = _out_dir(args)
-    _write_json(_echo_path(out), config)
-    _write_json(
-        os.path.join(out, "smooth_report.json"),
-        {
-            "config": config,
-            "phi_at_zero": float(smooth_weight(spec, big_m, 0.0)),
-            "mean_weight": mean_weight,
-            "variance_weight": variance_weight,
-        },
-    )
-    _write_csv(
-        os.path.join(out, "smooth_profile.csv"),
-        ("t", "phi"),
-        list(zip(ts, profile)),
-    )
+    _emit(args, config, "smooth_report.json", report,
+          ("smooth_profile.csv", ("t", "phi"), list(zip(ts, profile))))
     print(
         f"smooth: phi={spec.kind} M={big_m:g} mean={mean_weight:.6g} "
         f"variance={variance_weight:.6g}"
@@ -692,74 +609,6 @@ def _run_smooth(args) -> int:
 
 
 # ------------------------------------------------------------------- main
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="satolab",
-        description="Numerical laboratory for angle statistics over number fields.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default: current)")
-
-    p = sub.add_parser("approx", help="extremal majorant/minorant diagnostics")
-    common(p)
-    p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
-    p.add_argument("--degrees", action="store_true", help="interval in degrees")
-    p.add_argument("--M", dest="m", type=int)
-    p.add_argument("--grid", type=int, help="sandwich check points")
-
-    p = sub.add_parser("measures", help="local Chebyshev moment table")
-    common(p)
-    p.add_argument("--q", type=float)
-    p.add_argument("--max-m", dest="max_m", type=int)
-    p.add_argument("--points", type=int, help="quadrature points")
-
-    p = sub.add_parser("primes", help="prime ideal enumeration and sums")
-    common(p)
-    p.add_argument("--field", help="rationals or sqrtD")
-    p.add_argument("--x", type=float)
-    p.add_argument("--exclude-primes", dest="exclude_primes", nargs="*", type=int)
-
-    p = sub.add_parser("clt", help="Monte Carlo ensemble run")
-    common(p)
-    p.add_argument("--field", help="rationals or sqrtD")
-    p.add_argument("--x", type=float)
-    p.add_argument("--size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-moment", dest="max_moment", type=int)
-    p.add_argument("--exclude-primes", dest="exclude_primes", nargs="*", type=int)
-    p.add_argument("--statistic", choices=("indicator", "smooth"))
-    p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
-    p.add_argument("--degrees", action="store_true", help="interval in degrees")
-    p.add_argument("--phi", choices=("gaussian", "custom"))
-    p.add_argument("--lam", type=float)
-    p.add_argument("--smooth-m", dest="smooth_m", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--threads", type=int)
-
-    p = sub.add_parser("theory", help="deterministic moment main terms")
-    common(p)
-    p.add_argument("--field", help="rationals or sqrtD")
-    p.add_argument("--x", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
-    p.add_argument("--degrees", action="store_true", help="interval in degrees")
-    p.add_argument("--M", dest="m", type=int, help="0 picks the limit-law degree")
-    p.add_argument("--sign", choices=("plus", "minus"))
-    p.add_argument("--weights", nargs="*", type=int)
-
-    p = sub.add_parser("smooth", help="periodized weight profile and moments")
-    common(p)
-    p.add_argument("--phi", choices=("gaussian", "custom"))
-    p.add_argument("--lam", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--smooth-m", dest="smooth_m", type=float)
-    p.add_argument("--points", type=int)
-    return parser
 
 
 _RUNNERS = {

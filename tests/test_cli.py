@@ -232,6 +232,12 @@ def test_degrees_flag_converts_interval(tmp_path):
     assert code == 0
     echo = _read(os.path.join(out, "resolved_config.json"))
     assert echo["interval"][1] == pytest.approx(PI / 2, rel=1e-15)
+    # --degrees converts the flag only: the echo's radians replay unchanged
+    cfg = os.path.join(out, "resolved_config.json")
+    again = str(tmp_path / "again")
+    assert main(["approx", "--config", cfg, "--degrees", "--out", again]) == 0
+    replayed = open(os.path.join(again, "resolved_config.json"), "rb").read()
+    assert replayed == open(cfg, "rb").read()
 
 
 def test_config_error_exit_codes(tmp_path, capsys):
@@ -256,6 +262,8 @@ def test_config_error_exit_codes(tmp_path, capsys):
           "--interval", *QUARTER], "x"),
         (["primes", "--x", "10"], "x"),
         (["smooth", "--smooth-m", "0.5"], "smooth_m"),
+        # n * M beyond the exact-expansion guard is M's fault at n = 8
+        (["theory", "--x", "2000", "--interval", *QUARTER, "--M", "1300", "--n", "8"], "m"),
     ):
         assert main(argv + ["--out", out]) == 2, argv
         assert f"'{key}'" in capsys.readouterr().err, argv
@@ -293,6 +301,16 @@ def test_config_file_validation(tmp_path, capsys):
     not_a_name.write_text('{"field": 5, "x": 100}')
     assert main(["primes", "--config", str(not_a_name), "--out", out]) == 2
     assert "'field'" in capsys.readouterr().err
+    clt = '{"field": "sqrt5", "x": 500, "seed": 1, '
+    for text, key in (
+        # json reads 1e999 as inf, which is no integer
+        (clt + '"size": 1e999, "statistic": {"kind": "smooth"}}', "size"),
+        (clt + '"size": 100, "statistic": {"kind": "smooth", "bogus": 1}}', "statistic.bogus"),
+    ):
+        path = tmp_path / "clt.json"
+        path.write_text(text)
+        assert main(["clt", "--config", str(path), "--out", out]) == 2, text
+        assert f"'{key}'" in capsys.readouterr().err, text
 
 
 def test_contract_violation_exits_one(tmp_path, capsys, monkeypatch):
@@ -304,25 +322,66 @@ def test_contract_violation_exits_one(tmp_path, capsys, monkeypatch):
     assert "contract violation" in capsys.readouterr().err
 
 
-def test_internal_value_error_exits_one(tmp_path):
-    # a ValueError from inside a run is a numerical failure, not a config error
+def _raise_inside(tmp_path, target, argv):
+    """Run the CLI on argv in a fresh interpreter, with target (a name under
+    satolab.cli, imported as cli) replaced by a function raising ValueError."""
     script = (
         "import sys\n"
         "import satolab.cli as cli\n"
-        "def boom(args):\n"
+        "def boom(*args, **kwargs):\n"
         "    raise ValueError('internal failure')\n"
-        "cli._RUNNERS['smooth'] = boom\n"
-        "sys.exit(cli.main(['smooth']))\n"
+        f"{target} = boom\n"
+        f"sys.exit(cli.main({argv!r}))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
     )
+
+
+def test_internal_value_error_exits_one(tmp_path):
+    # a ValueError from inside a run is a numerical failure, not a config error
+    proc = _raise_inside(tmp_path, "cli._RUNNERS['smooth']", ["smooth"])
     assert proc.returncode == 1
     assert "ValueError: internal failure" in proc.stderr
     assert "config error" not in proc.stderr
+
+
+def test_theory_value_error_is_not_blamed_on_a_key(tmp_path):
+    argv = ["theory", "--x", "2000", "--interval", *QUARTER]
+    proc = _raise_inside(tmp_path, "cli.main_term_report", argv)
+    assert proc.returncode == 1
+    assert "ValueError: internal failure" in proc.stderr
+    assert "config error" not in proc.stderr
+
+
+def _doc_tables():
+    """{heading: [(key, default cell), ...]} for the key tables of docs/config.md."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "config.md")
+    tables, heading = {}, None
+    for line in open(path).read().splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("#").strip()
+        elif line.startswith("| `") and not line.startswith("| `--"):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            tables.setdefault(heading, []).append((cells[0].strip("`"), cells[2]))
+    return tables
+
+
+def test_docs_list_the_schema():
+    def cell(default):
+        if default is cli._REQUIRED:
+            return "required"
+        return "none" if default is None else f"`{json.dumps(default)}`"
+
+    expected = {sub: rows for sub, (_, rows) in cli._SCHEMA.items()}
+    expected["clt statistic"] = next(key.rows for key in expected["clt"] if key.rows)
+    tables = _doc_tables()
+    assert set(tables) == set(expected)
+    for heading, rows in expected.items():
+        assert tables[heading] == [(key.name, cell(key.default)) for key in rows], heading
 
 
 def test_threads_env_hint(tmp_path, monkeypatch):
