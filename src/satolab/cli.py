@@ -134,9 +134,11 @@ class _Type(NamedTuple):
 
 
 def _integer(v) -> int:
-    if isinstance(v, bool) or not math.isfinite(float(v)) or int(v) != float(v):
+    """Ints and integer strings exactly, at any size; else an integral float."""
+    exact = isinstance(v, int) or isinstance(v, str) and v.lstrip("+-").isdigit()
+    if isinstance(v, bool) or not (exact or float(v).is_integer()):
         raise ValueError(v)
-    return int(v)
+    return int(v) if exact else int(float(v))
 
 
 def _arc(v) -> list:

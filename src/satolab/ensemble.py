@@ -7,10 +7,12 @@ a count of angles inside an arc (indicator mode) or a sum of a periodized
 smooth weight of the normalized angle t = theta/pi (smooth mode).
 
 Determinism contract: every variate is a pure function of
-(seed, member_index, ideal_position), each member is reduced over one
-contiguous row of its per-ideal values, and the member values are written
-into an array indexed by member and only then reduced, so reports are
-bit-identical under any blocking or thread count.
+(seed, member_index, ideal_position), drawn in the tile of ideal rows that
+consumes it.  Indicator counts add up per member as integers; smooth weights
+fill one contiguous member-major row per member, reduced once.  Member values
+go into an array indexed by member and only then into moments, so reports
+are bit-identical under any blocking, tiling or thread count.  Per block the
+indicator holds O(_TILE) cells and the smooth path one members x pi_L output.
 """
 from __future__ import annotations
 
@@ -54,8 +56,9 @@ __all__ = [
     "trace_identity_check",
 ]
 
-_BLOCK = 2048  # members per work item; any value gives identical output
-_TILE = 2**15  # cells per cache-sized inverter tile; any value gives identical output
+# Members per work item, and cells per cache-sized tile of ideal rows whose
+# uniforms are drawn and consumed together; any values give identical output.
+_BLOCK, _TILE = 2048, 2**15
 # Bracket grid past 2048 distinct norms: coarser, with one more Newton step.
 _COARSE_GRID = (513, 3)
 _GAUSS_TAIL_LOG = 34.6  # exp(-34.6) ~ 9e-16, keeps the dropped tail < 1e-12
@@ -394,29 +397,31 @@ def _context(config: EnsembleConfig) -> _Context:
     return _context_cached(config.field, config.level, config.x, config.statistic)
 
 
-def _angles(inv: _Inverter, up: np.ndarray) -> np.ndarray:
-    """Angles for uniforms laid out ideal-major: row j is ideal inv.perm[j]."""
-    theta = np.empty_like(up)
-    step = max(1, _TILE // up.shape[1])
-    for k0, k1, series in inv.buckets:
-        for a in range(k0, k1, step):
-            s = slice(a, min(a + step, k1))
-            bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[s, None], up[s])
-            tile = series[a - k0 : s.stop - k0]
-            theta[s] = _invert(up[s], *bracket, inv.theta_grid, tile, inv.newton_steps)
-    return theta
+def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray) -> np.ndarray:
+    """Angles for the uniforms u of the ideal-major rows `rows` of one bucket,
+    whose series factors are `series`: row j is ideal inv.perm[j]."""
+    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u)
+    return _invert(u, *bracket, inv.theta_grid, series, inv.newton_steps)
 
 
 def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
-    """Statistics for the members keyed by `keys`; pure in (key, position)."""
-    if ctx.kind == "indicator":
-        u = uniform_matrix(keys, ctx.n_ideals)
-        inside = (u >= ctx.lo_u[None, :]) & (u <= ctx.hi_u[None, :])
-        return inside.sum(axis=1).astype(np.float64)
-    inv = ctx.inverter
-    theta = _angles(inv, uniforms_at(keys[None, :], inv.perm[:, None]))
-    phi = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi))
-    return np.ascontiguousarray(phi.T).sum(axis=1)
+    """Statistics for the members keyed by `keys`, one tile of ideal rows at a time."""
+    inv, n = ctx.inverter, ctx.n_ideals
+    if inv is None:  # indicator
+        counters, buckets, out = np.arange(n), [(0, n, None)], np.zeros(keys.size, dtype=np.int64)
+    else:
+        counters, buckets, out = inv.perm, inv.buckets, np.empty((keys.size, n))
+    step = max(1, _TILE // keys.size)
+    for k0, k1, series in buckets:
+        for a in range(k0, k1, step):
+            s = slice(a, min(a + step, k1))
+            u = uniforms_at(keys[None, :], counters[s, None])
+            if inv is None:
+                out += np.count_nonzero((u >= ctx.lo_u[s, None]) & (u <= ctx.hi_u[s, None]), axis=0)
+            else:
+                theta = _angles(inv, s, series[a - k0 : s.stop - k0], u)
+                out[:, s] = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi)).T
+    return out.astype(np.float64) if inv is None else out.sum(axis=1)
 
 
 def member_statistic(config: EnsembleConfig, member_index: int) -> float:

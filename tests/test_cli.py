@@ -313,6 +313,29 @@ def test_config_file_validation(tmp_path, capsys):
         assert f"'{key}'" in capsys.readouterr().err, text
 
 
+def test_integer_keys_are_read_exactly(tmp_path, capsys):
+    # 2^53 + 1 has no double: the seed must reach the run and the echo as given
+    seed = 2**53 + 1
+    flag_out = str(tmp_path / "flag")
+    argv = ["clt", "--field", "sqrt5", "--x", "500", "--size", "200", "--interval", *QUARTER]
+    assert main([*argv, "--seed", str(seed), "--out", flag_out]) == 0
+    echo_text = open(os.path.join(flag_out, "resolved_config.json")).read()
+    assert f'"seed": {seed},' in echo_text
+    assert _read(os.path.join(flag_out, "resolved_config.json"))["seed"] == seed
+    clt = '{"field": "sqrt5", "x": 500, "statistic": {"interval": [0.5, 1.5]}, '
+    path = tmp_path / "clt.json"
+    path.write_text(clt + f'"seed": {seed}, "size": 1e3}}')
+    file_out = str(tmp_path / "file")
+    assert main(["clt", "--config", str(path), "--out", file_out]) == 0
+    echo = _read(os.path.join(file_out, "resolved_config.json"))
+    assert (echo["seed"], echo["size"]) == (seed, 1000)
+    capsys.readouterr()
+    for value in ("2.5", '"nan"', "NaN", "true", '"1.5"'):
+        path.write_text(clt + f'"seed": {value}, "size": 200}}')
+        assert main(["clt", "--config", str(path), "--out", file_out]) == 2, value
+        assert "'seed'" in capsys.readouterr().err, value
+
+
 def test_contract_violation_exits_one(tmp_path, capsys, monkeypatch):
     # tighten the sandwich slack beyond reach to force the failure path
     monkeypatch.setattr(cli, "_SANDWICH_SLACK", -1.0)

@@ -131,8 +131,16 @@ def test_member_values_independent_of_batching():
         assert member_statistic(cfg, 41) == whole[41]
 
 
+def _invert_matrix(inv, up):
+    """Angles of a whole ideal-major uniform matrix, one bucket at a time."""
+    theta = np.empty_like(up)
+    for k0, k1, series in inv.buckets:
+        theta[k0:k1] = _angles(inv, slice(k0, k1), series, up[k0:k1])
+    return theta
+
+
 def _worst_angle_error(x, members):
-    """Largest |_angles - bisection quantile| over `members` members at norm bound x."""
+    """Largest |inverted angle - bisection quantile| over `members` members at norm bound x."""
     cfg = EnsembleConfig(
         field=Q5,
         level=NO_LEVEL,
@@ -145,7 +153,7 @@ def _worst_angle_error(x, members):
     ideals = enumerate_prime_ideals(Q5, x)
     keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
     up = uniforms_at(keys[None, :], inv.perm[:, None])
-    theta = _angles(inv, up)
+    theta = _invert_matrix(inv, up)
     norms = np.array([ideals[j].norm for j in inv.perm], dtype=np.float64)
     worst = 0.0
     for q in np.unique(norms):
@@ -197,7 +205,7 @@ def test_inversion_exact_in_the_tails():
     qs = np.array(TAIL_QS)
     for grid in (_FINE_GRID, _COARSE_GRID):
         inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
-        theta = _angles(inv, np.tile(TAIL_US, (qs.size, 1)))
+        theta = _invert_matrix(inv, np.tile(TAIL_US, (qs.size, 1)))
         for k, row in enumerate(inv.perm):
             resid, err = _tail_errors(LocalMeasure(qs[row]), theta[k])
             assert resid <= 1e-15 and err <= 1e-12, (grid, qs[row], resid, err)
@@ -228,39 +236,54 @@ def test_guide_bracket_matches_binary_search():
                 assert np.array_equal(g, w), (grid, qs[row])
 
 
-def _smooth_block(x, members):
+SMOOTH = SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0)
+
+
+def _block(statistic, x, members):
+    """Context and member keys of one block of `members` members at norm bound x."""
     cfg = EnsembleConfig(
         field=Q5,
         level=NO_LEVEL,
         x=x,
         size=max(members, 100),
         seed=9,
-        statistic=SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0),
+        statistic=statistic,
     )
-    inv = _context(cfg).inverter
-    keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
-    return inv, uniforms_at(keys[None, :], inv.perm[:, None])
+    return _context(cfg), member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
 
 
-def test_angles_do_not_depend_on_tile_size(monkeypatch):
-    inv, up = _smooth_block(400.0, 48)
-    want = _angles(inv, up)
-    for tile in (1, up.size):
-        monkeypatch.setattr(ensemble, "_TILE", tile)
-        assert np.array_equal(_angles(inv, up), want)
+def test_member_values_do_not_depend_on_tile_size(monkeypatch):
+    # tiles of one ideal row, of 16 rows, and the whole block as one tile
+    for statistic in (IndicatorStatistic(QUARTER_ARC), SMOOTH):
+        ctx, keys = _block(statistic, 400.0, 48)
+        want = _member_values(ctx, keys)
+        for tile in (1, 16 * keys.size, ctx.n_ideals * keys.size):
+            monkeypatch.setattr(ensemble, "_TILE", tile)
+            assert np.array_equal(_member_values(ctx, keys), want), (statistic, tile)
+        monkeypatch.undo()
 
 
-def test_angles_temporaries_stay_tile_sized():
-    # one 2,048-member block at x = 1e4: the 20 MB output plus tile-sized
-    # temporaries; bracketing and inverting whole buckets peaked near 290 MB
-    inv, up = _smooth_block(1e4, 2048)
+def _peak_bytes(ctx, keys):
     tracemalloc.start()
     try:
-        _angles(inv, up)
-        peak = tracemalloc.get_traced_memory()[1]
+        _member_values(ctx, keys)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_smooth_block_memory_stays_tile_sized():
+    # one 2,048-member block at x = 1e4: the 20 MB member-major output plus
+    # tile-sized temporaries; whole-block uniforms and angles peaked at 116 MB
+    peak = _peak_bytes(*_block(SMOOTH, 1e4, 2048))
     assert peak <= 64 * 2**20, peak / 2**20
+
+
+def test_indicator_block_memory_does_not_depend_on_x():
+    # one 2,048-member block at x = 1e5 (9,590 ideals) holds tile-sized
+    # uniforms and one count per member; the whole uniform matrix peaked at 450 MB
+    peak = _peak_bytes(*_block(IndicatorStatistic(QUARTER_ARC), 1e5, 2048))
+    assert peak <= 16 * 2**20, peak / 2**20
 
 
 def test_exact_mean_and_variance_oracle():
