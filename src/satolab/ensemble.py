@@ -8,11 +8,15 @@ smooth weight of the normalized angle t = theta/pi (smooth mode).
 
 Determinism contract: every variate is a pure function of
 (seed, member_index, ideal_position), drawn in the tile of ideal rows that
-consumes it.  Indicator counts add up per member as integers; smooth weights
-fill one contiguous member-major row per member, reduced once.  Member values
-go into an array indexed by member and only then into moments, so reports
-are bit-identical under any blocking, tiling or thread count.  Per block the
-indicator holds O(_TILE) cells and the smooth path one members x pi_L output.
+consumes it.  The indicator never forms the uniform u = k 2^-53: it compares
+the 53-bit integer k with integer cut points K = ceil(F(a) 2^53) and
+H = floor(F(b) 2^53), and since scaling by 2^53 is exact, K <= k <= H holds
+exactly when F(a) <= u <= F(b).  Indicator counts add up per member as
+integers; smooth weights fill one contiguous member-major row per member,
+reduced once.  Member values go into an array indexed by member and only then
+into moments, so reports are bit-identical under any blocking, tiling or
+thread count.  Per block the indicator holds O(_TILE) cells and the smooth
+path one members x pi_L output.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from .measures import (
     _FINE_GRID,
     LocalMeasure,
     _bracket,
+    _cdf_norms,
     _guide,
     _invert,
     _local_tail_length,
@@ -39,7 +44,7 @@ from .measures import (
     quantile,
 )
 from .number_field import FieldSpec, LevelSpec, enumerate_prime_ideals
-from .rng import member_keys, uniform_matrix, uniforms_at
+from .rng import counter_words, integers_at, member_keys, uniform_matrix, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
 __all__ = [
@@ -273,6 +278,13 @@ class _Inverter:
 
 @dataclass
 class _Context:
+    """What the sampler needs of one (field, level, x, statistic).
+
+    An indicator member counts ideal j when cut_lo[j] <= k <= cut_hi[j] for
+    its 53-bit integer k at counter j (see _cut_points); a smooth member
+    inverts through `inverter` and weighs by `spec` at scale big_m.
+    """
+
     kind: str
     n_ideals: int
     pi_L_x: int
@@ -280,8 +292,8 @@ class _Context:
     scale: float
     mean_model: float
     variance_model: float
-    lo_u: np.ndarray = None
-    hi_u: np.ndarray = None
+    cut_lo: np.ndarray = None
+    cut_hi: np.ndarray = None
     inverter: _Inverter = None
     spec: SmoothSpec = None
     big_m: float = 0.0
@@ -313,6 +325,18 @@ def _local_series(coefs: np.ndarray, q: float, n_terms: int) -> float:
     return total
 
 
+def _cut_points(lo: np.ndarray, hi: np.ndarray):
+    """Integer cut points K = ceil(lo 2^53) and H = floor(hi 2^53), as int64.
+
+    A uniform is u = k 2^-53 for a 53-bit integer k, and scaling by 2^53 is
+    exact, so u >= lo exactly when k >= K and u <= hi exactly when k <= H.
+    int64 keeps a cut point below 0 (a cdf rounding to a tiny negative value
+    near theta = 0) or at 2^53 (a cdf rounding to 1.0) exact.
+    """
+    scale = 2.0**53
+    return np.ceil(lo * scale).astype(np.int64), np.floor(hi * scale).astype(np.int64)
+
+
 def _build_context(fs, level, x, statistic) -> _Context:
     ideals = enumerate_prime_ideals(fs, x, level)
     if not ideals:
@@ -325,11 +349,9 @@ def _build_context(fs, level, x, statistic) -> _Context:
         interval = statistic.interval
         mu = mu_infty_interval(interval)
         # ideals come sorted by norm, so each norm is one run of counts[i] ideals
-        a_u, b_u = (
-            np.array([float(cdf(LocalMeasure(q), t)) for q in qs])
-            for t in (interval.a, interval.b)
-        )
+        a_u, b_u = _cdf_norms(qs, interval.a), _cdf_norms(qs, interval.b)
         mass = b_u - a_u
+        cut_lo, cut_hi = _cut_points(a_u, b_u)
         return _Context(
             kind="indicator",
             n_ideals=count,
@@ -338,8 +360,8 @@ def _build_context(fs, level, x, statistic) -> _Context:
             scale=math.sqrt(count * max(mu * (1.0 - mu), 0.0)),
             mean_model=math.fsum(counts * mass),
             variance_model=math.fsum(counts * mass * (1.0 - mass)),
-            lo_u=np.repeat(a_u, counts),
-            hi_u=np.repeat(b_u, counts),
+            cut_lo=np.repeat(cut_lo, counts),
+            cut_hi=np.repeat(cut_hi, counts),
         )
 
     spec = statistic.phi
@@ -408,17 +430,21 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
     """Statistics for the members keyed by `keys`, one tile of ideal rows at a time."""
     inv, n = ctx.inverter, ctx.n_ideals
     if inv is None:  # indicator
-        counters, buckets, out = np.arange(n), [(0, n, None)], np.zeros(keys.size, dtype=np.int64)
+        words = counter_words(np.arange(n))[:, None]
+        lo, hi = ctx.cut_lo[:, None], ctx.cut_hi[:, None]
+        buckets, out = [(0, n, None)], np.zeros(keys.size, dtype=np.int64)
     else:
-        counters, buckets, out = inv.perm, inv.buckets, np.empty((keys.size, n))
+        buckets, out = inv.buckets, np.empty((keys.size, n))
+    row = keys[None, :]
     step = max(1, _TILE // keys.size)
     for k0, k1, series in buckets:
         for a in range(k0, k1, step):
             s = slice(a, min(a + step, k1))
-            u = uniforms_at(keys[None, :], counters[s, None])
             if inv is None:
-                out += np.count_nonzero((u >= ctx.lo_u[s, None]) & (u <= ctx.hi_u[s, None]), axis=0)
+                k = integers_at(row, words[s])
+                out += np.count_nonzero((k >= lo[s]) & (k <= hi[s]), axis=0)
             else:
+                u = uniforms_at(row, inv.perm[s, None])
                 theta = _angles(inv, s, series[a - k0 : s.stop - k0], u)
                 out[:, s] = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi)).T
     return out.astype(np.float64) if inv is None else out.sum(axis=1)

@@ -130,8 +130,12 @@ class _Series:
 def _series(q, n_terms: int) -> _Series:
     """Factors for norm q (a float or a column of floats) and n_terms terms."""
     w = 1.0 / q
-    c1 = tuple(w**n / (_TWO_PI * n) for n in range(1, n_terms + 1))
-    c2 = tuple(w**n / (_TWO_PI * (n + 1)) for n in range(1, n_terms + 1))
+    return _power_series(q, [w**n for n in range(1, n_terms + 1)])
+
+
+def _power_series(q, powers) -> _Series:  # given powers[n - 1] = q^{-n}
+    c1 = tuple(p / (_TWO_PI * n) for n, p in enumerate(powers, 1))
+    c2 = tuple(p / (_TWO_PI * (n + 1)) for n, p in enumerate(powers, 1))
     return _Series(c1, c2, q + 2.0 + 1.0 / q, q + 1.0)
 
 
@@ -179,6 +183,26 @@ def cdf(measure, theta):
     """
     t = _check_theta(theta)
     return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))
+
+
+def _cdf_norms(qs: np.ndarray, theta: float) -> np.ndarray:
+    """cdf(LocalMeasure(q), theta) for every norm q of the ascending qs, bit for bit.
+
+    One series call per run of norms sharing a series length; the length
+    falls as q grows, so each run is a slice.  The powers q^{-n} are taken by
+    the scalar ** that cdf uses: numpy's array power can differ from it by an
+    ulp, which moves the cdf near theta = 0.
+    """
+    t = _check_theta(theta)
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    terms = np.array([_local_tail_length(q) for q in qs])
+    edges = [0, *(np.flatnonzero(np.diff(terms)) + 1), qs.size]
+    out = []
+    for i0, i1 in zip(edges, edges[1:]):
+        w = (1.0 / qs[i0:i1]).tolist()
+        powers = [np.array([v**n for v in w]) for n in range(1, int(terms[i0]) + 1)]
+        out.append(_cdf_series(t, sin_t, cos_t, _power_series(qs[i0:i1], powers)))
+    return np.concatenate(out)
 
 
 def _guide_map(u):  # flat in the cubic tails of every cdf

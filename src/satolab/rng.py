@@ -6,6 +6,13 @@ ensemble sampler keys one stream per member and uses the prime-ideal position
 as the counter, which makes runs reproducible under any batching or thread
 layout.  The mixer is the splitmix64 finalizer, whose output stream passes
 standard statistical batteries.
+
+The word at (key, counter) is _mix64(key + GOLDEN * (counter + 1)), built by
+_derive alone.  integers_at is the raw entry point: it takes the counter words
+GOLDEN * (counter + 1) precomputed by counter_words, so a caller that visits
+the same counters many times (the indicator tiles of every block) builds them
+once, and returns the top 53 bits k of each word as int64.  uniforms_at is
+k * 2^-53 and remains the only place bits become doubles.
 """
 from __future__ import annotations
 
@@ -21,9 +28,8 @@ _U53_SCALE = float(2.0**-53)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; avalanches all 64 bits of z."""
+    """splitmix64 finalizer; avalanches all 64 bits of the uint64 z, in place."""
     with np.errstate(over="ignore"):
-        z = z.astype(np.uint64, copy=True)
         z ^= z >> np.uint64(30)
         z *= _MIX_A
         z ^= z >> np.uint64(27)
@@ -32,9 +38,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _derive(key: np.ndarray, index: np.ndarray) -> np.ndarray:
+def counter_words(counters) -> np.ndarray:
+    """The words GOLDEN * (counter + 1) that place each counter in a stream."""
     with np.errstate(over="ignore"):
-        return _mix64(key + _GOLDEN * (index.astype(np.uint64) + np.uint64(1)))
+        return _GOLDEN * (np.asarray(counters).astype(np.uint64) + np.uint64(1))
+
+
+def _derive(key: np.ndarray, index: np.ndarray, words=None) -> np.ndarray:
+    """Stream words at (key, index), broadcast; `words` may hold counter_words(index)."""
+    if words is None:
+        words = counter_words(index)
+    with np.errstate(over="ignore"):
+        return _mix64(np.asarray(key, dtype=np.uint64) + words)
 
 
 def root_key(seed: int) -> np.uint64:
@@ -51,14 +66,24 @@ def member_keys(seed: int, member_indices: np.ndarray) -> np.ndarray:
     return _derive(np.asarray(root_key(seed)), idx)
 
 
+def integers_at(keys, words) -> np.ndarray:
+    """53-bit integers k at (key, counter) for words = counter_words(counters).
+
+    Broadcast like uniforms_at, as int64 (every k lies in [0, 2^53)); the
+    uniform at the same place is exactly k * 2^-53.
+    """
+    bits = _derive(keys, None, words)
+    bits >>= np.uint64(11)
+    return bits.view(np.int64)
+
+
 def uniforms_at(keys, counters) -> np.ndarray:
     """Uniform [0, 1) variates at (key, counter), broadcast over both arrays.
 
     The only place bits become doubles.  keys[None, :] against
     counters[:, None] gives one row per counter.
     """
-    bits = _derive(np.asarray(keys, dtype=np.uint64), np.asarray(counters))
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+    return integers_at(keys, counter_words(counters)) * _U53_SCALE
 
 
 def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:

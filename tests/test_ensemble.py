@@ -18,6 +18,7 @@ from satolab.ensemble import (
     SmoothStatistic,
     _angles,
     _context,
+    _cut_points,
     _inverter,
     _jackknife_se,
     _ks_to_normal,
@@ -284,6 +285,52 @@ def test_indicator_block_memory_does_not_depend_on_x():
     # uniforms and one count per member; the whole uniform matrix peaked at 450 MB
     peak = _peak_bytes(*_block(IndicatorStatistic(QUARTER_ARC), 1e5, 2048))
     assert peak <= 16 * 2**20, peak / 2**20
+
+
+def test_indicator_thresholds_match_scalar_cdf():
+    # the context's cut points, built by one series call per series length,
+    # are ceil/floor of the scalar cdf times 2^53 for every ideal.  The arcs
+    # reach the ends of [0, pi]: cdf(0) = 0, cdf(pi) = 1, a cdf below 0 near
+    # theta = 0 (cut point -1), and cdf(pi - 1e-6) rounding to 1.0 (2^53)
+    norms = np.array([p.norm for p in enumerate_prime_ideals(Q5, 1e5)], dtype=np.float64)
+    qs, at = np.unique(norms, return_inverse=True)
+    scalar = {}
+    arcs = ((math.pi / 4, math.pi / 2), (0.0, 1e-9), (1e-9, math.pi), (math.pi - 1e-6, math.pi))
+    for a, b in arcs:
+        ctx, keys = _block(IndicatorStatistic(ArcInterval(a, b)), 1e5, 64)
+        for t in (a, b):
+            if t not in scalar:
+                scalar[t] = [float(cdf(LocalMeasure(q), t)) for q in qs]
+        want_lo = np.array([math.ceil(f * 2**53) for f in scalar[a]])[at]
+        want_hi = np.array([math.floor(f * 2**53) for f in scalar[b]])[at]
+        assert np.array_equal(ctx.cut_lo, want_lo), (a, b)
+        assert np.array_equal(ctx.cut_hi, want_hi), (a, b)
+        if b == 1e-9:
+            assert ctx.cut_hi.min() == -1
+        if a == math.pi - 1e-6:
+            assert np.all(ctx.cut_lo == 2**53)
+            assert not np.any(_member_values(ctx, keys))
+
+
+def test_integer_cut_points_decide_as_float_comparison():
+    # u = k 2^-53 lies in [lo, hi] exactly when K <= k <= H, for thresholds
+    # on the 2^-53 grid, between grid points, below 0 and above 1, and for k
+    # at and next to both cut points, at the ends of [0, 2^53) and at random
+    rng = np.random.default_rng(53)
+    special = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0, -1e-26, 1.0 + 2.0**-52])
+    grid = np.concatenate([special, rng.random(30), rng.random(30) * (1.0 - 2.0**-40)])
+    thresholds = np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)])
+    lo, hi = (t.ravel() for t in np.meshgrid(thresholds, thresholds))
+    big_k, big_h = _cut_points(lo, hi)
+    near = [c + d for c in (big_k, big_h) for d in (-1, 0, 1)]
+    ends = [np.zeros_like(big_k), np.ones_like(big_k), np.full_like(big_k, 2**53 - 1)]
+    k = np.column_stack([*near, *ends, rng.integers(0, 2**53, size=(lo.size, 8))])
+    k = k.clip(0, 2**53 - 1)
+    u = k * 2.0**-53
+    by_int = (k >= big_k[:, None]) & (k <= big_h[:, None])
+    by_float = (u >= lo[:, None]) & (u <= hi[:, None])
+    assert np.array_equal(by_int, by_float)
+    assert by_int.any() and not by_int.all()
 
 
 def test_exact_mean_and_variance_oracle():
