@@ -39,11 +39,10 @@ from .measures import (
     _invert,
     _local_tail_length,
     _series,
-    cdf,
     chebyshev_moment,
     quantile,
 )
-from .number_field import FieldSpec, LevelSpec, enumerate_prime_ideals
+from .number_field import FieldSpec, LevelSpec, ideal_norms
 from .rng import counter_words, integers_at, member_keys, uniform_matrix, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
@@ -338,11 +337,10 @@ def _cut_points(lo: np.ndarray, hi: np.ndarray):
 
 
 def _build_context(fs, level, x, statistic) -> _Context:
-    ideals = enumerate_prime_ideals(fs, x, level)
-    if not ideals:
+    norms = ideal_norms(fs, x, level)
+    if not norms.size:
         raise ConfigError("x", "no prime ideals of norm <= x; increase x")
-    norms = np.array([ideal.norm for ideal in ideals], dtype=np.float64)
-    count = len(ideals)
+    count = int(norms.size)
     qs, starts, counts = np.unique(norms, return_index=True, return_counts=True)
 
     if isinstance(statistic, IndicatorStatistic):
@@ -393,10 +391,10 @@ def _inverter(qs, starts, counts, grid) -> _Inverter:
     have norm qs[i].  grid is (bracket grid points, Newton steps)."""
     n_grid, newton_steps = grid
     theta_grid = np.linspace(0.0, math.pi, n_grid)
-    cdf_table = np.empty((qs.size, n_grid))
-    for i, q in enumerate(qs):
-        cdf_table[i] = cdf(LocalMeasure(q), theta_grid)
-    guides, walks = zip(*map(_guide, cdf_table))
+    # cdf and guide rows in chunks of about _TILE cells, to bound the temporaries
+    step = max(1, _TILE // n_grid)
+    tables = [_cdf_norms(qs[i : i + step], theta_grid) for i in range(0, qs.size, step)]
+    guides, walks = zip(*map(_guide, tables))
     terms = np.array([_local_tail_length(q) for q in qs])
     order = np.argsort(terms, kind="stable")
     rows = np.repeat(order, counts[order])
@@ -406,8 +404,10 @@ def _inverter(qs, starts, counts, grid) -> _Inverter:
         (k0, k1, _series(qs[rows[k0:k1], None], int(terms[rows[k0]])))
         for k0, k1 in zip(edges, edges[1:])
     ]
-    guide = np.array(guides)
-    return _Inverter(perm, rows, buckets, theta_grid, cdf_table, guide, max(walks), newton_steps)
+    return _Inverter(
+        perm, rows, buckets, theta_grid, np.concatenate(tables), np.concatenate(guides),
+        max(walks), newton_steps,
+    )
 
 
 @lru_cache(maxsize=4)

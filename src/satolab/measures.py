@@ -185,13 +185,14 @@ def cdf(measure, theta):
     return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))
 
 
-def _cdf_norms(qs: np.ndarray, theta: float) -> np.ndarray:
+def _cdf_norms(qs: np.ndarray, theta) -> np.ndarray:
     """cdf(LocalMeasure(q), theta) for every norm q of the ascending qs, bit for bit.
 
-    One series call per run of norms sharing a series length; the length
-    falls as q grows, so each run is a slice.  The powers q^{-n} are taken by
-    the scalar ** that cdf uses: numpy's array power can differ from it by an
-    ulp, which moves the cdf near theta = 0.
+    theta is one angle (one value per norm) or a row of angles (one row per
+    norm).  One series call per run of norms sharing a series length; the
+    length falls as q grows, so each run is a slice.  The powers q^{-n} are
+    taken by the scalar ** that cdf uses: numpy's array power can differ
+    from it by an ulp, which moves the cdf near theta = 0.
     """
     t = _check_theta(theta)
     sin_t, cos_t = np.sin(t), np.cos(t)
@@ -199,9 +200,11 @@ def _cdf_norms(qs: np.ndarray, theta: float) -> np.ndarray:
     edges = [0, *(np.flatnonzero(np.diff(terms)) + 1), qs.size]
     out = []
     for i0, i1 in zip(edges, edges[1:]):
+        column = (i1 - i0,) + (1,) * t.ndim
         w = (1.0 / qs[i0:i1]).tolist()
-        powers = [np.array([v**n for v in w]) for n in range(1, int(terms[i0]) + 1)]
-        out.append(_cdf_series(t, sin_t, cos_t, _power_series(qs[i0:i1], powers)))
+        powers = [np.reshape([v**n for v in w], column) for n in range(1, int(terms[i0]) + 1)]
+        series = _power_series(qs[i0:i1].reshape(column), powers)
+        out.append(_cdf_series(np.broadcast_to(t, (i1 - i0,) + t.shape), sin_t, cos_t, series))
     return np.concatenate(out)
 
 
@@ -210,20 +213,27 @@ def _guide_map(u):  # flat in the cubic tails of every cdf
 
 
 def _guide(table: np.ndarray):
-    """Guide row of a cdf table row (Chen & Asau, 1974), and its walk length.
+    """Guide rows of a cdf table row or block of rows (Chen & Asau, 1974),
+    and their walk length.
 
-    Entry j counts the nodes with g(table) < j/_GUIDE - _GUIDE_SLACK, clipped
-    to [1, n - 1]; the cell of any u with floor(_GUIDE g(u)) = j lies from
-    there to `walk` indices above, whether or not rounding keeps g monotone.
+    Entry j of a row counts the nodes with g(row) < j/_GUIDE - _GUIDE_SLACK,
+    clipped to [1, n - 1]; the cell of any u with floor(_GUIDE g(u)) = j lies
+    from there to `walk` indices above, whether or not rounding keeps g
+    monotone.  Each row's counts fill their own _GUIDE + 2 bins of one
+    bincount.
     """
-    mapped = _guide_map(table)
+    n = table.shape[-1]
+    mapped = _guide_map(table.reshape(-1, n))
+    bins = (_GUIDE + 2) * np.arange(mapped.shape[0])[:, None]
 
     def below(shift):  # node counts below j/_GUIDE + shift, j = 0.._GUIDE + 1
-        cells = (_GUIDE * (mapped - shift)).astype(np.intp) + 1
-        return np.cumsum(np.bincount(cells, minlength=_GUIDE + 2)).clip(1, table.size - 1)
+        cells = (_GUIDE * (mapped - shift)).astype(np.intp) + 1 + bins
+        counts = np.bincount(cells.ravel(), minlength=bins.size * (_GUIDE + 2))
+        return np.cumsum(counts.reshape(-1, _GUIDE + 2), axis=1).clip(1, n - 1)
 
-    lo = below(-_GUIDE_SLACK)[:-1]
-    return lo.astype(np.int32), int(np.max(below(_GUIDE_SLACK)[1:] - lo))
+    lo = below(-_GUIDE_SLACK)[:, :-1]
+    walk = int(np.max(below(_GUIDE_SLACK)[:, 1:] - lo))
+    return lo.astype(np.int32).reshape(table.shape[:-1] + (_GUIDE + 1,)), walk
 
 
 def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expi
 
 from .chebyshev import ChebyshevSeries, series_product
-from .number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, pi_L
+from .number_field import FieldSpec, LevelSpec, ideal_norms, pi_L
 from .selberg import ExtremalPair
 
 __all__ = [
@@ -173,7 +173,8 @@ def _even_profile(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     w must be non-increasing (norms ascending): the Horner step for w^k
     then updates only the prefix of rows with q^k <= e^690, and a row
-    outside it starts from zero exactly when it enters.
+    outside it starts from zero exactly when it enters.  The prefixes shrink
+    as k grows, so the loop starts at the last k whose prefix is non-empty.
     """
     if np.any(np.diff(w) > 0.0):
         raise ValueError("w must be non-increasing")
@@ -183,7 +184,7 @@ def _even_profile(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     limits[1:] = _LOG_UNDERFLOW / np.arange(1, even.size)
     rows = np.searchsorted(log_q, limits, side="right")
     total = np.zeros_like(w)
-    for k in range(even.size - 1, -1, -1):
+    for k in range(np.count_nonzero(rows) - 1, -1, -1):
         head = rows[k]
         total[:head] = total[:head] * w[:head] + even[k]
     return total
@@ -269,10 +270,9 @@ def main_term_report(
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 8:
         raise ValueError("moment order must lie in 1..8 for exact tuple sums")
     z = ZSeries.from_extremal(pair, sign)
-    ideals = enumerate_prime_ideals(fs, x, level)
-    if not ideals:
+    norms = ideal_norms(fs, x, level)
+    if not norms.size:
         raise ValueError("no prime ideals of norm <= x")
-    norms = np.array([ideal.norm for ideal in ideals], dtype=np.float64)
     qs, counts = np.unique(norms, return_counts=True)
     counts = counts.astype(np.float64)
     w = 1.0 / qs
@@ -281,7 +281,7 @@ def main_term_report(
         for r, power in enumerate(_z_powers(z, n), start=1)
     }
     block_sums = {}
-    scale = float(len(ideals)) ** (n / 2.0)
+    scale = float(norms.size) ** (n / 2.0)
     case_totals = {1: 0.0, 2: 0.0, 3: 0.0}
     case_parts = {1: [], 2: [], 3: []}
     detail = []
@@ -298,7 +298,7 @@ def main_term_report(
         n=int(n),
         sign=sign,
         m_used=pair.degree,
-        pi_L_x=len(ideals),
+        pi_L_x=int(norms.size),
         total=total,
         case_totals=case_totals,
         partition_terms=tuple(detail),

@@ -8,6 +8,17 @@ bound feeds the ideal-counting function pi_L(x) and the partial sums
     sum_{N <= x} 1/N        and        sum_{N <= x} 1/(N (N - 1)),
 
 the second being the closed form of sum_{r >= 2} N^{-r}.
+
+The ideals of norm <= x are held as one column table per (field, bound):
+int64 columns norm, p, label and f and a split-type code, sorted by
+(norm, p, label) and built in array passes from the sieve and one
+vectorized Kronecker symbol (Euler's criterion by square-and-multiply on
+int64 arrays for odd p, the disc mod 8 rule for p = 2).  ideal_norms(fs, x,
+level) returns its read-only float64 norm column, and pi_L, the sums above,
+the moment main terms and the sampler read only that column.
+enumerate_prime_ideals builds PrimeIdeal objects from the table, in table
+order, the first time a (field, bound) asks for them.  A level's exclusions
+are removed by matching (norm, p, label, f), the fields PrimeIdeal compares.
 """
 from __future__ import annotations
 
@@ -15,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -27,6 +39,7 @@ __all__ = [
     "primes_up_to",
     "split_prime",
     "enumerate_prime_ideals",
+    "ideal_norms",
     "pi_L",
     "mertens_sum",
     "higher_power_sum",
@@ -34,9 +47,16 @@ __all__ = [
 
 _SIEVE_CAPACITY = 10**8
 _SIEVE_BLOCK = 1 << 20
+# Products of two residues mod p stay in int64 while p <= isqrt(2^63 - 1);
+# beyond it the Kronecker kernel works on Python integers.
+_INT64_ROOT = math.isqrt(2**63 - 1)
 
 # Deterministic Miller-Rabin witness set for n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Split types, indexed by the code column of the ideal table.
+_SPLIT_TYPES = ("rational", "split", "inert", "ramified")
+_RATIONAL, _SPLIT, _INERT, _RAMIFIED = range(4)
 
 
 def is_prime(n: int) -> bool:
@@ -65,18 +85,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _kronecker(disc: int, primes: np.ndarray) -> np.ndarray:
+    """Kronecker symbols (disc/p) for an array of primes, as int64.
+
+    p = 2 by disc mod 8; odd p by Euler's criterion, r^((p - 1)/2) mod p
+    with r = disc mod p, by square-and-multiply over the exponent bits of
+    all primes at once.
+    """
+    disc = int(disc)
+    small = primes.size == 0 or (int(np.max(primes)) <= _INT64_ROOT and abs(disc) < 2**62)
+    p = primes.astype(np.int64 if small else object)
+    r = np.remainder(disc, p)
+    e = (p - 1) // 2
+    power = np.ones_like(p)
+    base = r
+    while np.any(e):
+        power = np.where(e & 1, power * base % p, power)
+        base = base * base % p
+        e = e >> 1
+    sym = np.where(r == 0, 0, np.where(power == 1, 1, -1)).astype(np.int64)
+    if disc % 2 == 0:
+        sym[p == 2] = 0
+    else:
+        sym[p == 2] = 1 if disc % 8 in (1, 7) else -1
+    return sym
+
+
 def kronecker_symbol(disc: int, p: int) -> int:
     """Kronecker symbol (disc/p) for prime p."""
-    disc, p = int(disc), int(p)
-    if p == 2:
-        if disc % 2 == 0:
-            return 0
-        return 1 if disc % 8 in (1, 7) else -1
-    r = disc % p
-    if r == 0:
-        return 0
-    e = pow(r, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
+    return int(_kronecker(disc, np.array([int(p)], dtype=object))[0])
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -199,62 +236,147 @@ def split_prime(fs: FieldSpec, p: int) -> list:
     p = int(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _split_known_prime(fs, p)
+    primes = np.array([p], dtype=np.int64 if p <= _INT64_ROOT else object)
+    return list(_ideals(*_split_columns(fs, primes)[1:]))
 
 
-def _split_known_prime(fs: FieldSpec, p: int) -> list:
+def _split_columns(fs: FieldSpec, primes: np.ndarray) -> tuple:
+    """Columns (norm, p, label, f, split-type code) of the ideals above the
+    ascending primes, in (p, label) order."""
     if fs.degree == 1:
-        return [PrimeIdeal(norm=p, p=p, label=0, f=1, split_type="rational")]
-    sym = kronecker_symbol(fs.discriminant, p)
-    if sym == 1:
-        return [
-            PrimeIdeal(norm=p, p=p, label=0, f=1, split_type="split"),
-            PrimeIdeal(norm=p, p=p, label=1, f=1, split_type="split"),
-        ]
-    if sym == -1:
-        return [PrimeIdeal(norm=p * p, p=p, label=0, f=2, split_type="inert")]
-    return [PrimeIdeal(norm=p, p=p, label=0, f=1, split_type="ramified")]
+        ones = np.ones(primes.size, dtype=np.int64)
+        return primes, primes, ones - 1, ones, np.full(primes.size, _RATIONAL, np.int8)
+    sym = _kronecker(fs.discriminant, primes)
+    copies = np.where(sym == 1, 2, 1)
+    p, sym = np.repeat(primes, copies), np.repeat(sym, copies)
+    label = np.zeros(p.size, dtype=np.int64)
+    label[1:] = p[1:] == p[:-1]  # the second conjugate of a split prime
+    inert = sym == -1
+    code = np.select([sym == 1, inert], [_SPLIT, _INERT], _RAMIFIED).astype(np.int8)
+    return np.where(inert, p * p, p), p, label, np.where(inert, 2, 1), code
+
+
+def _ideals(p, label, f, code) -> tuple:
+    """PrimeIdeal objects from the columns p, label, f and split-type code, in
+    row order.
+
+    Fields are set by object.__setattr__, as the frozen dataclass __init__
+    sets them, but without one Python-level __init__ call per object.
+    Writing them through __dict__ would be faster still, but it gives every
+    object its own dict and doubles the memory of the list.  The norm of a
+    degree-one ideal is its p, the same int object.
+    """
+    p, label, f, code = (c.tolist() for c in (p, label, f, code))
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for p_, label_, f_, code_ in zip(p, label, f, code):
+        ideal = new(PrimeIdeal)
+        put(ideal, "norm", p_ if f_ == 1 else p_ * p_)
+        put(ideal, "p", p_)
+        put(ideal, "label", label_)
+        put(ideal, "f", f_)
+        put(ideal, "split_type", _SPLIT_TYPES[code_])
+        out.append(ideal)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _IdealTable:
+    """The prime ideals of norm <= bound as read-only columns, sorted by
+    (norm, p, label); norm_float is the norm column as float64."""
+
+    norm: np.ndarray
+    p: np.ndarray
+    label: np.ndarray
+    f: np.ndarray
+    code: np.ndarray
+    norm_float: np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _enumerate_all(fs: FieldSpec, bound: int) -> tuple:
-    out = []
-    for p in primes_up_to(bound):
-        for ideal in _split_known_prime(fs, int(p)):
-            if ideal.norm <= bound:
-                out.append(ideal)
-    out.sort()
-    return tuple(out)
+def _ideal_table(fs: FieldSpec, bound: int) -> _IdealTable:
+    norm, p, label, f, code = _split_columns(fs, primes_up_to(bound))
+    keep = norm <= bound
+    order = np.lexsort((label[keep], p[keep], norm[keep]))
+    columns = [c[keep][order] for c in (norm, p, label, f, code)]
+    columns.append(columns[0].astype(np.float64))
+    for c in columns:
+        c.flags.writeable = False
+    return _IdealTable(*columns)
+
+
+@lru_cache(maxsize=8)
+def _ideal_objects(fs: FieldSpec, bound: int) -> tuple:
+    table = _ideal_table(fs, bound)
+    return _ideals(table.p, table.label, table.f, table.code)
+
+
+def _bound(x) -> int:
+    x = float(x)
+    if x < 2.0:
+        raise ValueError("x must be at least 2")
+    return int(math.floor(x))
+
+
+def _outside(table: _IdealTable, level: LevelSpec) -> np.ndarray:
+    """Mask of the table rows that match no excluded ideal of the level in
+    (norm, p, label, f)."""
+    keep = np.ones(table.norm.size, dtype=bool)
+    top = int(table.norm[-1]) if table.norm.size else 0
+    for ideal in level.excluded:
+        if ideal.norm > top:  # past the table, and perhaps past int64
+            continue
+        lo, hi = np.searchsorted(table.norm, [ideal.norm, ideal.norm + 1])
+        same = (
+            (table.p[lo:hi] == ideal.p)
+            & (table.label[lo:hi] == ideal.label)
+            & (table.f[lo:hi] == ideal.f)
+        )
+        keep[lo + np.flatnonzero(same)] = False
+    return keep
 
 
 def enumerate_prime_ideals(fs: FieldSpec, x, level: LevelSpec = None) -> list:
     """All prime ideals of norm <= x outside the level, sorted by (norm, p, label)."""
-    x = float(x)
-    if x < 2.0:
-        raise ValueError("x must be at least 2")
-    ideals = _enumerate_all(fs, int(math.floor(x)))
+    bound = _bound(x)
+    ideals = _ideal_objects(fs, bound)
     if level is not None and level.excluded:
-        excluded = set(level.excluded)
-        return [ideal for ideal in ideals if ideal not in excluded]
+        return list(compress(ideals, _outside(_ideal_table(fs, bound), level).tolist()))
     return list(ideals)
+
+
+def ideal_norms(fs: FieldSpec, x, level: LevelSpec = None) -> np.ndarray:
+    """Norms of the prime ideals of norm <= x outside the level, ascending,
+    as a read-only float64 array; builds no PrimeIdeal object."""
+    table = _ideal_table(fs, _bound(x))
+    if level is None or not level.excluded:
+        return table.norm_float
+    norms = table.norm_float[_outside(table, level)]
+    norms.flags.writeable = False
+    return norms
 
 
 def pi_L(fs: FieldSpec, x, level: LevelSpec = None) -> int:
     """Number of prime ideals of norm <= x outside the level."""
-    return len(enumerate_prime_ideals(fs, x, level))
+    return int(ideal_norms(fs, x, level).size)
+
+
+def _level_free_norms(fs: FieldSpec, x) -> np.ndarray:
+    if float(x) < 16.0:
+        raise ValueError("x must be at least 16")
+    return _ideal_table(fs, _bound(x)).norm
 
 
 def mertens_sum(fs: FieldSpec, x) -> float:
     """sum of 1/N(p) over all prime ideals of norm <= x (level-free)."""
-    if float(x) < 16.0:
-        raise ValueError("x must be at least 16")
-    return math.fsum(1.0 / ideal.norm for ideal in enumerate_prime_ideals(fs, x))
+    return math.fsum((1.0 / _level_free_norms(fs, x)).tolist())
 
 
 def higher_power_sum(fs: FieldSpec, x) -> float:
-    """sum over norms N <= x of 1/(N (N-1)), the full r >= 2 power tail."""
-    if float(x) < 16.0:
-        raise ValueError("x must be at least 16")
-    return math.fsum(
-        1.0 / (ideal.norm * (ideal.norm - 1)) for ideal in enumerate_prime_ideals(fs, x)
-    )
+    """sum over norms N <= x of 1/(N (N-1)), the full r >= 2 power tail.
+
+    N (N - 1) < 1e16 is exact in int64 at the sieve capacity, so each term
+    is 1.0 over the correctly rounded exact product.
+    """
+    norms = _level_free_norms(fs, x)
+    return math.fsum((1.0 / (norms * (norms - 1))).tolist())

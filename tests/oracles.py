@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from satolab.measures import _cdf_series, _density, _measure_series
+from satolab.number_field import primes_up_to
 
 
 def bisection_quantile(measure, u):
@@ -43,3 +44,46 @@ def searchsorted_bracket(table, u):
     clipped to [1, n - 1], and those two values."""
     idx = np.searchsorted(table, u, side="left").clip(1, table.size - 1)
     return idx, table[idx - 1], table[idx]
+
+
+def kronecker_euler(disc: int, p: int) -> int:
+    """Kronecker symbol (disc/p) for one prime: the disc mod 8 rule at p = 2,
+    Euler's criterion by Python's three-argument pow for odd p."""
+    if p == 2:
+        if disc % 2 == 0:
+            return 0
+        return 1 if disc % 8 in (1, 7) else -1
+    r = disc % p
+    if r == 0:
+        return 0
+    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def split_one_prime(fs, p: int) -> list:
+    """Rows (norm, p, label, f, split type) of the ideals above the prime p,
+    in label order, decided one prime at a time."""
+    if fs.degree == 1:
+        return [(p, p, 0, 1, "rational")]
+    sym = kronecker_euler(fs.discriminant, p)
+    if sym == 1:
+        return [(p, p, 0, 1, "split"), (p, p, 1, 1, "split")]
+    if sym == -1:
+        return [(p * p, p, 0, 2, "inert")]
+    return [(p, p, 0, 1, "ramified")]
+
+
+def enumerate_one_prime_at_a_time(fs, bound: int) -> list:
+    """Rows (norm, p, label, f, split type) of the prime ideals of norm <=
+    bound, sorted: one split_one_prime call per prime below the bound."""
+    return sorted(
+        row for p in primes_up_to(bound).tolist() for row in split_one_prime(fs, p) if row[0] <= bound
+    )
+
+
+def full_horner(coeffs, w):
+    """The even-coefficient polynomial of coeffs at every w, by Horner over
+    every coefficient and every row."""
+    total = np.zeros_like(w)
+    for c in coeffs[::2][::-1]:
+        total = total * w + c
+    return total

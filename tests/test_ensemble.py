@@ -35,11 +35,18 @@ from satolab.measures import (
     LocalMeasure,
     SatoTateMeasure,
     _bracket,
+    _guide,
     cdf,
     density,
     quantile,
 )
-from satolab.number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, split_prime
+from satolab.number_field import (
+    FieldSpec,
+    LevelSpec,
+    enumerate_prime_ideals,
+    ideal_norms,
+    split_prime,
+)
 from satolab.rng import CounterRng, member_keys, uniforms_at
 from satolab.selberg import ArcInterval
 
@@ -235,6 +242,26 @@ def test_guide_bracket_matches_binary_search():
             want = searchsorted_bracket(table, u)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (grid, qs[row])
+
+
+def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
+    # the inverter builds its cdf table by one series pass per chunk of rows
+    # and run of series lengths, and its guide rows by one bincount per
+    # chunk; each row equals the scalar cdf on the grid and the guide of that
+    # row alone, bit for bit, on both grids (norms from 2, with 46 terms, up)
+    cases = (
+        (np.unique(ideal_norms(Q5, 1e4)), _FINE_GRID),
+        (np.unique(ideal_norms(FieldSpec.rationals(), 3000)), _COARSE_GRID),
+    )
+    for qs, grid in cases:
+        inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
+        walks = []
+        for q, table, guide in zip(qs, inv.cdf_table, inv.guide):
+            assert np.array_equal(table, cdf(LocalMeasure(q), inv.theta_grid)), (grid, q)
+            row_guide, walk = _guide(table)
+            assert np.array_equal(guide, row_guide), (grid, q)
+            walks.append(walk)
+        assert inv.walk == max(walks)
 
 
 SMOOTH = SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import full_horner
 from satolab.chebyshev import ChebyshevSeries
 from satolab.measures import LocalMeasure, density
 from satolab.moments_engine import (
@@ -124,13 +125,6 @@ def test_distinct_tuple_sum_matches_brute_force():
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
-def _plain_horner(coeffs, w):
-    total = np.zeros_like(w)
-    for c in coeffs[::2][::-1]:
-        total = total * w + c
-    return total
-
-
 def _distinct_norm_weights(fs, x):
     norms = np.array([ideal.norm for ideal in enumerate_prime_ideals(fs, x)], dtype=np.float64)
     qs, counts = np.unique(norms, return_counts=True)
@@ -144,13 +138,24 @@ def test_even_profile_prefix_horner_is_bitwise_full_horner():
     w, _ = _distinct_norm_weights(Q5, 1e5)
     for r in range(1, 9):
         coeffs = z_power_coeffs(z, r).coeffs
-        assert np.array_equal(_even_profile(coeffs, w), _plain_horner(coeffs, w))
+        assert np.array_equal(_even_profile(coeffs, w), full_horner(coeffs, w))
+
+
+def test_even_profile_skips_only_coefficients_that_reach_no_row():
+    # over Q the smallest norm is 2, so only k <= 690 / log 2 (995) of the
+    # 2,941 even coefficients of Z^8 at M = 735 reach a row; the Horner loop
+    # starts there and still moves no bit
+    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "plus")
+    w, _ = _distinct_norm_weights(FieldSpec.rationals(), 1e4)
+    coeffs = z_power_coeffs(z, 8).coeffs
+    assert coeffs[::2].size == 2941 and w[0] == 0.5
+    assert np.array_equal(_even_profile(coeffs, w), full_horner(coeffs, w))
 
 
 def test_even_profile_rejects_unsorted_weights():
     w, _ = _distinct_norm_weights(Q5, 2000)
     coeffs = np.linspace(1.0, 0.0, 41)
-    assert np.array_equal(_even_profile(coeffs, w), _plain_horner(coeffs, w))
+    assert np.array_equal(_even_profile(coeffs, w), full_horner(coeffs, w))
     shuffled = np.random.default_rng(5).permutation(w)
     with pytest.raises(ValueError):
         _even_profile(coeffs, shuffled)
@@ -162,7 +167,7 @@ def test_shared_block_cache_matches_fresh_cache_sums():
     z = ZSeries.from_extremal(pair, "plus")
     w, counts = _distinct_norm_weights(Q5, x)
     pi_count = float(counts.sum())
-    f_rows = {r: _plain_horner(z_power_coeffs(z, r).coeffs, w) for r in range(1, 9)}
+    f_rows = {r: full_horner(z_power_coeffs(z, r).coeffs, w) for r in range(1, 9)}
     for n in range(1, 9):
         rep = main_term_report(n, Q5, x, pair, sign="plus")
         scale = pi_count ** (n / 2.0)

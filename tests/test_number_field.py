@@ -4,12 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import enumerate_one_prime_at_a_time, split_one_prime
+from satolab import number_field
 from satolab.number_field import (
     FieldSpec,
     LevelSpec,
     PrimeIdeal,
+    _ideal_table,
+    _kronecker,
     enumerate_prime_ideals,
     higher_power_sum,
+    ideal_norms,
     is_prime,
     kronecker_symbol,
     mertens_sum,
@@ -232,3 +237,87 @@ def test_prime_ideal_ordering_key():
     b = PrimeIdeal(norm=11, p=11, label=1, f=1, split_type="split")
     c = PrimeIdeal(norm=9, p=3, label=0, f=2, split_type="inert")
     assert sorted([b, a, c]) == [c, a, b]
+
+
+FIELDS = ["rationals", "sqrt2", "sqrt3", "sqrt5", "sqrt13"]  # disc 1, 8, 12, 5, 13
+
+
+def _rows(ideals):
+    return [(i.norm, i.p, i.label, i.f, i.split_type) for i in ideals]
+
+
+@pytest.mark.parametrize("x", [10, 120, 10**4, (1 << 20) + 5000, 10**6])
+def test_ideal_table_matches_one_prime_at_a_time(x):
+    # the column table, the objects built from it and the norm column all
+    # equal the per-prime loop, split types included; the bounds include one
+    # past the first 2^20 sieve block, and the fields an even discriminant
+    # (sqrt2, sqrt3) and ramified odd primes (5, 3 and 13)
+    for name in FIELDS:
+        fs = FieldSpec.from_name(name)
+        want = enumerate_one_prime_at_a_time(fs, x)
+        table = _ideal_table(fs, x)
+        codes = [number_field._SPLIT_TYPES[c] for c in table.code.tolist()]
+        columns = [c.tolist() for c in (table.norm, table.p, table.label, table.f)]
+        assert list(zip(*columns, codes)) == want, (name, x)
+        got = enumerate_prime_ideals(fs, x)
+        assert _rows(got) == want and {type(i) for i in got} == {PrimeIdeal}, (name, x)
+        assert ideal_norms(fs, x).tolist() == [float(row[0]) for row in want]
+        assert pi_L(fs, x) == len(want)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_level_exclusions_match_on_compared_fields(name):
+    # exclusions match on (norm, p, label, f), the fields PrimeIdeal equality
+    # compares: one conjugate of a split prime, whole primes, and ideals of
+    # norm > x
+    fs = FieldSpec.from_name(name)
+    above = LevelSpec.above_primes(fs, [3, 13, 11, 1009, 2**61 - 1]).excluded
+    for x in (120, 10**4):
+        for excluded in (above, above[-1:], split_prime(fs, 11)[-1:]):
+            level = LevelSpec(excluded=excluded)
+            keys = {row[:4] for row in _rows(excluded)}
+            want = [row for row in enumerate_one_prime_at_a_time(fs, x) if row[:4] not in keys]
+            assert _rows(enumerate_prime_ideals(fs, x, level)) == want, (name, x, excluded)
+            norms = ideal_norms(fs, x, level)
+            assert norms.tolist() == [float(row[0]) for row in want]
+            assert not norms.flags.writeable
+            assert pi_L(fs, x, level) == len(want)
+    assert any(i.norm > 10**4 for i in above)
+
+
+def test_ideal_norms_read_only_and_built_without_objects(monkeypatch):
+    def no_objects(*columns):
+        raise AssertionError("ideal_norms built PrimeIdeal objects")
+
+    monkeypatch.setattr(number_field, "_ideals", no_objects)
+    _ideal_table.cache_clear()
+    number_field._ideal_objects.cache_clear()
+    norms = ideal_norms(Q5, 1e6)
+    assert norms.dtype == np.float64 and norms.size == 78510
+    assert np.all(np.diff(norms) >= 0.0)
+    with pytest.raises(ValueError):
+        norms[0] = 1.0
+    assert ideal_norms(Q5, 1e6) is norms
+    assert number_field._ideal_objects.cache_info().currsize == 0
+
+
+def test_pi_l_at_one_million():
+    assert pi_L(Q5, 1e6) == 78510
+    assert pi_L(QQ, 1e6) == 78498
+
+
+def test_vectorized_kronecker_matches_oracle():
+    primes = primes_up_to(1999)
+    for disc in [5, 8, 12, 13, 17, 24, -3, -4]:
+        want = [kronecker_oracle(disc, p) for p in primes.tolist()]
+        assert _kronecker(disc, primes).tolist() == want, disc
+        assert [kronecker_symbol(disc, p) for p in primes[:40].tolist()] == want[:40]
+
+
+def test_split_prime_beyond_int64_products():
+    # products of residues stay in int64 up to isqrt(2^63 - 1) = 3,037,000,499;
+    # past it the kernel runs on Python ints
+    for name in FIELDS:
+        fs = FieldSpec.from_name(name)
+        for p in (3_037_000_493, 3_037_000_507, 2**61 - 1):
+            assert _rows(split_prime(fs, p)) == split_one_prime(fs, p), (name, p)
