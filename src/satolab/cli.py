@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -200,7 +201,6 @@ _INTERVAL = _Key(
 )
 _PHI = _Key("phi", _TEXT, "gaussian", flag="--phi", choices=("gaussian", "custom"))
 _LAM = _Key("lam", _NUMBER, 1.0, _positive, "decay rate must be positive", "--lam")
-_OMEGA = _Key("omega", _NUMBER, 2.0, _positive, "decay exponent must be positive", "--omega")
 _TABLE = _Key("table", _PAIRS, ())
 _SCALE = _Key(
     "M", _NUMBER, 4.0, lambda v: 1.0 <= v < math.inf, "periodization scale must be finite and >= 1",
@@ -234,7 +234,7 @@ _SCHEMA = {
         _Key("statistic", default={}, rows=(
             _Key("kind", _TEXT, "indicator", flag="--statistic", choices=("indicator", "smooth")),
             _INTERVAL._replace(default=None),
-            _PHI, _SCALE, _LAM, _OMEGA, _TABLE,
+            _PHI, _SCALE, _LAM, _TABLE,
         )),
     )),
     "theory": ("deterministic moment main terms", (
@@ -249,7 +249,7 @@ _SCHEMA = {
              "weights must be even integers >= 4", "--weights"),
     )),
     "smooth": ("periodized weight profile and moments", (
-        _PHI, _LAM, _OMEGA, _TABLE, _SCALE._replace(name="smooth_m"),
+        _PHI, _LAM, _TABLE, _SCALE._replace(name="smooth_m"),
         _Key("points", _INTEGER, 513, lambda p: p >= 2, "need at least 2 profile points",
              "--points"),
     )),
@@ -335,9 +335,9 @@ def _resolve_rows(rows, given: dict, args, prefix: str) -> dict:
 
 
 def _smooth_spec(values: dict) -> SmoothSpec:
-    """The weight of a resolved phi/lam/omega/table group: clt's smooth
-    statistic and the smooth subcommand share these keys."""
-    return SmoothSpec(values["phi"], values["lam"], values["omega"], values["table"])
+    """The weight of a resolved phi/lam/table group: clt's smooth statistic
+    and the smooth subcommand share these keys."""
+    return SmoothSpec(values["phi"], values["lam"], values["table"])
 
 
 def _emit(args, config: dict, report_name: str, report: dict, table: tuple = None) -> None:
@@ -479,7 +479,7 @@ def _run_clt(args) -> int:
         shown = ("kind", "interval")
     else:
         statistic = SmoothStatistic(phi=_smooth_spec(stat), M=stat["M"])
-        used = ("lam",) if stat["phi"] == "gaussian" else ("omega", "table")
+        used = ("lam",) if stat["phi"] == "gaussian" else ("table",)
         shown = ("kind", "phi", "M") + used
     echo["statistic"] = {key: stat[key] for key in shown}
     config = EnsembleConfig(
@@ -492,24 +492,8 @@ def _run_clt(args) -> int:
         max_moment=echo["max_moment"],
     )
     report = run_ensemble(config, threads=_threads(args))
-    body = {
-        "pi_L_x": report.pi_L_x,
-        "size": report.size,
-        "center": report.center,
-        "scale": report.scale,
-        "mean_model": report.mean_model,
-        "variance_model": report.variance_model,
-        "gaussian_targets": list(report.gaussian_targets),
-        "empirical_moments": list(report.empirical_moments),
-        "standard_errors": list(report.standard_errors),
-        "ks_statistic": report.ks_statistic,
-        "model_centered_moments": list(report.model_centered_moments),
-        "model_centered_standard_errors": list(report.model_centered_standard_errors),
-        "model_centered_ks": report.model_centered_ks,
-        "underflow": report.underflow,
-        "overflow": report.overflow,
-    }
-    edges, counts = report.histogram_edges, report.histogram_counts
+    body = asdict(report)
+    edges, counts = body.pop("histogram_edges"), body.pop("histogram_counts")
     bins = [(edges[i], edges[i + 1], counts[i]) for i in range(len(counts))]
     _emit(args, echo, "report.json", body,
           ("histogram.csv", ("bin_left", "bin_right", "count"), bins))
@@ -543,18 +527,8 @@ def _run_theory(args) -> int:
     target = gaussian_moment(n) * v ** (n / 2.0)
     growth = None
     if weights:
-        g = growth_bookkeeping(x, WeightVector(ks=tuple(weights)), fs=fs, n=n)
-        growth = {
-            "degree": g.degree,
-            "m_weight_rule_short": g.m_weight_rule_short,
-            "m_weight_rule_full": g.m_weight_rule_full,
-            "m_limit_law": g.m_limit_law,
-            "pi_L_estimate": g.pi_L_estimate,
-            "hypothesis_ratio": g.hypothesis_ratio,
-            "log10_budget": g.log10_budget,
-            "budget": g.budget,
-            "within_budget": g.within_budget,
-        }
+        growth = asdict(growth_bookkeeping(x, WeightVector(ks=tuple(weights)), fs=fs, n=n))
+        del growth["x"], growth["n"]  # the config echo holds them
     body = {
         "n": n,
         "m_used": m,

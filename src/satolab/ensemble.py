@@ -37,8 +37,7 @@ from .measures import (
     _cdf_norms,
     _guide,
     _invert,
-    _local_tail_length,
-    _series,
+    _norm_runs,
     chebyshev_moment,
     quantile,
 )
@@ -74,13 +73,11 @@ class SmoothSpec:
 
     kind "gaussian" uses Phi(u) = exp(-lam u^2); kind "custom" interpolates a
     table of (u, value) samples on u >= 0, extended evenly and vanishing past
-    the last knot, so its periodization truncates exactly.  omega records the
-    decay exponent (2 for the gaussian kind).
+    the last knot, so its periodization truncates exactly.
     """
 
     kind: str = "gaussian"
     lam: float = 1.0
-    omega: float = 2.0
     table: tuple = ()
 
     def __post_init__(self):
@@ -103,8 +100,6 @@ class SmoothSpec:
             if not all(math.isfinite(v) for _, v in knots):
                 raise ConfigError("statistic.phi.table", "values must be finite")
             object.__setattr__(self, "table", knots)
-        if not math.isfinite(float(self.omega)) or float(self.omega) <= 0.0:
-            raise ConfigError("statistic.phi.omega", "decay exponent must be positive")
 
     def phi_values(self, u):
         """Phi(u), vectorized; even in u by construction."""
@@ -187,26 +182,27 @@ class MomentReport:
     (center pi_L mu, scale sqrt(pi_L var)); the model_centered_* fields use
     the exact finite-x model mean instead of the limiting center, removing
     the O(loglog x) drift while keeping the same scale.  Histogram counts
-    plus underflow and overflow always sum to size.
+    plus underflow and overflow always sum to size.  The fields before the
+    histogram are in the order report.json prints them.
     """
 
-    empirical_moments: tuple
-    standard_errors: tuple
-    gaussian_targets: tuple
-    ks_statistic: float
-    histogram_edges: tuple
-    histogram_counts: tuple
-    underflow: int
-    overflow: int
     pi_L_x: int
-    mean_model: float
-    variance_model: float
+    size: int
     center: float
     scale: float
+    mean_model: float
+    variance_model: float
+    gaussian_targets: tuple
+    empirical_moments: tuple
+    standard_errors: tuple
+    ks_statistic: float
     model_centered_moments: tuple
     model_centered_standard_errors: tuple
     model_centered_ks: float
-    size: int
+    underflow: int
+    overflow: int
+    histogram_edges: tuple
+    histogram_counts: tuple
 
 
 @dataclass(frozen=True)
@@ -257,15 +253,15 @@ def gaussian_moment(r: int) -> float:
 class _Inverter:
     """Bracket tables and series buckets of the smooth sampler.
 
-    Ideals are permuted so that norm groups and groups sharing a series
-    length become contiguous row ranges of the ideal-major matrix: row j
-    holds ideal perm[j], of cdf and guide rows rows[j], and buckets list
-    (k0, k1, series) per series length, with the series factors as (k, 1)
-    columns that broadcast over members.  walk is the longest walk that a
-    guide row needs, and buckets are inverted in tiles of about _TILE cells.
+    Ideals come sorted by norm, and the series length never rises with the
+    norm, so each run of norms sharing a series length is a contiguous range
+    of ideal rows.  Ideal row j reads cdf and guide row rows[j], and buckets
+    list (k0, k1, series) per run: ideal rows k0..k1 - 1 with their series
+    factors as (k, 1) columns that broadcast over members.  walk is the
+    longest walk that a guide row needs, and buckets are inverted in tiles
+    of about _TILE cells.
     """
 
-    perm: np.ndarray
     rows: np.ndarray
     buckets: list
     theta_grid: np.ndarray
@@ -284,8 +280,6 @@ class _Context:
     inverts through `inverter` and weighs by `spec` at scale big_m.
     """
 
-    kind: str
-    n_ideals: int
     pi_L_x: int
     center: float
     scale: float
@@ -313,17 +307,6 @@ def _smooth_profile(spec: SmoothSpec, big_m: float, n_max: int):
     return coef_f, coef_g
 
 
-def _local_series(coefs: np.ndarray, q: float, n_terms: int) -> float:
-    """sum_n q^{-n} coefs[n], truncated once the geometric tail is spent."""
-    top = min(n_terms, coefs.size - 1)
-    total = 0.0
-    w = 1.0
-    for n in range(top + 1):
-        total += w * coefs[n]
-        w /= q
-    return total
-
-
 def _cut_points(lo: np.ndarray, hi: np.ndarray):
     """Integer cut points K = ceil(lo 2^53) and H = floor(hi 2^53), as int64.
 
@@ -341,18 +324,17 @@ def _build_context(fs, level, x, statistic) -> _Context:
     if not norms.size:
         raise ConfigError("x", "no prime ideals of norm <= x; increase x")
     count = int(norms.size)
-    qs, starts, counts = np.unique(norms, return_index=True, return_counts=True)
+    # ideals come sorted by norm, so each norm is one run of counts[i] ideals
+    qs, counts = np.unique(norms, return_counts=True)
+    runs = _norm_runs(qs)
 
     if isinstance(statistic, IndicatorStatistic):
         interval = statistic.interval
         mu = mu_infty_interval(interval)
-        # ideals come sorted by norm, so each norm is one run of counts[i] ideals
-        a_u, b_u = _cdf_norms(qs, interval.a), _cdf_norms(qs, interval.b)
+        a_u, b_u = _cdf_norms(runs, [interval.a, interval.b]).T
         mass = b_u - a_u
         cut_lo, cut_hi = _cut_points(a_u, b_u)
         return _Context(
-            kind="indicator",
-            n_ideals=count,
             pi_L_x=count,
             center=count * mu,
             scale=math.sqrt(count * max(mu * (1.0 - mu), 0.0)),
@@ -364,48 +346,54 @@ def _build_context(fs, level, x, statistic) -> _Context:
 
     spec = statistic.phi
     big_m = statistic.M
-    terms = [_local_tail_length(q) for q in qs]
-    coef_f, coef_g = _smooth_profile(spec, big_m, max(terms))
+    # the first run holds the smallest norm, whose series is the longest
+    coef_f, coef_g = _smooth_profile(spec, big_m, len(runs[0][2].powers))
+    # E_q[phi_M] and E_q[phi_M^2] = sum_n q^{-n} coefs[n] over each norm's series
     m_q, s_q = (
-        np.array([_local_series(c, q, n) for q, n in zip(qs, terms)]) for c in (coef_f, coef_g)
+        np.concatenate(
+            [
+                sum((p * c[n] for n, p in enumerate(s.powers, 1)), np.full_like(s.fac, c[0]))
+                for _, _, s in runs
+            ]
+        ).ravel()
+        for c in (coef_f, coef_g)
     )
     v_weight = max(float(coef_g[0] - coef_f[0] ** 2), 0.0)
     # Fine bracket grid while the table fits comfortably in memory.
     grid = _FINE_GRID if qs.size <= 2048 else _COARSE_GRID
     return _Context(
-        kind="smooth",
-        n_ideals=count,
         pi_L_x=count,
         center=count * float(coef_f[0]),
         scale=math.sqrt(count * float(v_weight)),
         mean_model=math.fsum(counts * m_q),
         variance_model=math.fsum(counts * (s_q - m_q * m_q)),
-        inverter=_inverter(qs, starts, counts, grid),
+        inverter=_inverter(runs, counts, grid),
         spec=spec,
         big_m=big_m,
     )
 
 
-def _inverter(qs, starts, counts, grid) -> _Inverter:
-    """Inverter for the norms qs; ideals starts[i]..starts[i] + counts[i] - 1
-    have norm qs[i].  grid is (bracket grid points, Newton steps)."""
+def _inverter(runs, counts, grid) -> _Inverter:
+    """Inverter for the norm runs of _norm_runs; counts[i] ideals have the
+    i-th norm.  grid is (bracket grid points, Newton steps)."""
     n_grid, newton_steps = grid
     theta_grid = np.linspace(0.0, math.pi, n_grid)
     # cdf and guide rows in chunks of about _TILE cells, to bound the temporaries
     step = max(1, _TILE // n_grid)
-    tables = [_cdf_norms(qs[i : i + step], theta_grid) for i in range(0, qs.size, step)]
+    chunks = [
+        (i0 + c, min(i0 + c + step, i1), s[c : c + step])
+        for i0, i1, s in runs
+        for c in range(0, i1 - i0, step)
+    ]
+    tables = [_cdf_norms([chunk], theta_grid) for chunk in chunks]
     guides, walks = zip(*map(_guide, tables))
-    terms = np.array([_local_tail_length(q) for q in qs])
-    order = np.argsort(terms, kind="stable")
-    rows = np.repeat(order, counts[order])
-    perm = np.concatenate([np.arange(starts[i], starts[i] + counts[i]) for i in order])
-    edges = [0, *(np.flatnonzero(np.diff(terms[rows])) + 1), rows.size]
+    rows = np.repeat(np.arange(counts.size), counts)
+    edges = np.searchsorted(rows, [i0 for i0, _, _ in runs] + [counts.size])
     buckets = [
-        (k0, k1, _series(qs[rows[k0:k1], None], int(terms[rows[k0]])))
-        for k0, k1 in zip(edges, edges[1:])
+        (k0, k1, s[rows[k0:k1] - i0]) for (i0, _, s), k0, k1 in zip(runs, edges, edges[1:])
     ]
     return _Inverter(
-        perm, rows, buckets, theta_grid, np.concatenate(tables), np.concatenate(guides),
+        rows, buckets, theta_grid, np.concatenate(tables), np.concatenate(guides),
         max(walks), newton_steps,
     )
 
@@ -420,15 +408,15 @@ def _context(config: EnsembleConfig) -> _Context:
 
 
 def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray) -> np.ndarray:
-    """Angles for the uniforms u of the ideal-major rows `rows` of one bucket,
-    whose series factors are `series`: row j is ideal inv.perm[j]."""
+    """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
+    series factors are `series`."""
     bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u)
     return _invert(u, *bracket, inv.theta_grid, series, inv.newton_steps)
 
 
 def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
     """Statistics for the members keyed by `keys`, one tile of ideal rows at a time."""
-    inv, n = ctx.inverter, ctx.n_ideals
+    inv, n = ctx.inverter, ctx.pi_L_x
     if inv is None:  # indicator
         words = counter_words(np.arange(n))[:, None]
         lo, hi = ctx.cut_lo[:, None], ctx.cut_hi[:, None]
@@ -444,7 +432,7 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
                 k = integers_at(row, words[s])
                 out += np.count_nonzero((k >= lo[s]) & (k <= hi[s]), axis=0)
             else:
-                u = uniforms_at(row, inv.perm[s, None])
+                u = uniforms_at(row, np.arange(s.start, s.stop)[:, None])
                 theta = _angles(inv, s, series[a - k0 : s.stop - k0], u)
                 out[:, s] = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi)).T
     return out.astype(np.float64) if inv is None else out.sum(axis=1)

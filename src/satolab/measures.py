@@ -13,9 +13,12 @@ by the inverse-transform sampler.
 cdf, quantile and the ensemble sampler share one series kernel
 (_cdf_series), one bracket and one inverter (_invert: Newton steps in the
 bracketed cell).  The bracket is a guide table in g(u) = (1 + cbrt u -
-cbrt(1 - u))/2, which flattens the cubic cdf tails: one gather, then a walk up
-the table as long as the built guide needs (2 steps on the 4097-point grid, 1
-on the 513-point one).  The inverter leaves |cdf(theta) - u| <= 1e-15 for
+cbrt(1 - u))/2, which flattens the cubic cdf tails: one gather into the n - 1
+guide cells of an n-node row, then a walk up the table as long as the built
+guide needs (2 steps on both the 4097- and the 513-node grid).  The series
+factors of a norm q are built once, by the scalar power q^{-n} (_powers): for
+one measure, or for a column of ascending norms split into runs that share a
+series length (_norm_runs).  The inverter leaves |cdf(theta) - u| <= 1e-15 for
 every u in [0, 1], and theta within 1e-12 rad of the root for u in
 [1e-12, 1 - 1e-5]; nearer the ends a cdf rounding error of 1e-16 moves the
 root by more than that.
@@ -51,9 +54,8 @@ _FINE_GRID = (4097, 2)
 # Cells at each end of a bracket grid where the inverter starts from cube-root
 # interpolation: there the cdf is cubic in the distance to the endpoint.
 _TAIL_CELLS = 32
-# Guide cells per cdf table row, and a slack on their edges far above the
-# rounding error of _guide_map.
-_GUIDE, _GUIDE_SLACK = 4096, 2.0**-40
+# Slack on the guide cell edges, far above the rounding error of _guide_map.
+_GUIDE_SLACK = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -111,38 +113,49 @@ def _local_tail_length(q: float) -> int:
 class _Series:
     """Hoisted factors of the cdf series at one norm or at a column of norms.
 
-    c1[n-1] = q^{-n}/(2 pi n) and c2[n-1] = q^{-n}/(2 pi (n + 1)); the density
-    ratio to the limiting measure is fac/(qp - 4 cos^2 theta) with
-    qp = q + 2 + 1/q and fac = q + 1.  The limiting measure has no terms and
-    qp = fac = None (ratio 1).
+    powers[n-1] = q^{-n}; the density ratio to the limiting measure is
+    fac/(qp - 4 cos^2 theta) with qp = q + 2 + 1/q and fac = q + 1.  The
+    limiting measure has no terms and qp = fac = None (ratio 1).
     """
 
-    c1: tuple = ()
-    c2: tuple = ()
+    powers: tuple = ()
     qp: object = None
     fac: object = None
 
     def __getitem__(self, rows):  # the factors of some rows of a column series
-        c1, c2 = (tuple(c[rows] for c in cs) for cs in (self.c1, self.c2))
-        return _Series(c1, c2, self.qp[rows], self.fac[rows])
+        return _Series(tuple(p[rows] for p in self.powers), self.qp[rows], self.fac[rows])
 
 
-def _series(q, n_terms: int) -> _Series:
-    """Factors for norm q (a float or a column of floats) and n_terms terms."""
-    w = 1.0 / q
-    return _power_series(q, [w**n for n in range(1, n_terms + 1)])
-
-
-def _power_series(q, powers) -> _Series:  # given powers[n - 1] = q^{-n}
-    c1 = tuple(p / (_TWO_PI * n) for n, p in enumerate(powers, 1))
-    c2 = tuple(p / (_TWO_PI * (n + 1)) for n, p in enumerate(powers, 1))
-    return _Series(c1, c2, q + 2.0 + 1.0 / q, q + 1.0)
+def _powers(q: float) -> list:
+    """q^{-n} for n = 1.._local_tail_length(q), by the scalar ** that every
+    series uses: numpy's array power can differ from it by an ulp."""
+    w = 1.0 / float(q)
+    return [w**n for n in range(1, _local_tail_length(q) + 1)]
 
 
 def _measure_series(measure) -> _Series:
     if isinstance(measure, SatoTateMeasure):
         return _Series()
-    return _series(measure.q, _local_tail_length(measure.q))
+    q = measure.q
+    return _Series(tuple(_powers(q)), q + 2.0 + 1.0 / q, q + 1.0)
+
+
+def _norm_runs(qs: np.ndarray) -> list:
+    """(i0, i1, series) for each run qs[i0:i1] of the ascending norms qs that
+    shares a series length, with the factors as (i1 - i0, 1) columns.
+
+    The length never rises with q, so a run is one slice; row k of a run's
+    series equals _measure_series(LocalMeasure(qs[i0 + k])) bit for bit.
+    """
+    per_norm = [_powers(q) for q in qs.tolist()]
+    lengths = np.array([len(p) for p in per_norm])
+    edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1), qs.size]
+    runs = []
+    for i0, i1 in zip(edges, edges[1:]):
+        q = qs[i0:i1, None]
+        powers = np.array(per_norm[i0:i1]).T[:, :, None]
+        runs.append((i0, i1, _Series(tuple(powers), q + 2.0 + 1.0 / q, q + 1.0)))
+    return runs
 
 
 def _density(sin_t, cos_t, series: _Series):  # given sin theta and cos theta
@@ -163,9 +176,9 @@ def _cdf_series(theta, sin_t, cos_t, series: _Series):
     c = 2.0 * (cos_t * cos_t - sin_t * sin_t)
     sk_prev = np.zeros_like(theta)
     sk = s1
-    for c1, c2 in zip(series.c1, series.c2):
+    for n, p in enumerate(series.powers, 1):
         sk_next = c * sk - sk_prev
-        total += c1 * sk - c2 * sk_next
+        total += p / (_TWO_PI * n) * sk - p / (_TWO_PI * (n + 1)) * sk_next
         sk_prev, sk = sk, sk_next
     return total
 
@@ -185,27 +198,15 @@ def cdf(measure, theta):
     return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))
 
 
-def _cdf_norms(qs: np.ndarray, theta) -> np.ndarray:
-    """cdf(LocalMeasure(q), theta) for every norm q of the ascending qs, bit for bit.
-
-    theta is one angle (one value per norm) or a row of angles (one row per
-    norm).  One series call per run of norms sharing a series length; the
-    length falls as q grows, so each run is a slice.  The powers q^{-n} are
-    taken by the scalar ** that cdf uses: numpy's array power can differ
-    from it by an ulp, which moves the cdf near theta = 0.
-    """
+def _cdf_norms(runs: list, theta) -> np.ndarray:
+    """cdf(LocalMeasure(q), theta) for every norm q of the runs (_norm_runs),
+    one row per norm, bit for bit; theta is a row of angles.  One series
+    call per run."""
     t = _check_theta(theta)
     sin_t, cos_t = np.sin(t), np.cos(t)
-    terms = np.array([_local_tail_length(q) for q in qs])
-    edges = [0, *(np.flatnonzero(np.diff(terms)) + 1), qs.size]
-    out = []
-    for i0, i1 in zip(edges, edges[1:]):
-        column = (i1 - i0,) + (1,) * t.ndim
-        w = (1.0 / qs[i0:i1]).tolist()
-        powers = [np.reshape([v**n for v in w], column) for n in range(1, int(terms[i0]) + 1)]
-        series = _power_series(qs[i0:i1].reshape(column), powers)
-        out.append(_cdf_series(np.broadcast_to(t, (i1 - i0,) + t.shape), sin_t, cos_t, series))
-    return np.concatenate(out)
+    return np.concatenate(
+        [_cdf_series(np.broadcast_to(t, (i1 - i0, t.size)), sin_t, cos_t, s) for i0, i1, s in runs]
+    )
 
 
 def _guide_map(u):  # flat in the cubic tails of every cdf
@@ -216,32 +217,34 @@ def _guide(table: np.ndarray):
     """Guide rows of a cdf table row or block of rows (Chen & Asau, 1974),
     and their walk length.
 
-    Entry j of a row counts the nodes with g(row) < j/_GUIDE - _GUIDE_SLACK,
-    clipped to [1, n - 1]; the cell of any u with floor(_GUIDE g(u)) = j lies
-    from there to `walk` indices above, whether or not rounding keeps g
-    monotone.  Each row's counts fill their own _GUIDE + 2 bins of one
-    bincount.
+    A row of n nodes gets m = n - 1 guide cells.  Entry j of a row counts the
+    nodes with g(row) < j/m - _GUIDE_SLACK, clipped to [1, n - 1]; the cell
+    of any u with floor(m g(u)) = j lies from there to `walk` indices above,
+    whether or not rounding keeps g monotone.  Each row's counts fill their
+    own m + 2 bins of one bincount.
     """
     n = table.shape[-1]
+    cells = n - 1
     mapped = _guide_map(table.reshape(-1, n))
-    bins = (_GUIDE + 2) * np.arange(mapped.shape[0])[:, None]
+    bins = (cells + 2) * np.arange(mapped.shape[0])[:, None]
 
-    def below(shift):  # node counts below j/_GUIDE + shift, j = 0.._GUIDE + 1
-        cells = (_GUIDE * (mapped - shift)).astype(np.intp) + 1 + bins
-        counts = np.bincount(cells.ravel(), minlength=bins.size * (_GUIDE + 2))
-        return np.cumsum(counts.reshape(-1, _GUIDE + 2), axis=1).clip(1, n - 1)
+    def below(shift):  # node counts below j/cells + shift, j = 0..cells + 1
+        at = (cells * (mapped - shift)).astype(np.intp) + 1 + bins
+        counts = np.bincount(at.ravel(), minlength=bins.size * (cells + 2))
+        return np.cumsum(counts.reshape(-1, cells + 2), axis=1).clip(1, n - 1)
 
     lo = below(-_GUIDE_SLACK)[:, :-1]
     walk = int(np.max(below(_GUIDE_SLACK)[:, 1:] - lo))
-    return lo.astype(np.int32).reshape(table.shape[:-1] + (_GUIDE + 1,)), walk
+    return lo.astype(np.int32).reshape(table.shape[:-1] + (n,)), walk
 
 
 def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u):
     """Cell index idx with table[row, idx - 1] < u <= table[row, idx], clipped
     to [1, n - 1], and those two values; rows broadcasts against u."""
+    n = table.shape[-1]
     flat = table.ravel()
-    idx = guide.ravel()[rows * guide.shape[-1] + (_GUIDE * _guide_map(u)).astype(np.intp)]
-    base = rows * table.shape[-1]
+    idx = guide.ravel()[rows * n + ((n - 1) * _guide_map(u)).astype(np.intp)]
+    base = rows * n
     for _ in range(walk):
         idx += flat[base + idx] < u
     at = base + idx

@@ -211,7 +211,6 @@ class LevelSpec:
     """Finite set of excluded prime ideals (the divisors of the level)."""
 
     excluded: tuple = ()
-    squarefree: bool = True
 
     def __post_init__(self):
         ex = tuple(self.excluded)

@@ -110,15 +110,26 @@ def test_clt_report_and_histogram(tmp_path):
 
 
 def test_clt_rerun_from_echo_is_byte_identical(tmp_path):
-    first = str(tmp_path / "a")
-    second = str(tmp_path / "b")
-    assert _run_clt(first) == 0
-    cfg = os.path.join(first, "resolved_config.json")
-    assert main(["clt", "--config", cfg, "--threads", "3", "--out", second]) == 0
-    for name in ("report.json", "histogram.csv", "resolved_config.json"):
-        a = open(os.path.join(first, name), "rb").read()
-        b = open(os.path.join(second, name), "rb").read()
-        assert a == b, name
+    # an indicator run from flags, and a custom-kind smooth run from a file
+    custom = tmp_path / "custom.json"
+    custom.write_text(
+        '{"field": "sqrt5", "x": 300, "size": 300, "seed": 4, "statistic": {"kind": "smooth", '
+        '"phi": "custom", "M": 2.0, "table": [[0, 1], [0.5, 0.4], [1, 0]]}}'
+    )
+    runs = {
+        "indicator": lambda out: _run_clt(out),
+        "custom": lambda out: main(["clt", "--config", str(custom), "--out", out]),
+    }
+    for kind, run in runs.items():
+        first = str(tmp_path / kind / "a")
+        second = str(tmp_path / kind / "b")
+        assert run(first) == 0
+        cfg = os.path.join(first, "resolved_config.json")
+        assert main(["clt", "--config", cfg, "--threads", "3", "--out", second]) == 0
+        for name in ("report.json", "histogram.csv", "resolved_config.json"):
+            a = open(os.path.join(first, name), "rb").read()
+            b = open(os.path.join(second, name), "rb").read()
+            assert a == b, (kind, name)
 
 
 def test_clt_flags_override_config_file(tmp_path):
@@ -306,6 +317,8 @@ def test_config_file_validation(tmp_path, capsys):
         # json reads 1e999 as inf, which is no integer
         (clt + '"size": 1e999, "statistic": {"kind": "smooth"}}', "size"),
         (clt + '"size": 100, "statistic": {"kind": "smooth", "bogus": 1}}', "statistic.bogus"),
+        # omega was a setting that no computation read; it is gone
+        (clt + '"size": 100, "statistic": {"kind": "smooth", "omega": 2.0}}', "statistic.omega"),
     ):
         path = tmp_path / "clt.json"
         path.write_text(text)

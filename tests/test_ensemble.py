@@ -36,6 +36,8 @@ from satolab.measures import (
     SatoTateMeasure,
     _bracket,
     _guide,
+    _measure_series,
+    _norm_runs,
     cdf,
     density,
     quantile,
@@ -139,6 +141,11 @@ def test_member_values_independent_of_batching():
         assert member_statistic(cfg, 41) == whole[41]
 
 
+def _unit_inverter(qs, grid):
+    """Inverter for one ideal at each of the ascending norms qs."""
+    return _inverter(_norm_runs(qs), np.ones(qs.size, dtype=int), grid)
+
+
 def _invert_matrix(inv, up):
     """Angles of a whole ideal-major uniform matrix, one bucket at a time."""
     theta = np.empty_like(up)
@@ -160,9 +167,9 @@ def _worst_angle_error(x, members):
     inv = _context(cfg).inverter
     ideals = enumerate_prime_ideals(Q5, x)
     keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
-    up = uniforms_at(keys[None, :], inv.perm[:, None])
+    up = uniforms_at(keys[None, :], np.arange(len(ideals))[:, None])
     theta = _invert_matrix(inv, up)
-    norms = np.array([ideals[j].norm for j in inv.perm], dtype=np.float64)
+    norms = np.array([ideal.norm for ideal in ideals], dtype=np.float64)
     worst = 0.0
     for q in np.unique(norms):
         at = norms == q
@@ -212,11 +219,11 @@ def test_inversion_exact_in_the_tails():
         assert resid <= 1e-15 and err <= 1e-12, (measure, resid, err)
     qs = np.array(TAIL_QS)
     for grid in (_FINE_GRID, _COARSE_GRID):
-        inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
+        inv = _unit_inverter(qs, grid)
         theta = _invert_matrix(inv, np.tile(TAIL_US, (qs.size, 1)))
-        for k, row in enumerate(inv.perm):
-            resid, err = _tail_errors(LocalMeasure(qs[row]), theta[k])
-            assert resid <= 1e-15 and err <= 1e-12, (grid, qs[row], resid, err)
+        for q, row in zip(qs, theta):
+            resid, err = _tail_errors(LocalMeasure(q), row)
+            assert resid <= 1e-15 and err <= 1e-12, (grid, q, resid, err)
 
 
 def test_guide_bracket_matches_binary_search():
@@ -225,8 +232,8 @@ def test_guide_bracket_matches_binary_search():
     # and at the extreme uniforms
     qs = np.array([2.0, 3.0, 9.0, 49.0, 1e5, 1e8])
     rng = np.random.default_rng(6)
-    for grid, walk in ((_FINE_GRID, 2), (_COARSE_GRID, 1)):
-        inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
+    for grid, walk in ((_FINE_GRID, 2), (_COARSE_GRID, 2)):
+        inv = _unit_inverter(qs, grid)
         assert inv.walk <= walk
         for row, table in enumerate(inv.cdf_table):
             u = np.concatenate(
@@ -248,13 +255,17 @@ def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
     # the inverter builds its cdf table by one series pass per chunk of rows
     # and run of series lengths, and its guide rows by one bincount per
     # chunk; each row equals the scalar cdf on the grid and the guide of that
-    # row alone, bit for bit, on both grids (norms from 2, with 46 terms, up)
+    # row alone, bit for bit, on both grids (norms from 2, with 46 terms, up).
+    # The Newton series of every ideal row equals that of its scalar measure
+    # bit for bit: one power path, not numpy's array power, which can differ
+    # by an ulp
     cases = (
-        (np.unique(ideal_norms(Q5, 1e4)), _FINE_GRID),
-        (np.unique(ideal_norms(FieldSpec.rationals(), 3000)), _COARSE_GRID),
+        (ideal_norms(Q5, 1e4), _FINE_GRID),
+        (ideal_norms(FieldSpec.rationals(), 3000), _COARSE_GRID),
     )
-    for qs, grid in cases:
-        inv = _inverter(qs, np.arange(qs.size), np.ones(qs.size, dtype=int), grid)
+    for norms, grid in cases:
+        qs, counts = np.unique(norms, return_counts=True)
+        inv = _inverter(_norm_runs(qs), counts, grid)
         walks = []
         for q, table, guide in zip(qs, inv.cdf_table, inv.guide):
             assert np.array_equal(table, cdf(LocalMeasure(q), inv.theta_grid)), (grid, q)
@@ -262,6 +273,13 @@ def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
             assert np.array_equal(guide, row_guide), (grid, q)
             walks.append(walk)
         assert inv.walk == max(walks)
+        assert np.array_equal(qs[inv.rows], norms)
+        for k0, k1, series in inv.buckets:
+            for k in range(k0, k1):
+                want = _measure_series(LocalMeasure(norms[k]))
+                got = series[k - k0]
+                assert np.array_equal([p[0] for p in got.powers], want.powers), (grid, k)
+                assert (got.qp[0], got.fac[0]) == (want.qp, want.fac), (grid, k)
 
 
 SMOOTH = SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0)
@@ -285,7 +303,7 @@ def test_member_values_do_not_depend_on_tile_size(monkeypatch):
     for statistic in (IndicatorStatistic(QUARTER_ARC), SMOOTH):
         ctx, keys = _block(statistic, 400.0, 48)
         want = _member_values(ctx, keys)
-        for tile in (1, 16 * keys.size, ctx.n_ideals * keys.size):
+        for tile in (1, 16 * keys.size, ctx.pi_L_x * keys.size):
             monkeypatch.setattr(ensemble, "_TILE", tile)
             assert np.array_equal(_member_values(ctx, keys), want), (statistic, tile)
         monkeypatch.undo()
@@ -410,10 +428,13 @@ def test_ks_matches_scipy():
 
 
 def test_thread_count_never_changes_report():
-    cfg = _indicator_config(x=2000.0, size=4500, seed=911)
-    one = run_ensemble(cfg, threads=1)
-    many = run_ensemble(cfg, threads=3)
-    assert one == many
+    for statistic in (IndicatorStatistic(QUARTER_ARC), SMOOTH):
+        cfg = EnsembleConfig(
+            field=Q5, level=NO_LEVEL, x=2000.0, size=4500, seed=911, statistic=statistic
+        )
+        one = run_ensemble(cfg, threads=1)
+        many = run_ensemble(cfg, threads=3)
+        assert one == many, statistic
 
 
 def test_gaussian_moment_recursion():
@@ -449,7 +470,8 @@ def test_smooth_weight_series_example():
 
 
 def test_smooth_local_mean_matches_direct_quadrature():
-    # coefficient route for E_q[phi] vs direct integration of phi * density
+    # coefficient route for E_q[phi] and Var_q[phi] vs direct integration of
+    # phi * density and phi^2 * density
     spec = SmoothSpec(kind="gaussian", lam=1.0)
     big_m = 4.0
     cfg = EnsembleConfig(
@@ -464,11 +486,16 @@ def test_smooth_local_mean_matches_direct_quadrature():
     ideals = enumerate_prime_ideals(Q5, 30.0)
     theta = np.linspace(0.0, math.pi, 2**12 + 1)
     phi_vals = smooth_weight(spec, big_m, theta / math.pi)
-    want = 0.0
+    want_mean = want_var = 0.0
     for ideal in ideals:
-        meas = LocalMeasure(ideal.norm)
-        want += simpson_quadrature(phi_vals * density(meas, theta), theta[1] - theta[0])
-    assert ctx.mean_model == pytest.approx(want, abs=1e-9)
+        dens = density(LocalMeasure(ideal.norm), theta)
+        first, second = (
+            simpson_quadrature(v * dens, theta[1] - theta[0]) for v in (phi_vals, phi_vals**2)
+        )
+        want_mean += first
+        want_var += second - first**2
+    assert ctx.mean_model == pytest.approx(want_mean, abs=1e-9)
+    assert ctx.variance_model == pytest.approx(want_var, abs=1e-9)
 
 
 def test_custom_table_weight_periodizes_exactly():
