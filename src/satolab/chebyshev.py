@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "ChebyshevSeries",
     "eval_U",
-    "linearize_product",
     "series_product",
     "fourier_coefficient",
     "simpson_quadrature",
@@ -58,9 +57,6 @@ class ChebyshevSeries:
         for c in self.coeffs[::-1]:
             b1, b2 = c + 2.0 * x * b1 - b2, b1
         return b1
-
-    def __call__(self, theta) -> np.ndarray:
-        return self.evaluate(theta)
 
 
 def _check_theta(theta) -> np.ndarray:
@@ -110,13 +106,6 @@ def _eval_u_recurrence(n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def linearize_product(m: int, n: int) -> list:
-    """Degrees appearing in U_m * U_n, descending: m+n, m+n-2, ..., |m-n|."""
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be nonnegative")
-    return list(range(m + n, abs(m - n) - 1, -2))
-
-
 def series_product(a: ChebyshevSeries, b: ChebyshevSeries) -> ChebyshevSeries:
     """Product of two expansions, reduced to the U basis.
 
@@ -161,28 +150,20 @@ def simpson_quadrature(values: np.ndarray, step: float) -> float:
 def fourier_coefficient(f, n: int, quadrature_points: int = 2**14) -> float:
     """Coefficient [f * U_n] = (2/pi) integral_0^pi f(theta) U_n(cos theta) sin^2 theta dtheta.
 
-    For a ChebyshevSeries input the stored coefficient is returned directly
-    (zero beyond the degree); otherwise the integral is evaluated by composite
-    Simpson quadrature with `quadrature_points` panels.
+    The integral is evaluated by composite Simpson quadrature with
+    `quadrature_points` panels.
 
     Args:
-        f: callable on [0, pi] (vectorized or scalar), or a ChebyshevSeries.
+        f: vectorized callable on [0, pi].
         n: coefficient index, nonnegative.
         quadrature_points: panel count for the composite rule, at least 2.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if isinstance(f, ChebyshevSeries):
-        return float(f.coeffs[n]) if n <= f.degree else 0.0
     if quadrature_points < 2:
         raise ValueError("quadrature_points must be at least 2")
     grid = np.linspace(0.0, np.pi, 2 * int(quadrature_points) + 1)
-    try:
-        fv = np.asarray(f(grid), dtype=np.float64)
-        if fv.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fv = np.array([float(f(t)) for t in grid])
+    fv = np.asarray(f(grid), dtype=np.float64)
     if not np.all(np.isfinite(fv)):
         raise ValueError("integrand returned non-finite values")
     integrand = fv * eval_U(int(n), grid) * np.sin(grid) ** 2 * (2.0 / np.pi)

@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebyshev import fourier_coefficient
 from .ensemble import (
     EnsembleConfig,
     IndicatorStatistic,
     SmoothSpec,
     SmoothStatistic,
+    _smooth_profile,
     gaussian_moment,
     run_ensemble,
     smooth_weight,
@@ -334,10 +334,18 @@ def _resolve_rows(rows, given: dict, args, prefix: str) -> dict:
     return resolved
 
 
-def _smooth_spec(values: dict) -> SmoothSpec:
-    """The weight of a resolved phi/lam/table group: clt's smooth statistic
-    and the smooth subcommand share these keys."""
-    return SmoothSpec(values["phi"], values["lam"], values["table"])
+_SMOOTH_KEYS = {"kind": "phi", "lambda": "lam", "table": "table"}  # SmoothSpec's field: key
+
+
+def _smooth_statistic(values: dict, scale: str, prefix: str = "") -> SmoothStatistic:
+    """The weight of a resolved phi/lam/table group at scale values[scale],
+    shared by clt and smooth; its ConfigError names the key prefix + key."""
+    try:
+        spec = SmoothSpec(values["phi"], values["lam"], values["table"])
+        return SmoothStatistic(spec, values[scale])
+    except ConfigError as exc:  # statistic.phi.<field> or statistic.M
+        key = _SMOOTH_KEYS.get(exc.field.rpartition(".")[2], scale)
+        raise ConfigError(prefix + key, exc.message) from None
 
 
 def _emit(args, config: dict, report_name: str, report: dict, table: tuple = None) -> None:
@@ -478,7 +486,7 @@ def _run_clt(args) -> int:
         statistic = IndicatorStatistic(ArcInterval(*stat["interval"]))
         shown = ("kind", "interval")
     else:
-        statistic = SmoothStatistic(phi=_smooth_spec(stat), M=stat["M"])
+        statistic = _smooth_statistic(stat, "M", "statistic.")
         used = ("lam",) if stat["phi"] == "gaussian" else ("table",)
         shown = ("kind", "phi", "M") + used
     echo["statistic"] = {key: stat[key] for key in shown}
@@ -559,16 +567,11 @@ def _run_theory(args) -> int:
 
 def _run_smooth(args) -> int:
     config = _resolve("smooth", args)
-    spec = _smooth_spec(config)
-    big_m, points = config["smooth_m"], config["points"]
-    ts = np.linspace(0.0, 1.0, points)
+    statistic = _smooth_statistic(config, "smooth_m")
+    spec, big_m = statistic.phi, statistic.M
+    ts = np.linspace(0.0, 1.0, config["points"])
     profile = smooth_weight(spec, big_m, ts)
-
-    def f(theta):
-        return smooth_weight(spec, big_m, theta / math.pi)
-
-    mean_weight = fourier_coefficient(f, 0)
-    second = fourier_coefficient(lambda th: f(th) ** 2, 0)
+    (mean_weight,), (second,) = _smooth_profile(spec, big_m, 0)
     variance_weight = second - mean_weight**2
     report = {
         "phi_at_zero": float(smooth_weight(spec, big_m, 0.0)),

@@ -65,6 +65,9 @@ _BLOCK, _TILE = 2048, 2**15
 # Bracket grid past 2048 distinct norms: coarser, with one more Newton step.
 _COARSE_GRID = (513, 3)
 _GAUSS_TAIL_LOG = 34.6  # exp(-34.6) ~ 9e-16, keeps the dropped tail < 1e-12
+# Most shifts |m| a periodization may sum: past about 52 the gaussian weight
+# is flat in double precision, as exp(-pi^2/(lam M^2)) underflows.
+_MAX_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,7 @@ class SmoothStatistic:
         m = float(self.M)
         if not math.isfinite(m) or m < 1.0:
             raise ConfigError("statistic.M", "periodization scale must be >= 1")
+        _truncation_window(self.phi, m)
         object.__setattr__(self, "M", m)
 
 
@@ -215,10 +219,15 @@ class TraceIdentityReport:
 
 
 def _truncation_window(spec: SmoothSpec, big_m: float) -> int:
+    """Shifts |m| <= win for smooth_weight; a ConfigError past _MAX_WINDOW."""
     if spec.kind == "gaussian":
-        return max(1, math.ceil(math.sqrt(_GAUSS_TAIL_LOG / spec.lam) / big_m))
-    support = spec.table[-1][0]
-    return max(1, math.ceil(support / big_m) + 1)
+        key, reach, pad = "statistic.phi.lambda", math.sqrt(_GAUSS_TAIL_LOG / spec.lam) / big_m, 0
+    else:  # compact support, plus one shift
+        key, reach, pad = "statistic.phi.table", spec.table[-1][0] / big_m, 1
+    if reach > _MAX_WINDOW - pad:
+        msg = f"periodization needs over {_MAX_WINDOW} shifts at M = {big_m:g}"
+        raise ConfigError(key, msg + "; raise M or narrow phi")
+    return max(1, math.ceil(reach) + pad)
 
 
 def smooth_weight(spec: SmoothSpec, big_m: float, t):
@@ -226,7 +235,7 @@ def smooth_weight(spec: SmoothSpec, big_m: float, t):
 
     The window |m| <= m_max keeps the dropped tail below 1e-12 uniformly for
     t in [0, 1]; the custom kind has compact support so its tail is exactly
-    zero.  Vectorized in t.
+    zero.  A window past _MAX_WINDOW is a ConfigError.  Vectorized in t.
     """
     m_val = float(big_m)
     if not math.isfinite(m_val) or m_val < 1.0:
@@ -298,12 +307,8 @@ def _smooth_profile(spec: SmoothSpec, big_m: float, n_max: int):
     def f(theta):
         return smooth_weight(spec, big_m, np.asarray(theta) / math.pi)
 
-    def f2(theta):
-        vals = smooth_weight(spec, big_m, np.asarray(theta) / math.pi)
-        return vals * vals
-
     coef_f = np.array([fourier_coefficient(f, 2 * n) for n in range(n_max + 1)])
-    coef_g = np.array([fourier_coefficient(f2, 2 * n) for n in range(n_max + 1)])
+    coef_g = np.array([fourier_coefficient(lambda t: f(t) ** 2, 2 * n) for n in range(n_max + 1)])
     return coef_f, coef_g
 
 
@@ -497,12 +502,8 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> MomentReport:
         values[i0:i1] = _member_values(ctx, keys)
 
     spans = [(i, min(i + _BLOCK, total)) for i in range(0, total, _BLOCK)]
-    if threads == 1:
-        for span in spans:
-            fill(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, spans))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, spans))
 
     y = (values - ctx.center) / ctx.scale
     y_model = (values - ctx.mean_model) / ctx.scale

@@ -14,6 +14,7 @@ class ConfigError(SatolabError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"config field '{field}': {message}")
 
 

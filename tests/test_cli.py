@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -267,6 +268,8 @@ def test_config_error_exit_codes(tmp_path, capsys):
     for argv, key in (
         (["measures", "--q", "4", "--points", "0"], "points"),
         (["measures", "--q", "4", "--points", "-2"], "points"),
+        # the limiting measure LocalMeasure(inf) is a library value, not an input
+        (["measures", "--q", "inf"], "q"),
         (["approx", "--interval", *QUARTER, "--M", "2"], "m"),
         (["theory", "--x", "16", "--interval", *QUARTER], "m"),
         (["clt", "--field", "sqrt5", "--x", "2e8", "--size", "100", "--seed", "1",
@@ -324,6 +327,53 @@ def test_config_file_validation(tmp_path, capsys):
         path.write_text(text)
         assert main(["clt", "--config", str(path), "--out", out]) == 2, text
         assert f"'{key}'" in capsys.readouterr().err, text
+
+
+def _config_error(capsys, argv, config=None):
+    """stderr of a run on argv (and, given, a config file) that must exit 2."""
+    if config is not None:
+        path = os.path.join(argv[argv.index("--out") + 1], "given.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        argv = [*argv, "--config", path]
+    assert main(argv) == 2, argv
+    return capsys.readouterr().err
+
+
+KNOTS_NOT_FROM_ZERO = [[0.5, 1.0], [1.0, 0.0]]
+
+
+def test_smooth_knot_table_error_names_table(tmp_path, capsys):
+    config = {"phi": "custom", "table": KNOTS_NOT_FROM_ZERO}
+    err = _config_error(capsys, ["smooth", "--out", str(tmp_path)], config)
+    assert "config field 'table': knots must start at 0" in err
+
+
+def test_clt_knot_table_error_names_statistic_table(tmp_path, capsys):
+    stat = {"kind": "smooth", "phi": "custom", "table": KNOTS_NOT_FROM_ZERO}
+    config = {"field": "sqrt5", "x": 500, "size": 200, "seed": 1, "statistic": stat}
+    err = _config_error(capsys, ["clt", "--out", str(tmp_path)], config)
+    assert "config field 'statistic.table': knots must start at 0" in err
+
+
+def test_periodization_window_is_bounded(tmp_path, capsys):
+    # 2 * 58,824 + 1 shifted gaussians per point: rejected before any weight
+    out = str(tmp_path)
+    start = time.perf_counter()
+    err = _config_error(capsys, ["smooth", "--lam", "1e-8", "--smooth-m", "1", "--out", out])
+    assert time.perf_counter() - start < 2.0
+    assert "config field 'lam'" in err and "64" in err
+    clt = ["clt", "--field", "sqrt5", "--x", "500", "--size", "200", "--seed", "1",
+           "--statistic", "smooth", "--smooth-m", "1", "--out", out]
+    assert "'statistic.lam'" in _config_error(capsys, [*clt, "--lam", "0.005"])
+    # the custom kind sums ceil(U / M) + 1 shifts: 64 pass, 65 do not
+    wide = {"phi": "custom", "smooth_m": 1.0}
+    for support, code in ((63.0, 0), (63.5, 2)):
+        wide["table"] = [[0.0, 1.0], [support, 0.0]]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide))
+        assert main(["smooth", "--config", str(path), "--out", out]) == code, support
+    assert "config field 'table'" in capsys.readouterr().err
 
 
 def test_integer_keys_are_read_exactly(tmp_path, capsys):

@@ -33,7 +33,6 @@ from satolab.errors import ConfigError
 from satolab.measures import (
     _FINE_GRID,
     LocalMeasure,
-    SatoTateMeasure,
     _bracket,
     _guide,
     _measure_series,
@@ -49,7 +48,7 @@ from satolab.number_field import (
     ideal_norms,
     split_prime,
 )
-from satolab.rng import CounterRng, member_keys, uniforms_at
+from satolab.rng import member_keys, uniforms_at
 from satolab.selberg import ArcInterval
 
 Q5 = FieldSpec.real_quadratic(5)
@@ -72,7 +71,7 @@ def _member_oracle(config, member_index, weight=None):
     """Member statistic recomputed through the bisection quantile."""
     ideals = enumerate_prime_ideals(config.field, config.x, config.level)
     key = member_keys(config.seed, np.asarray([member_index]))[0]
-    u = CounterRng(key=np.uint64(key)).uniforms(len(ideals))
+    u = uniforms_at(key, np.arange(len(ideals)))
     total = 0.0
     for j, ideal in enumerate(ideals):
         theta = float(bisection_quantile(LocalMeasure(ideal.norm), u[j]))
@@ -214,7 +213,7 @@ def _tail_errors(measure, theta):
 def test_inversion_exact_in_the_tails():
     # in the first and last cells F ~ A theta^3; a linear start there ends two
     # Newton steps up to 4e-4 rad and 1.7e-10 in F away from the root
-    for measure in [SatoTateMeasure()] + [LocalMeasure(q) for q in TAIL_QS]:
+    for measure in [LocalMeasure(q) for q in (math.inf, *TAIL_QS)]:
         resid, err = _tail_errors(measure, quantile(measure, TAIL_US))
         assert resid <= 1e-15 and err <= 1e-12, (measure, resid, err)
     qs = np.array(TAIL_QS)

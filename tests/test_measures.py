@@ -8,17 +8,21 @@ from scipy import stats
 from satolab.chebyshev import eval_U, simpson_quadrature
 from satolab.measures import (
     LocalMeasure,
-    SatoTateMeasure,
     cdf,
     chebyshev_moment,
     density,
     moment_quadrature,
     quantile,
-    sample,
 )
-from satolab.rng import CounterRng
+from satolab.rng import root_key, uniforms_at
 
-MU = SatoTateMeasure()
+MU = LocalMeasure(math.inf)
+
+
+def sample(measure, seed: int, n: int):
+    """n angles by inverse transform of the uniforms at counters 0..n-1 of
+    the seed's root stream."""
+    return quantile(measure, uniforms_at(root_key(seed), np.arange(n)))
 
 
 def mu_infty_mass(a: float, b: float) -> float:
@@ -44,6 +48,8 @@ def test_density_validation():
         LocalMeasure(1.5)
     with pytest.raises(ValueError):
         LocalMeasure(math.nan)
+    with pytest.raises(ValueError):
+        LocalMeasure(-math.inf)
     with pytest.raises(ValueError):
         density(MU, -0.2)
 
@@ -141,19 +147,17 @@ def test_quantile_median_symmetry():
 
 
 def test_sample_consumes_one_uniform_per_angle():
-    rng = CounterRng.from_seed(20260816)
-    angles = sample(MU, rng, size=5)
+    angles = sample(MU, 20260816, 5)
     assert angles.shape == (5,)
-    assert rng.counter == 5
-    rng2 = CounterRng.from_seed(20260816)
-    angles2 = sample(MU, rng2, size=5)
-    assert np.array_equal(angles, angles2)
+    assert np.array_equal(angles, sample(MU, 20260816, 5))
+    # angle j inverts the uniform at counter j alone
+    u = uniforms_at(root_key(20260816), np.arange(5))
+    assert [quantile(MU, v) for v in u.tolist()] == angles.tolist()
 
 
 def test_sample_chi_square_against_density():
-    rng = CounterRng.from_seed(11)
     n = 10**6
-    angles = sample(MU, rng, size=n)
+    angles = sample(MU, 11, n)
     edges = np.linspace(0.0, math.pi, 51)
     observed, _ = np.histogram(angles, bins=edges)
     expected = n * np.diff(cdf(MU, edges))
@@ -162,9 +166,8 @@ def test_sample_chi_square_against_density():
 
 
 def test_sample_local_moment_within_four_se():
-    rng = CounterRng.from_seed(12)
     n = 10**6
-    angles = sample(LocalMeasure(3), rng, size=n)
+    angles = sample(LocalMeasure(3), 12, n)
     vals = eval_U(2, angles)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
@@ -172,9 +175,8 @@ def test_sample_local_moment_within_four_se():
 
 
 def test_sample_interval_mass_within_four_se():
-    rng = CounterRng.from_seed(13)
     n = 10**6
-    angles = sample(MU, rng, size=n)
+    angles = sample(MU, 13, n)
     a, b = math.pi / 4, math.pi / 2
     p = mu_infty_mass(a, b)
     hits = float(np.mean((angles >= a) & (angles <= b)))

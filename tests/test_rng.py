@@ -4,7 +4,6 @@ import math
 import numpy as np
 
 from satolab.rng import (
-    CounterRng,
     _derive,
     counter_words,
     integers_at,
@@ -40,7 +39,7 @@ def _stream_oracle(key: int, n: int) -> list:
 
 def test_derive_matches_integer_oracle():
     for key in (0, 1, 1234567, 0xDEADBEEF, _MASK):
-        got = _derive(np.asarray(np.uint64(key)), np.arange(6, dtype=np.uint64))
+        got = _derive(np.asarray(np.uint64(key)), counter_words(np.arange(6)))
         want = _stream_oracle(key, 6)
         assert [int(g) for g in got] == want
 
@@ -53,12 +52,11 @@ def test_root_key_matches_oracle_and_masks_seed():
     assert root_key(3) != root_key(4)
 
 
-def test_member_keys_match_counter_rng_derive():
+def test_member_keys_are_root_stream_words():
+    # member i's key is word i of the root key's stream
     seed = 99
     keys = member_keys(seed, np.arange(8))
-    base = CounterRng.from_seed(seed)
-    for i in range(8):
-        assert int(keys[i]) == int(base.derive(i).key)
+    assert [int(k) for k in keys] == _stream_oracle(int(root_key(seed)), 8)
 
 
 def test_uniform_matrix_rows_match_sequential_streams():
@@ -66,8 +64,8 @@ def test_uniform_matrix_rows_match_sequential_streams():
     mat = uniform_matrix(keys, 9)
     assert mat.shape == (4, 9)
     for i in range(4):
-        row = CounterRng(key=np.uint64(keys[i])).uniforms(9)
-        assert np.array_equal(mat[i], row)
+        row = [(w >> 11) * 2.0**-53 for w in _stream_oracle(int(keys[i]), 9)]
+        assert mat[i].tolist() == row
     for c in range(9):
         assert np.array_equal(mat[:, c], uniforms_at(keys, c))
 
@@ -98,25 +96,15 @@ def test_integers_at_scale_to_uniforms_and_match_oracle():
         assert [int(g) for g in got] == [w >> 11 for w in _stream_oracle(key, 6)]
 
 
-def test_counter_advances_without_gaps():
-    rng = CounterRng.from_seed(7)
-    first = rng.uniforms(5)
-    second = rng.uniforms(3)
-    fresh = CounterRng.from_seed(7).uniforms(8)
-    assert np.array_equal(np.concatenate([first, second]), fresh)
-    assert rng.counter == 8
-
-
 def test_streams_are_reproducible_and_distinct():
-    a = CounterRng.from_seed(11).derive(0).uniforms(16)
-    b = CounterRng.from_seed(11).derive(0).uniforms(16)
-    c = CounterRng.from_seed(11).derive(1).uniforms(16)
+    a, c = uniform_matrix(member_keys(11, np.arange(2)), 16)
+    b = uniform_matrix(member_keys(11, np.arange(1)), 16)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_uniforms_have_53_bit_resolution_and_range():
-    u = CounterRng.from_seed(123).uniforms(4096)
+    u = uniforms_at(root_key(123), np.arange(4096))
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     scaled = u * 2.0**53
     assert np.array_equal(scaled, np.round(scaled))
@@ -124,7 +112,7 @@ def test_uniforms_have_53_bit_resolution_and_range():
 
 def test_uniform_moments():
     n = 200_000
-    u = CounterRng.from_seed(20260816).uniforms(n)
+    u = uniforms_at(root_key(20260816), np.arange(n))
     # mean 1/2 with sd sqrt(1/12n); variance 1/12 with sd ~ (1/sqrt 180)/sqrt n
     assert abs(u.mean() - 0.5) < 4.0 * math.sqrt(1.0 / (12.0 * n))
     assert abs(u.var() - 1.0 / 12.0) < 4.0 * math.sqrt(1.0 / (180.0 * n))
