@@ -150,13 +150,13 @@ def simpson_quadrature(values: np.ndarray, step: float) -> float:
 def fourier_coefficient(f, n: int, quadrature_points: int = 2**14) -> float:
     """Coefficient [f * U_n] = (2/pi) integral_0^pi f(theta) U_n(cos theta) sin^2 theta dtheta.
 
-    The integral is evaluated by composite Simpson quadrature with
-    `quadrature_points` panels.
+    The integral is evaluated by composite Simpson quadrature on
+    2 quadrature_points panels (2 quadrature_points + 1 nodes).
 
     Args:
         f: vectorized callable on [0, pi].
         n: coefficient index, nonnegative.
-        quadrature_points: panel count for the composite rule, at least 2.
+        quadrature_points: half the panel count of the rule, at least 2.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("n must be a nonnegative integer")

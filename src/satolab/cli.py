@@ -221,7 +221,7 @@ _SCHEMA = {
         _Key("max_m", _INTEGER, 6, lambda m: m >= 0, "moment order cap must be nonnegative",
              "--max-m"),
         _Key("points", _INTEGER, 4096, lambda p: p >= 1, "need at least 1 quadrature point",
-             "--points", "quadrature points"),
+             "--points", "Simpson rule on 2 * points panels"),
     )),
     "primes": ("prime ideal enumeration and sums", (_FIELD, _x_key(16.0), _EXCLUDE)),
     "clt": ("Monte Carlo ensemble run", (
@@ -571,8 +571,7 @@ def _run_smooth(args) -> int:
     spec, big_m = statistic.phi, statistic.M
     ts = np.linspace(0.0, 1.0, config["points"])
     profile = smooth_weight(spec, big_m, ts)
-    (mean_weight,), (second,) = _smooth_profile(spec, big_m, 0)
-    variance_weight = second - mean_weight**2
+    (mean_weight,), _, variance_weight = _smooth_profile(spec, big_m, 0)
     report = {
         "phi_at_zero": float(smooth_weight(spec, big_m, 0.0)),
         "mean_weight": mean_weight,

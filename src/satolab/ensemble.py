@@ -31,13 +31,14 @@ from scipy.special import ndtr
 from .chebyshev import eval_U, fourier_coefficient
 from .errors import ConfigError
 from .measures import (
-    _FINE_GRID,
+    _GRID,
     LocalMeasure,
     _bracket,
     _cdf_norms,
     _guide,
     _invert,
     _norm_runs,
+    _Series,
     chebyshev_moment,
     quantile,
 )
@@ -62,8 +63,10 @@ __all__ = [
 # Members per work item, and cells per cache-sized tile of ideal rows whose
 # uniforms are drawn and consumed together; any values give identical output.
 _BLOCK, _TILE = 2048, 2**15
-# Bracket grid past 2048 distinct norms: coarser, with one more Newton step.
-_COARSE_GRID = (513, 3)
+# Norms past this bracket in one shared row, the limit law's cdf: every local
+# cdf lies within about 0.21/q of it, so each root stays within one cell of its
+# bracket; x = 1e4 keeps every norm's own row.
+_SHARED_Q = 1e4
 _GAUSS_TAIL_LOG = 34.6  # exp(-34.6) ~ 9e-16, keeps the dropped tail < 1e-12
 # Most shifts |m| a periodization may sum: past about 52 the gaussian weight
 # is flat in double precision, as exp(-pi^2/(lam M^2)) underflows.
@@ -264,20 +267,18 @@ class _Inverter:
 
     Ideals come sorted by norm, and the series length never rises with the
     norm, so each run of norms sharing a series length is a contiguous range
-    of ideal rows.  Ideal row j reads cdf and guide row rows[j], and buckets
-    list (k0, k1, series) per run: ideal rows k0..k1 - 1 with their series
-    factors as (k, 1) columns that broadcast over members.  walk is the
-    longest walk that a guide row needs, and buckets are inverted in tiles
-    of about _TILE cells.
+    of ideal rows.  Ideal row j reads cdf and guide row rows[j] on _GRID: its
+    norm's own row up to _SHARED_Q, the last row (the limit law's) past it.
+    buckets list (k0, k1, series) per run: ideal rows k0..k1 - 1 with their
+    own series factors as (k, 1) columns that broadcast over members, inverted
+    in tiles of about _TILE cells.  walk is the longest that a guide row needs.
     """
 
     rows: np.ndarray
     buckets: list
-    theta_grid: np.ndarray
     cdf_table: np.ndarray
     guide: np.ndarray
     walk: int
-    newton_steps: int
 
 
 @dataclass
@@ -302,14 +303,18 @@ class _Context:
 
 
 def _smooth_profile(spec: SmoothSpec, big_m: float, n_max: int):
-    """Expansion coefficients of phi_M(theta/pi) and its square in U_{2n}."""
+    """Expansion coefficients of phi_M(theta/pi) and its square in U_{2n}, and the
+    variance of phi_M under the limit law: coef_g[0] - coef_f[0]^2, read as 0.0
+    below 1e-12 coef_g[0], where it is the rounding noise of a weight flat in
+    double precision."""
 
     def f(theta):
         return smooth_weight(spec, big_m, np.asarray(theta) / math.pi)
 
     coef_f = np.array([fourier_coefficient(f, 2 * n) for n in range(n_max + 1)])
     coef_g = np.array([fourier_coefficient(lambda t: f(t) ** 2, 2 * n) for n in range(n_max + 1)])
-    return coef_f, coef_g
+    v = max(float(coef_g[0] - coef_f[0] ** 2), 0.0)
+    return coef_f, coef_g, (v if v >= 1e-12 * coef_g[0] else 0.0)
 
 
 def _cut_points(lo: np.ndarray, hi: np.ndarray):
@@ -352,7 +357,7 @@ def _build_context(fs, level, x, statistic) -> _Context:
     spec = statistic.phi
     big_m = statistic.M
     # the first run holds the smallest norm, whose series is the longest
-    coef_f, coef_g = _smooth_profile(spec, big_m, len(runs[0][2].powers))
+    coef_f, coef_g, v_weight = _smooth_profile(spec, big_m, len(runs[0][2].powers))
     # E_q[phi_M] and E_q[phi_M^2] = sum_n q^{-n} coefs[n] over each norm's series
     m_q, s_q = (
         np.concatenate(
@@ -363,44 +368,39 @@ def _build_context(fs, level, x, statistic) -> _Context:
         ).ravel()
         for c in (coef_f, coef_g)
     )
-    v_weight = max(float(coef_g[0] - coef_f[0] ** 2), 0.0)
-    # Fine bracket grid while the table fits comfortably in memory.
-    grid = _FINE_GRID if qs.size <= 2048 else _COARSE_GRID
     return _Context(
         pi_L_x=count,
         center=count * float(coef_f[0]),
-        scale=math.sqrt(count * float(v_weight)),
+        scale=math.sqrt(count * v_weight),
         mean_model=math.fsum(counts * m_q),
         variance_model=math.fsum(counts * (s_q - m_q * m_q)),
-        inverter=_inverter(runs, counts, grid),
+        inverter=_inverter(qs, counts, runs),
         spec=spec,
         big_m=big_m,
     )
 
 
-def _inverter(runs, counts, grid) -> _Inverter:
-    """Inverter for the norm runs of _norm_runs; counts[i] ideals have the
-    i-th norm.  grid is (bracket grid points, Newton steps)."""
-    n_grid, newton_steps = grid
-    theta_grid = np.linspace(0.0, math.pi, n_grid)
-    # cdf and guide rows in chunks of about _TILE cells, to bound the temporaries
-    step = max(1, _TILE // n_grid)
-    chunks = [
-        (i0 + c, min(i0 + c + step, i1), s[c : c + step])
-        for i0, i1, s in runs
-        for c in range(0, i1 - i0, step)
-    ]
-    tables = [_cdf_norms([chunk], theta_grid) for chunk in chunks]
+def _inverter(qs, counts, runs) -> _Inverter:
+    """Inverter for the ascending distinct norms qs and their runs
+    (_norm_runs); counts[i] ideals have norm qs[i]."""
+    own = int(np.searchsorted(qs, _SHARED_Q, side="right"))
+    # cdf and guide rows of the norms up to _SHARED_Q in chunks of about
+    # _TILE cells, to bound the temporaries, then the limit law's row
+    step = max(1, _TILE // _GRID.size)
+    chunks = []
+    for i0, i1, s in runs:
+        for a in range(i0, min(i1, own), step):
+            b = min(a + step, i1, own)
+            chunks.append((a, b, s[a - i0 : b - i0]))
+    tables = [_cdf_norms([chunk], _GRID) for chunk in [*chunks, (own, own + 1, _Series())]]
     guides, walks = zip(*map(_guide, tables))
-    rows = np.repeat(np.arange(counts.size), counts)
-    edges = np.searchsorted(rows, [i0 for i0, _, _ in runs] + [counts.size])
+    norm_of = np.repeat(np.arange(counts.size), counts)
+    edges = np.searchsorted(norm_of, [i0 for i0, _, _ in runs] + [counts.size])
     buckets = [
-        (k0, k1, s[rows[k0:k1] - i0]) for (i0, _, s), k0, k1 in zip(runs, edges, edges[1:])
+        (k0, k1, s[norm_of[k0:k1] - i0]) for (i0, _, s), k0, k1 in zip(runs, edges, edges[1:])
     ]
-    return _Inverter(
-        rows, buckets, theta_grid, np.concatenate(tables), np.concatenate(guides),
-        max(walks), newton_steps,
-    )
+    rows = np.minimum(norm_of, own)
+    return _Inverter(rows, buckets, np.concatenate(tables), np.concatenate(guides), max(walks))
 
 
 @lru_cache(maxsize=4)
@@ -416,7 +416,7 @@ def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray) -> np.ndarray:
     """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
     series factors are `series`."""
     bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u)
-    return _invert(u, *bracket, inv.theta_grid, series, inv.newton_steps)
+    return _invert(u, *bracket, series)
 
 
 def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:

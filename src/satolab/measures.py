@@ -12,17 +12,19 @@ ratio in U_{2n}(cos theta) q^{-n}, which also yields a closed-form CDF used
 by the inverse-transform sampler.
 
 cdf, quantile and the ensemble sampler share one series kernel
-(_cdf_series), one bracket and one inverter (_invert: Newton steps in the
-bracketed cell).  The bracket is a guide table in g(u) = (1 + cbrt u -
-cbrt(1 - u))/2, which flattens the cubic cdf tails: one gather into the n - 1
-guide cells of an n-node row, then a walk up the table as long as the built
-guide needs (2 steps on both the 4097- and the 513-node grid).  The series
-factors of a norm q are built once, by the scalar power q^{-n} (_powers): for
-one measure, or for a column of ascending norms split into runs that share a
-series length (_norm_runs).  The inverter leaves |cdf(theta) - u| <= 1e-15 for
-every u in [0, 1], and theta within 1e-12 rad of the root for u in
-[1e-12, 1 - 1e-5]; nearer the ends a cdf rounding error of 1e-16 moves the
-root by more than that.
+(_cdf_series), one bracket grid (_GRID, 4097 nodes) and one inverter
+(_invert).  The bracket is a guide table in g(u) = (1 + cbrt u -
+cbrt(1 - u))/2, which flattens the cubic cdf tails: one gather into the
+n - 1 guide cells of an n-node row, then a walk of at most 2 steps.  The
+sampler brackets every norm past 1e4 in one shared row, the cdf of
+LocalMeasure(math.inf), and the norm's own Newton steps close the O(1/q)
+gap: each step is clipped to the bracketed cell and its two neighbours.
+The series factors of a norm q are built once, by the scalar power q^{-n}
+(_powers): for one measure, or for a column of ascending norms split into
+runs that share a series length (_norm_runs).  The inverter leaves
+|cdf(theta) - u| <= 1e-15 for every u in [0, 1], and theta within 1e-12
+rad of the root for u in [1e-12, 1 - 1e-5]; nearer the ends a cdf
+rounding error of 1e-16 moves the root by more than that.
 """
 from __future__ import annotations
 
@@ -46,9 +48,10 @@ __all__ = [
 # series, giving absolute truncation error under 2e-14.
 _TAIL_EPS = 1e-14
 _TWO_PI = 2.0 * math.pi
-# Bracket grid points and Newton steps of quantile (and of the sampler while
-# its table fits in memory).
-_FINE_GRID = (4097, 2)
+# Bracket grid and Newton steps of quantile and of the sampler.
+_GRID = np.linspace(0.0, math.pi, 4097)
+_GRID.flags.writeable = False
+_NEWTON_STEPS = 2
 # Cells at each end of a bracket grid where the inverter starts from cube-root
 # interpolation: there the cdf is cubic in the distance to the endpoint.
 _TAIL_CELLS = 32
@@ -90,7 +93,7 @@ def chebyshev_moment(measure, m: int) -> float:
 
 
 def moment_quadrature(measure, m: int, quadrature_points: int = 2**12) -> float:
-    """Quadrature cross-check of chebyshev_moment (composite Simpson)."""
+    """Quadrature cross-check of chebyshev_moment: Simpson on 2 quadrature_points panels."""
     grid = np.linspace(0.0, math.pi, 2 * int(quadrature_points) + 1)
     integrand = eval_U(int(m), grid) * density(measure, grid)
     return simpson_quadrature(integrand, grid[1] - grid[0])
@@ -247,32 +250,32 @@ def _lerp(v, v0, v1, a, b):
     return a + (v - v0) / np.maximum(v1 - v0, 1e-300) * (b - a)
 
 
-def _invert(u, idx, r_lo, r_hi, grid, series: _Series, steps: int):
-    """Quantiles of u inside the table cells [grid[idx - 1], grid[idx]].
+def _invert(u, idx, r_lo, r_hi, series: _Series):
+    """Quantiles of u bracketed in the _GRID cells [_GRID[idx - 1], _GRID[idx]].
 
-    r_lo and r_hi are the cdf at the cell ends.  The start point is inverse
-    interpolation across the cell: linear in the interior, and linear in the
-    cube roots of u and of the table values (of 1 - u and 1 - table near pi)
-    in the first and last _TAIL_CELLS cells, where the cdf is cubic in the
-    distance to the endpoint.  Each of the `steps` Newton steps is clipped
-    to the cell and skipped where the density is below 1e-12.
+    r_lo and r_hi are the bracket row's values at the cell ends.  The start
+    point is inverse interpolation across the cell: linear in the interior, and
+    linear in the cube roots of u and of the row values (of 1 - u and 1 - row
+    near pi) in the first and last _TAIL_CELLS cells, where the cdf is cubic in
+    the distance to the endpoint.  The _NEWTON_STEPS Newton steps on `series`
+    are clipped to the cell and its two neighbours, inside [0, pi], and skipped
+    where the density is below 1e-12.
     """
-    lo = grid[idx - 1]
-    hi = grid[idx]
+    lo = _GRID[idx - 1]
+    hi = _GRID[idx]
     theta = _lerp(u, r_lo, r_hi, lo, hi)
     head = np.nonzero(idx <= _TAIL_CELLS)
     theta[head] = _lerp(
         np.cbrt(u[head]), np.cbrt(r_lo[head]), np.cbrt(r_hi[head]), lo[head], hi[head]
     )
-    tail = np.nonzero(idx >= grid.size - _TAIL_CELLS)
+    tail = np.nonzero(idx >= _GRID.size - _TAIL_CELLS)
     theta[tail] = _lerp(
-        np.cbrt(1.0 - u[tail]),
-        np.cbrt(1.0 - r_hi[tail]),
-        np.cbrt(1.0 - r_lo[tail]),
-        hi[tail],
-        lo[tail],
+        np.cbrt(1.0 - u[tail]), np.cbrt(1.0 - r_hi[tail]), np.cbrt(1.0 - r_lo[tail]),
+        hi[tail], lo[tail],
     )
-    for _ in range(steps):
+    lo = np.take(_GRID, idx - 2, mode="clip")  # foot of the cell below, or 0
+    hi = np.take(_GRID, idx + 1, mode="clip")  # top of the cell above, or pi
+    for _ in range(_NEWTON_STEPS):
         sin_t = np.sin(theta)
         cos_t = np.cos(theta)
         dens = _density(sin_t, cos_t, series)
@@ -293,9 +296,7 @@ def quantile(measure, u):
     if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise ValueError("u must lie in [0, 1]")
     u_flat = np.atleast_1d(u_arr).ravel()
-    n_grid, steps = _FINE_GRID
-    grid = np.linspace(0.0, math.pi, n_grid)
-    table = cdf(measure, grid)
+    table = cdf(measure, _GRID)
     bracket = _bracket(table, *_guide(table), 0, u_flat)
-    theta = _invert(u_flat, *bracket, grid, _measure_series(measure), steps)
+    theta = _invert(u_flat, *bracket, _measure_series(measure))
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]

@@ -376,6 +376,23 @@ def test_periodization_window_is_bounded(tmp_path, capsys):
     assert "config field 'table'" in capsys.readouterr().err
 
 
+# At lam = 0.3, M = 1 the periodized gaussian is flat in double precision
+# (exp(-pi^2/lam) is 5e-15): its variance, 3.6e-15 of rounding noise, reads 0.
+FLAT = ["--statistic", "smooth", "--lam", "0.3", "--smooth-m", "1"]
+
+
+def test_flat_weight_reports_zero_variance(tmp_path):
+    out = str(tmp_path)
+    assert main(["smooth", *FLAT[2:], "--out", out]) == 0
+    assert _read(os.path.join(out, "smooth_report.json"))["variance_weight"] == 0.0
+
+
+def test_flat_weight_statistic_is_degenerate(tmp_path, capsys):
+    clt = ["clt", "--field", "sqrt5", "--x", "500", "--size", "200", "--seed", "1", *FLAT]
+    err = _config_error(capsys, [*clt, "--out", str(tmp_path)])
+    assert "config field 'statistic': statistic is degenerate" in err
+
+
 def test_integer_keys_are_read_exactly(tmp_path, capsys):
     # 2^53 + 1 has no double: the seed must reach the run and the echo as given
     seed = 2**53 + 1

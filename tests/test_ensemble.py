@@ -11,7 +11,7 @@ from oracles import bisection_quantile, searchsorted_bracket
 from satolab import ensemble
 from satolab.chebyshev import simpson_quadrature
 from satolab.ensemble import (
-    _COARSE_GRID,
+    _SHARED_Q,
     EnsembleConfig,
     IndicatorStatistic,
     SmoothSpec,
@@ -31,7 +31,7 @@ from satolab.ensemble import (
 )
 from satolab.errors import ConfigError
 from satolab.measures import (
-    _FINE_GRID,
+    _GRID,
     LocalMeasure,
     _bracket,
     _guide,
@@ -140,9 +140,9 @@ def test_member_values_independent_of_batching():
         assert member_statistic(cfg, 41) == whole[41]
 
 
-def _unit_inverter(qs, grid):
+def _unit_inverter(qs):
     """Inverter for one ideal at each of the ascending norms qs."""
-    return _inverter(_norm_runs(qs), np.ones(qs.size, dtype=int), grid)
+    return _inverter(qs, np.ones(qs.size, dtype=int), _norm_runs(qs))
 
 
 def _invert_matrix(inv, up):
@@ -154,7 +154,8 @@ def _invert_matrix(inv, up):
 
 
 def _worst_angle_error(x, members):
-    """Largest |inverted angle - bisection quantile| over `members` members at norm bound x."""
+    """The inverter at norm bound x, and the largest |inverted angle - bisection
+    quantile| over `members` members."""
     cfg = EnsembleConfig(
         field=Q5,
         level=NO_LEVEL,
@@ -168,26 +169,27 @@ def _worst_angle_error(x, members):
     keys = member_keys(cfg.seed, np.arange(members, dtype=np.uint64))
     up = uniforms_at(keys[None, :], np.arange(len(ideals))[:, None])
     theta = _invert_matrix(inv, up)
+    assert np.all((theta >= 0.0) & (theta <= math.pi))
     norms = np.array([ideal.norm for ideal in ideals], dtype=np.float64)
     worst = 0.0
     for q in np.unique(norms):
         at = norms == q
         slow = bisection_quantile(LocalMeasure(q), up[at])
         worst = max(worst, float(np.max(np.abs(theta[at] - slow))))
-    return inv.theta_grid.size, worst
+    return inv, worst
 
 
 def test_fast_inversion_agrees_with_quantile():
-    grid, worst = _worst_angle_error(400.0, 40)
-    assert grid == 4097
+    inv, worst = _worst_angle_error(400.0, 40)
+    assert inv.cdf_table.shape[1] == 4097
     assert worst < 1e-9
 
 
-def test_coarse_grid_inversion_agrees_with_quantile():
-    # past 2048 distinct norms the bracket grid has 513 points; its extra
-    # Newton step keeps angles at rounding level (two steps leave ~1e-10)
-    grid, worst = _worst_angle_error(4e4, 4)
-    assert grid == 513
+def test_shared_row_inversion_agrees_with_quantile():
+    # norms past 1e4 bracket in the limit law's row, off by up to 2.1e-5 in
+    # F; their own two Newton steps keep angles at rounding level
+    inv, worst = _worst_angle_error(4e4, 4)
+    assert np.any(inv.rows == inv.cdf_table.shape[0] - 1)
     assert worst < 1e-12
 
 
@@ -200,7 +202,9 @@ TAIL_US = np.concatenate(
     [_GEOM, 1.0 - _GEOM[_GEOM >= 1e-5], [0.0, 1e-300, 1e-17, 2.0**-53, 1.0 - 2.0**-53, 1.0]]
 )
 _ANGLE_CHECKED = (TAIL_US >= 1e-12) & (TAIL_US <= 1.0 - 1e-5)
-TAIL_QS = (2.0, 3.0, 9.0, 1e5, 1e8)
+# Just past 1e4, where norms first read the shared limit-law row, the Newton
+# start is furthest from the root.
+TAIL_QS = (2.0, 3.0, 9.0, 10007.0, 1e5, 1e8)
 
 
 def _tail_errors(measure, theta):
@@ -217,68 +221,79 @@ def test_inversion_exact_in_the_tails():
         resid, err = _tail_errors(measure, quantile(measure, TAIL_US))
         assert resid <= 1e-15 and err <= 1e-12, (measure, resid, err)
     qs = np.array(TAIL_QS)
-    for grid in (_FINE_GRID, _COARSE_GRID):
-        inv = _unit_inverter(qs, grid)
-        theta = _invert_matrix(inv, np.tile(TAIL_US, (qs.size, 1)))
-        for q, row in zip(qs, theta):
-            resid, err = _tail_errors(LocalMeasure(q), row)
-            assert resid <= 1e-15 and err <= 1e-12, (grid, q, resid, err)
+    inv = _unit_inverter(qs)
+    theta = _invert_matrix(inv, np.tile(TAIL_US, (qs.size, 1)))
+    assert np.all((theta >= 0.0) & (theta <= math.pi))
+    for q, row in zip(qs, theta):
+        resid, err = _tail_errors(LocalMeasure(q), row)
+        assert resid <= 1e-15 and err <= 1e-12, (q, resid, err)
 
 
 def test_guide_bracket_matches_binary_search():
     # one guide gather and the computed walk land on the binary-search cell,
     # bit for bit, at random draws, at every table node and its neighbours,
-    # and at the extreme uniforms
+    # and at the extreme uniforms, on the own rows and on the shared row
     qs = np.array([2.0, 3.0, 9.0, 49.0, 1e5, 1e8])
     rng = np.random.default_rng(6)
-    for grid, walk in ((_FINE_GRID, 2), (_COARSE_GRID, 2)):
-        inv = _unit_inverter(qs, grid)
-        assert inv.walk <= walk
-        for row, table in enumerate(inv.cdf_table):
-            u = np.concatenate(
-                [
-                    rng.random(20_000),
-                    table,
-                    np.nextafter(table, 0.0),
-                    np.nextafter(table, 1.0),
-                    [0.0, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 1.0],
-                ]
-            )
-            got = _bracket(inv.cdf_table, inv.guide, inv.walk, row, u)
-            want = searchsorted_bracket(table, u)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w), (grid, qs[row])
+    inv = _unit_inverter(qs)
+    assert inv.walk <= 2
+    for row, table in enumerate(inv.cdf_table):
+        u = np.concatenate(
+            [
+                rng.random(20_000),
+                table,
+                np.nextafter(table, 0.0),
+                np.nextafter(table, 1.0),
+                [0.0, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 1.0],
+            ]
+        )
+        got = _bracket(inv.cdf_table, inv.guide, inv.walk, row, u)
+        want = searchsorted_bracket(table, u)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), row
 
 
 def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
     # the inverter builds its cdf table by one series pass per chunk of rows
     # and run of series lengths, and its guide rows by one bincount per
     # chunk; each row equals the scalar cdf on the grid and the guide of that
-    # row alone, bit for bit, on both grids (norms from 2, with 46 terms, up).
-    # The Newton series of every ideal row equals that of its scalar measure
-    # bit for bit: one power path, not numpy's array power, which can differ
-    # by an ulp
-    cases = (
-        (ideal_norms(Q5, 1e4), _FINE_GRID),
-        (ideal_norms(FieldSpec.rationals(), 3000), _COARSE_GRID),
-    )
-    for norms, grid in cases:
-        qs, counts = np.unique(norms, return_counts=True)
-        inv = _inverter(_norm_runs(qs), counts, grid)
-        walks = []
-        for q, table, guide in zip(qs, inv.cdf_table, inv.guide):
-            assert np.array_equal(table, cdf(LocalMeasure(q), inv.theta_grid)), (grid, q)
-            row_guide, walk = _guide(table)
-            assert np.array_equal(guide, row_guide), (grid, q)
-            walks.append(walk)
-        assert inv.walk == max(walks)
-        assert np.array_equal(qs[inv.rows], norms)
-        for k0, k1, series in inv.buckets:
-            for k in range(k0, k1):
-                want = _measure_series(LocalMeasure(norms[k]))
-                got = series[k - k0]
-                assert np.array_equal([p[0] for p in got.powers], want.powers), (grid, k)
-                assert (got.qp[0], got.fac[0]) == (want.qp, want.fac), (grid, k)
+    # row alone, bit for bit (norms from 2, with 46 terms, up).  Norms up to
+    # 1e4 read their own row, every larger norm the last row, the limit
+    # law's cdf.  The Newton series of every ideal row, shared row or not,
+    # equals that of its scalar measure bit for bit: one power path, not
+    # numpy's array power, which can differ by an ulp
+    norms = ideal_norms(Q5, 2e4)
+    qs, counts = np.unique(norms, return_counts=True)
+    inv = _inverter(qs, counts, _norm_runs(qs))
+    own = qs[qs <= _SHARED_Q]
+    assert inv.cdf_table.shape == (own.size + 1, _GRID.size)
+    walks = []
+    for q, table, guide in zip([*own, math.inf], inv.cdf_table, inv.guide):
+        assert np.array_equal(table, cdf(LocalMeasure(q), _GRID)), q
+        row_guide, walk = _guide(table)
+        assert np.array_equal(guide, row_guide), q
+        walks.append(walk)
+    assert inv.walk == max(walks)
+    past = norms > _SHARED_Q
+    assert past.any() and np.all(inv.rows[past] == own.size)
+    assert np.array_equal(qs[inv.rows[~past]], norms[~past])
+    for k0, k1, series in inv.buckets:
+        for k in range(k0, k1):
+            want = _measure_series(LocalMeasure(norms[k]))
+            got = series[k - k0]
+            assert np.array_equal([p[0] for p in got.powers], want.powers), k
+            assert (got.qp[0], got.fac[0]) == (want.qp, want.fac), k
+
+
+def test_bracket_table_does_not_grow_past_the_shared_norm():
+    # at x = 1e6 over sqrt5 (39,300 distinct norms) the 513-node table and
+    # guide took 231 MB; now every norm past 1e4 reads one shared row
+    def table_bytes(x):
+        qs, counts = np.unique(ideal_norms(Q5, x), return_counts=True)
+        inv = _inverter(qs, counts, _norm_runs(qs))
+        return inv.cdf_table.nbytes + inv.guide.nbytes
+
+    assert table_bytes(1e6) == table_bytes(1e4)
 
 
 SMOOTH = SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0)

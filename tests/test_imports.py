@@ -1,4 +1,5 @@
-"""Static check of the package source: every imported name is used."""
+"""Static checks of the package source: every imported name is used, and
+every private module-level name is read somewhere in the package."""
 import ast
 import pathlib
 
@@ -27,6 +28,41 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) for each private module-level function, class or
+    constant (a name with one leading underscore) of the modules in `sources`
+    that no module reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [(node.lineno, node.name)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [
+                    (n.lineno, n.id)
+                    for target in targets
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            found += [
+                (module, line, name)
+                for line, name in defined
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return sorted(found)
+
+
 def test_unused_imports_oracle():
     source = (
         "from __future__ import annotations\n"
@@ -47,3 +83,25 @@ def test_package_imports_only_what_it_uses():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: rows for name, rows in found.items() if rows} == {}
+
+
+def test_unread_private_names_oracle():
+    sources = {
+        "a.py": (
+            "_A, _B = 1, 2\n"
+            "_C: int = 3\n"
+            "_D = _C\n"
+            "__all__ = []\n"
+            "def _f():\n"
+            "    return _A\n"
+            "class _K:\n"
+            "    _E = 0\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _K\nx = a._f(), _K\n",
+    }
+    assert unread_private_names(sources) == [("a.py", 1, "_B"), ("a.py", 3, "_D")]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
