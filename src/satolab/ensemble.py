@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
-from .chebyshev import eval_U, fourier_coefficient
+from .chebyshev import eval_U
 from .errors import ConfigError
 from .measures import (
     _GRID,
@@ -303,16 +302,54 @@ class _Context:
 
 
 def _smooth_profile(spec: SmoothSpec, big_m: float, n_max: int):
-    """Expansion coefficients of phi_M(theta/pi) and its square in U_{2n}, and the
-    variance of phi_M under the limit law: coef_g[0] - coef_f[0]^2, read as 0.0
-    below 1e-12 coef_g[0], where it is the rounding noise of a weight flat in
-    double precision."""
+    """Expansion coefficients of phi_M(theta/pi) and its square in U_{2n},
+    n = 0..n_max, exact in double precision, and the variance of phi_M under
+    the limit law: coef_g[0] - coef_f[0]^2, read as 0.0 below 1e-12 coef_g[0],
+    where it is the rounding noise of a weight flat in double precision.
 
-    def f(theta):
-        return smooth_weight(spec, big_m, np.asarray(theta) / math.pi)
+    U_{2n}(cos theta) sin^2 theta = (cos 2n theta - cos (2n + 2) theta)/2, so
+    coef_f[n] = c[n] - c[n + 1] and coef_g[n] = b[n] - b[n + 1], where c[k] and
+    b[k] integrate phi_M(t) and phi_M(t)^2 against cos(2 pi k t) over [0, 1].
 
-    coef_f = np.array([fourier_coefficient(f, 2 * n) for n in range(n_max + 1)])
-    coef_g = np.array([fourier_coefficient(lambda t: f(t) ** 2, 2 * n) for n in range(n_max + 1)])
+    Gaussian, by Poisson summation: c[k] = sqrt(pi/lam)/M exp(-pi^2 k^2/s) with
+    s = lam M^2.  Pairing the shifts m, m' of phi_M^2 by d = m - m' gives
+    phi_M^2(t) = sum_d exp(-s d^2/2) psi(t + d/2), with psi the periodization of
+    exp(-2 lam u^2), so b[k] = sqrt(pi/(2 lam))/M exp(-pi^2 k^2/(2 s)) times
+    sum_d (-1)^{kd} exp(-s d^2/2).  The window bound keeps s >= 34.6/64^2, so
+    the d-sum has at most 420 terms before it underflows.
+
+    Custom: phi_M is linear between its breakpoints, the knots u_j/M mod 1 and
+    their mirror images; 8 Gauss-Legendre nodes on each piece, cut to width at
+    most 1/(4 max(n_max + 1, 64)), leave under 1e-19 relative.  No node falls
+    on a breakpoint, so a jump at the last knot is taken by its one-sided
+    limits.  Up to n_max = 63, past every series length, the cuts do not
+    depend on n_max, so coef_f[0] and coef_g[0] are the same bits for any n_max.
+    """
+    k = np.arange(n_max + 2)
+    if spec.kind == "gaussian":
+        s = spec.lam * big_m * big_m
+        c = math.sqrt(math.pi / spec.lam) / big_m * np.exp(-(math.pi**2 / s) * k * k)
+        d = np.arange(1, math.ceil(math.sqrt(1490.0 / s)) + 1)  # exp(-745) underflows
+        w = np.exp(-0.5 * s * d * d)
+        even, odd = 1.0 + 2.0 * math.fsum(w), 1.0 + 2.0 * math.fsum(np.where(d % 2, -w, w))
+        b = math.sqrt(0.5 * math.pi / spec.lam) / big_m * np.exp(-(0.5 * math.pi**2 / s) * k * k)
+        b = b * np.where(k % 2, odd, even)
+    else:
+        # imported here: numpy.polynomial adds 0.7 MB to every process
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(8)
+        knots = np.array([u for u, _ in spec.table]) / big_m % 1.0
+        even_cuts = np.linspace(0.0, 1.0, 4 * max(n_max + 1, 64) + 1)
+        cuts = np.unique(np.concatenate([knots, 1.0 - knots, even_cuts]))
+        mid, half = (cuts[1:] + cuts[:-1]) / 2, (cuts[1:] - cuts[:-1]) / 2
+        t = (mid[:, None] + half[:, None] * nodes).ravel()
+        phi = smooth_weight(spec, big_m, t)
+        wf = (half[:, None] * weights).ravel() * phi
+        cosines = np.cos((2.0 * math.pi) * k[:, None] * t)
+        # row sums add pairwise, where a matrix product adds in one long chain
+        c, b = (cosines * wf).sum(axis=1), (cosines * (wf * phi)).sum(axis=1)
+    coef_f, coef_g = c[:-1] - c[1:], b[:-1] - b[1:]
     v = max(float(coef_g[0] - coef_f[0] ** 2), 0.0)
     return coef_f, coef_g, (v if v >= 1e-12 * coef_g[0] else 0.0)
 
@@ -471,7 +508,9 @@ def _ks_to_normal(y: np.ndarray) -> float:
     """Two-sided sup distance between the empirical cdf and the normal cdf."""
     ys = np.sort(y)
     n = ys.size
-    f = ndtr(ys)
+    # the normal cdf 0.5 erfc(-y/sqrt 2), within an ulp of scipy.special.ndtr
+    root2 = math.sqrt(2.0)
+    f = np.array([0.5 * math.erfc(-v / root2) for v in ys.tolist()])
     above = np.arange(1, n + 1) / n - f
     below = f - np.arange(0, n) / n
     return float(max(np.max(above), np.max(below)))

@@ -164,17 +164,23 @@ def _cdf_series(theta, sin_t, cos_t, series: _Series):
     """The local cdf series, given sin theta and cos theta.
 
     sin 2 theta and 2 cos 2 theta come from the caller's sin and cos, and
-    sin 2 n theta by the three-term recurrence.
+    sin 2 n theta by the three-term recurrence.  Each term runs the operations
+    of total += p/(2 pi n) sk - p/(2 pi (n + 1)) sk_next in that order, into
+    four buffers of the output's shape that the terms reuse.
     """
     s1 = 2.0 * sin_t * cos_t
     total = theta / math.pi - s1 / _TWO_PI
     c = 2.0 * (cos_t * cos_t - sin_t * sin_t)
-    sk_prev = np.zeros_like(theta)
-    sk = s1
+    sk_prev = np.zeros_like(total)
+    sk = np.empty_like(total)
+    sk[...] = s1
+    sk_next, term = np.empty_like(total), np.empty_like(total)
     for n, p in enumerate(series.powers, 1):
-        sk_next = c * sk - sk_prev
-        total += p / (_TWO_PI * n) * sk - p / (_TWO_PI * (n + 1)) * sk_next
-        sk_prev, sk = sk, sk_next
+        np.subtract(np.multiply(c, sk, out=sk_next), sk_prev, out=sk_next)
+        np.multiply(p / (_TWO_PI * n), sk, out=term)
+        np.multiply(p / (_TWO_PI * (n + 1)), sk_next, out=sk_prev)  # sk_prev is spent
+        total += np.subtract(term, sk_prev, out=term)
+        sk_prev, sk, sk_next = sk, sk_next, sk_prev
     return total
 
 

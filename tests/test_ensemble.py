@@ -1,8 +1,10 @@
 """Ensemble sampler: oracles against the bisection quantile, model-mean
 identities, determinism contracts, and the trace-identity closed form."""
+import functools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -23,6 +25,7 @@ from satolab.ensemble import (
     _jackknife_se,
     _ks_to_normal,
     _member_values,
+    _smooth_profile,
     gaussian_moment,
     member_statistic,
     run_ensemble,
@@ -436,9 +439,12 @@ def test_jackknife_matches_closed_form():
 
 def test_ks_matches_scipy():
     rng = np.random.default_rng(7)
-    y = rng.normal(size=2000)
-    want = stats.kstest(y, "norm").statistic
-    assert _ks_to_normal(y) == pytest.approx(float(want), abs=1e-12)
+    normal = rng.normal(size=2000)
+    # past |y| = 8 the normal cdf is within 6.2e-16 of 0 or 1
+    far = rng.uniform(8.0, 40.0, size=40) * np.repeat([-1.0, 1.0], 20)
+    for y in (normal, np.concatenate([normal, far])):
+        want = stats.kstest(y, "norm").statistic
+        assert _ks_to_normal(y) == pytest.approx(float(want), abs=1e-15)
 
 
 def test_thread_count_never_changes_report():
@@ -521,6 +527,71 @@ def test_custom_table_weight_periodizes_exactly():
     # periodization of the triangle at M=1 telescopes to a constant
     for t in (0.0, 0.2, 0.5, 0.9):
         assert smooth_weight(spec, 1.0, t) == pytest.approx(1.0, abs=1e-12)
+
+
+def _mp_profile(spec, big_m, ns):
+    """[(2/pi) int_0^pi phi_M(theta/pi)^r U_2n(cos theta) sin^2 theta dtheta
+    for n in ns], for r = 1 and r = 2, by mpmath quadrature split at every
+    kink and jump of phi_M; U_2n(cos theta) sin theta = sin((2n + 1) theta)."""
+    last = spec.table[-1][0] if spec.kind == "custom" else math.sqrt(40.0 / spec.lam)
+    shifts = range(-int(last / big_m) - 2, int(last / big_m) + 3)
+
+    @functools.lru_cache(maxsize=None)  # the quadratures share their nodes
+    def phi(theta):  # the custom table is linear between knots, 0 past the last
+        total = mpmath.mpf(0)
+        for m in shifts:
+            u = abs(big_m * (theta / mpmath.pi + m))
+            if spec.kind == "gaussian":
+                total += mpmath.exp(-spec.lam * u * u)
+            for (u0, v0), (u1, v1) in zip(spec.table, spec.table[1:]):
+                if u0 <= u <= u1:
+                    total += v0 + (v1 - v0) * (u - u0) / (u1 - u0)
+                    break
+        return total
+
+    cuts = {mpmath.mpf(i) / 8 for i in range(9)}
+    cuts |= {mpmath.mpf(sign * u) / big_m % 1 for u, _ in spec.table for sign in (1, -1)}
+    nodes = [c * mpmath.pi for c in sorted(cuts)]
+    with mpmath.workdps(20):
+        return [
+            [
+                float(2 / mpmath.pi * mpmath.quad(
+                    lambda t: phi(t) ** r * mpmath.sin((2 * n + 1) * t) * mpmath.sin(t), nodes
+                ))
+                for n in ns
+            ]
+            for r in (1, 2)
+        ]
+
+
+@pytest.mark.parametrize(
+    "spec, big_m",
+    [
+        (SmoothSpec(kind="gaussian", lam=1.0), 4.0),
+        (SmoothSpec(kind="gaussian", lam=2.5), 7.0),
+        (SmoothSpec(kind="gaussian", lam=0.5), 2.0),
+        (SmoothSpec(kind="gaussian", lam=0.3), 1.0),  # flat in double precision
+        # a jump of 0.25 at the last knot
+        (SmoothSpec(kind="custom", table=((0.0, 1.0), (0.5, 0.5), (1.0, 0.25))), 4.0),
+        # support 3/4 past 1/2, so neighbouring shifts overlap
+        (SmoothSpec(kind="custom", table=((0.0, 1.0), (1.5, 0.5), (3.0, 0.2))), 4.0),
+    ],
+)
+def test_smooth_profile_matches_mpmath(spec, big_m):
+    ns = (0, 1, 9, 20)
+    coef_f, coef_g, v_weight = _smooth_profile(spec, big_m, 20)
+    want_f, want_g = _mp_profile(spec, big_m, ns)
+    for got, want in ((coef_f[list(ns)], want_f), (coef_g[list(ns)], want_g)):
+        assert got.tolist() == pytest.approx(want, rel=1e-15, abs=1e-15)
+    if (spec.kind, spec.lam, big_m) == ("gaussian", 0.3, 1.0):
+        # the true variance, about c_1^2 = 3e-28, is below the rounding floor
+        assert v_weight == 0.0
+    else:
+        want_v = want_g[0] - want_f[0] ** 2
+        assert v_weight == pytest.approx(want_v, rel=1e-14, abs=1e-15)
+    # the U_0 coefficients are the same bits for every series length
+    assert _smooth_profile(spec, big_m, 0)[0][0] == coef_f[0]
+    assert _smooth_profile(spec, big_m, 46)[2] == v_weight
 
 
 def test_custom_table_member_matches_oracle():

@@ -1,7 +1,10 @@
-"""Static checks of the package source: every imported name is used, and
-every private module-level name is read somewhere in the package."""
+"""Static checks of the package source: every imported name is used, every
+private module-level name is read somewhere in the package, and nothing in it
+imports scipy, which only the tests and the benchmark need."""
 import ast
 import pathlib
+import subprocess
+import sys
 
 import satolab
 
@@ -105,3 +108,55 @@ def test_unread_private_names_oracle():
 def test_package_reads_every_private_name():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def imported_modules(source: str) -> list:
+    """(line, module) for each absolute import of the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return found
+
+
+def test_imported_modules_oracle():
+    source = "import scipy.special as s\nfrom scipy import stats\nfrom . import x\n"
+    assert imported_modules(source) == [(1, "scipy.special"), (2, "scipy")]
+
+
+def test_package_does_not_import_scipy():
+    found = {
+        path.name: [
+            (line, module)
+            for line, module in imported_modules(path.read_text())
+            if module.split(".")[0] == "scipy"
+        ]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: rows for name, rows in found.items() if rows} == {}
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    calls = [
+        ["clt", "--field", "sqrt5", "--x", "300", "--size", "200", "--seed", "1",
+         "--interval", "0.7853981633974483", "1.5707963267948966"],
+        ["clt", "--field", "sqrt5", "--x", "300", "--size", "200", "--seed", "1",
+         "--statistic", "smooth"],
+        ["theory", "--x", "2000", "--interval", "0.7853981633974483", "1.5707963267948966"],
+        ["smooth"],
+    ]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "from satolab import cli\n"
+        f"for i, argv in enumerate({calls!r}):\n"
+        "    assert cli.main([*argv, '--out', f'out{i}']) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

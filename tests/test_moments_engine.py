@@ -9,8 +9,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import expi
 
 from oracles import full_horner
 from satolab.chebyshev import ChebyshevSeries
@@ -26,7 +28,7 @@ from satolab.moments_engine import (
     limit_law_m,
     z_power_coeffs,
 )
-from satolab.moments_engine import _distinct_tuple_sum, _even_profile
+from satolab.moments_engine import _distinct_tuple_sum, _ei, _even_profile
 from satolab.number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, split_prime
 from satolab.selberg import ArcInterval, selberg_coefficients, to_chebyshev, variance_sum
 
@@ -437,6 +439,28 @@ def test_limit_law_m_values():
     assert limit_law_m(Q5, 1e6) == 735
     with pytest.raises(ValueError):
         limit_law_m(Q5, 10)
+
+
+# 2,001 norm bounds past the enumeration cutoff, up to the config's 1e8
+BEYOND_EXACT = np.linspace(2e6, 1e8, 2002)[1:]
+
+
+def test_ei_matches_mpmath():
+    with mpmath.workdps(40):
+        for x in [0.5, 1.0, 5.0, *np.log(BEYOND_EXACT[::50]), math.log(1e8), 30.0]:
+            want = mpmath.ei(x)
+            assert abs((_ei(x) - want) / want) <= 4e-15, x
+
+
+def test_limit_law_m_matches_scipy_expi_beyond_exact_range():
+    # the series Ei flips no floor on the grid
+    for fs in (FieldSpec.rationals(), Q5):
+        got = [limit_law_m(fs, x) for x in BEYOND_EXACT]
+        want = [
+            math.floor(math.sqrt(float(expi(math.log(x)))) * math.log(math.log(x)))
+            for x in BEYOND_EXACT
+        ]
+        assert got == want
 
 
 def test_pi_L_estimate_beyond_exact_range():
