@@ -9,6 +9,7 @@ hypothesis under which the sampled trace terms are negligible.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import ChebyshevSeries, series_product
-from .number_field import FieldSpec, LevelSpec, ideal_norms, pi_L
+from .number_field import FieldSpec, LevelSpec, _bound, ideal_norms, pi_L
 from .selberg import ExtremalPair
 
 __all__ = [
@@ -121,22 +122,21 @@ def classify_partition(parts) -> int:
     return 3
 
 
-def _z_powers(z: ZSeries, n: int) -> list:
-    """Exact linearized Chebyshev coefficients of Z^1, ..., Z^n, each
-    power built from the previous one as Z^r = Z^(r-1) Z."""
+def _check_power(z: ZSeries, n) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("power must be a positive integer")
     if n * max(z.degree, 1) > _POWER_GUARD:
         raise ValueError("r * M exceeds the exact-expansion guard")
-    powers = [ChebyshevSeries(z.series.coeffs.copy())]
-    for _ in range(int(n) - 1):
-        powers.append(series_product(powers[-1], z.series))
-    return powers
 
 
 def z_power_coeffs(z: ZSeries, r: int) -> ChebyshevSeries:
-    """Exact linearized Chebyshev coefficients of Z^r."""
-    return _z_powers(z, r)[-1]
+    """Exact linearized Chebyshev coefficients of Z^r, each power built from
+    the previous one as Z^k = Z^(k-1) Z."""
+    _check_power(z, r)
+    power = ChebyshevSeries(z.series.coeffs.copy())
+    for _ in range(int(r) - 1):
+        power = series_product(power, z.series)
+    return power
 
 
 # Past q^k = e^690 (about 1e300) the term c_k w^k, w = 1/q, is about 1e-300
@@ -195,7 +195,8 @@ def _distinct_tuple_sum(
     with compensated summation over the distinct-norm groups.  The block
     sums depend only on f_rows and counts, so block_sum_cache (filled in
     place) may be shared by calls summing several partitions over the same
-    rows.
+    rows: main_term_report passes the block_sums of its _MainTermKernel,
+    which every moment order at one (field, bound, level, Z) shares.
     """
     u = len(parts)
 
@@ -219,6 +220,45 @@ def _distinct_tuple_sum(
             factor *= sign * math.factorial(len(block) - 1) * block_sum(multiset)
         terms.append(factor)
     return math.fsum(terms)
+
+
+class _MainTermKernel:
+    """What main_term_report reads, for one (field, bound, level, Z): the
+    ideal count, counts and w = 1/q of the distinct norms (ascending), the
+    local profiles f_rows[r] of Z^r and the block sums of
+    _distinct_tuple_sum.  Rows are added as an order first needs them, with
+    Z^r built as Z^(r-1) Z as z_power_coeffs builds it, so every order reads
+    the rows and sums that a fresh call would compute, bit for bit.  A lock
+    keeps threads that share the kernel from extending the rows at once; a
+    block sum two threads both compute is the same value."""
+
+    def __init__(self, norms: np.ndarray, z: ChebyshevSeries):
+        qs, counts = np.unique(norms, return_counts=True)
+        self.size = int(norms.size)
+        self.counts = counts.astype(np.float64)
+        self.w = 1.0 / qs
+        self.z = z
+        self.power = None  # Z^r for the last row built
+        self.f_rows = {}
+        self.block_sums = {}
+        self._lock = threading.Lock()
+
+    def rows(self, n: int) -> dict:
+        with self._lock:
+            for r in range(len(self.f_rows) + 1, n + 1):
+                self.power = self.z if r == 1 else series_product(self.power, self.z)
+                self.f_rows[r] = _even_profile(self.power.coeffs, self.w)
+        return self.f_rows
+
+
+@lru_cache(maxsize=1)
+def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes) -> _MainTermKernel:
+    """The kernel of the last (field, bound, level, Z coefficients) asked
+    for; one entry, so a process holds at most the rows of one call."""
+    norms = ideal_norms(fs, bound, level)
+    if not norms.size:
+        raise ValueError("no prime ideals of norm <= x")
+    return _MainTermKernel(norms, ChebyshevSeries(np.frombuffer(z_bytes).copy()))
 
 
 @dataclass(frozen=True)
@@ -249,23 +289,17 @@ def main_term_report(
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 8:
         raise ValueError("moment order must lie in 1..8 for exact tuple sums")
     z = ZSeries.from_extremal(pair, sign)
-    norms = ideal_norms(fs, x, level)
-    if not norms.size:
-        raise ValueError("no prime ideals of norm <= x")
-    qs, counts = np.unique(norms, return_counts=True)
-    counts = counts.astype(np.float64)
-    w = 1.0 / qs
-    f_rows = {
-        r: _even_profile(power.coeffs, w)
-        for r, power in enumerate(_z_powers(z, n), start=1)
-    }
-    block_sums = {}
-    scale = float(norms.size) ** (n / 2.0)
+    _check_power(z, n)
+    kernel = _main_term_kernel(fs, _bound(x), level, z.series.coeffs.tobytes())
+    f_rows = kernel.rows(int(n))
+    scale = float(kernel.size) ** (n / 2.0)
     case_totals = {1: 0.0, 2: 0.0, 3: 0.0}
     case_parts = {1: [], 2: [], 3: []}
     detail = []
     for partition in partitions_of(int(n)):
-        tuple_sum = _distinct_tuple_sum(partition.parts, f_rows, counts, block_sums)
+        tuple_sum = _distinct_tuple_sum(
+            partition.parts, f_rows, kernel.counts, kernel.block_sums
+        )
         value = float(partition.weight) * tuple_sum / scale
         label = classify_partition(partition.parts)
         case_parts[label].append(value)
@@ -277,7 +311,7 @@ def main_term_report(
         n=int(n),
         sign=sign,
         m_used=pair.degree,
-        pi_L_x=int(norms.size),
+        pi_L_x=kernel.size,
         total=total,
         case_totals=case_totals,
         partition_terms=tuple(detail),

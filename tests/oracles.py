@@ -94,3 +94,49 @@ def full_horner(coeffs, w):
     for c in coeffs[::2][::-1]:
         total = total * w + c
     return total
+
+
+def cumulant_main_terms(z_coeffs, norms, orders: int) -> list:
+    """E[(sum_i Z(theta_i))^n] / pi_L^{n/2} for n = 1..orders under the
+    independence model, with Z = sum_k z_coeffs[k] U_k(cos theta) and one
+    angle per norm in norms.
+
+    Z sin(theta) = sum_k z_coeffs[k] sin((k + 1) theta), so a DST-I on N - 1
+    nodes theta_j = j pi / N takes the U-coefficients of Z to its values and
+    the values of Z^r sin(theta) back to the U-coefficients of Z^r, exactly
+    while r deg Z < N - 1.  E_q[U_2k] = q^-k and E_q[U_odd] = 0 give the raw
+    moments of Z^r at each norm; their cumulants add over independent ideals.
+    """
+    from scipy.fft import dst
+
+    coeffs = np.asarray(z_coeffs, dtype=np.float64)
+    n_nodes = 2
+    while n_nodes - 1 <= orders * (coeffs.size - 1):
+        n_nodes *= 2
+    padded = np.zeros(n_nodes - 1)
+    padded[: coeffs.size] = coeffs
+    sin_t = np.sin(np.arange(1, n_nodes) * (math.pi / n_nodes))
+    z = dst(padded, type=1) / 2.0 / sin_t
+    qs, counts = np.unique(np.asarray(norms, dtype=np.float64), return_counts=True)
+    # terms of the series in 1/q up to the first below 1e-38 at the smallest q
+    terms = min(math.ceil(38.0 / math.log10(qs[0])) + 1, n_nodes // 2)
+    powers = (1.0 / qs)[:, None] ** np.arange(terms)[None, :]
+    raw = [np.ones(qs.size)]
+    for r in range(1, orders + 1):
+        u_coeffs = dst(z**r * sin_t, type=1) / n_nodes
+        raw.append(powers @ u_coeffs[0 : 2 * terms : 2])
+    kappa = [None]
+    for n in range(1, orders + 1):
+        kappa.append(
+            raw[n] - sum(math.comb(n - 1, j - 1) * kappa[j] * raw[n - j] for j in range(1, n))
+        )
+    total_kappa = [None] + [math.fsum((counts * kappa[n]).tolist()) for n in range(1, orders + 1)]
+    moments = [1.0]
+    for n in range(1, orders + 1):
+        moments.append(
+            math.fsum(
+                math.comb(n - 1, j - 1) * total_kappa[j] * moments[n - j] for j in range(1, n + 1)
+            )
+        )
+    size = float(np.asarray(norms).size)
+    return [moments[n] / size ** (n / 2.0) for n in range(1, orders + 1)]

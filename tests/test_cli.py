@@ -223,6 +223,21 @@ def test_theory_with_weights_and_odd_order(tmp_path):
     assert rep["growth"]["m_limit_law"] >= 1
 
 
+def test_theory_bytes_do_not_depend_on_sweep_order(tmp_path):
+    # --n 3 after --n 8 in one process reads the orders that --n 8 cached;
+    # its files must match --n 3 run alone
+    argv = ["theory", "--field", "rationals", "--x", "20000", "--interval", *QUARTER]
+    fresh = str(tmp_path / "fresh")
+    alone = argv + ["--n", "3", "--out", fresh]
+    script = f"import sys, satolab.cli as cli; sys.exit(cli.main({alone!r}))"
+    assert _fresh_interpreter(tmp_path, script).returncode == 0
+    assert main(argv + ["--n", "8", "--out", str(tmp_path / "n8")]) == 0
+    assert main(argv + ["--n", "3", "--out", str(tmp_path / "n3")]) == 0
+    for name in ("theory_report.json", "resolved_config.json"):
+        with open(os.path.join(fresh, name), "rb") as a, open(tmp_path / "n3" / name, "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_smooth_report_and_profile(tmp_path):
     out = str(tmp_path)
     assert main(["smooth", "--lam", "1.0", "--smooth-m", "1", "--out", out]) == 0
@@ -425,6 +440,17 @@ def test_contract_violation_exits_one(tmp_path, capsys, monkeypatch):
     assert "contract violation" in capsys.readouterr().err
 
 
+def _fresh_interpreter(tmp_path, script):
+    """Run a Python script in a fresh interpreter that imports satolab from
+    this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+
+
 def _raise_inside(tmp_path, target, argv):
     """Run the CLI on argv in a fresh interpreter, with target (a name under
     satolab.cli, imported as cli) replaced by a function raising ValueError."""
@@ -436,12 +462,7 @@ def _raise_inside(tmp_path, target, argv):
         f"{target} = boom\n"
         f"sys.exit(cli.main({argv!r}))\n"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
-    )
+    return _fresh_interpreter(tmp_path, script)
 
 
 def test_internal_value_error_exits_one(tmp_path):

@@ -7,6 +7,8 @@ local density.
 """
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import expi
 
-from oracles import full_horner
+from oracles import cumulant_main_terms, full_horner
 from satolab.chebyshev import ChebyshevSeries
 from satolab.measures import LocalMeasure, density
 from satolab.moments_engine import (
@@ -28,8 +30,15 @@ from satolab.moments_engine import (
     limit_law_m,
     z_power_coeffs,
 )
+from satolab import moments_engine
 from satolab.moments_engine import _distinct_tuple_sum, _ei, _even_profile
-from satolab.number_field import FieldSpec, LevelSpec, enumerate_prime_ideals, split_prime
+from satolab.number_field import (
+    FieldSpec,
+    LevelSpec,
+    enumerate_prime_ideals,
+    ideal_norms,
+    split_prime,
+)
 from satolab.selberg import ArcInterval, selberg_coefficients, to_chebyshev, variance_sum
 
 Q5 = FieldSpec.real_quadratic(5)
@@ -181,6 +190,121 @@ def test_shared_block_cache_matches_fresh_cache_sums():
             for p in partitions_of(n)
         )
         assert rep.partition_terms == want
+
+
+def _cold(n, fs, x, pair, sign="plus", level=None):
+    moments_engine._main_term_kernel.cache_clear()
+    return main_term_report(n, fs, x, pair, sign=sign, level=level)
+
+
+def test_kernel_reuse_matches_cold_recomputation_bitwise():
+    # interleaved calls that share, and do not share, a kernel key
+    x = 20_000
+    m = limit_law_m(Q5, x)
+    pairs = {
+        "arc": to_chebyshev(ARC, m),
+        "other arc": to_chebyshev(ArcInterval(0.5, 1.0), m),
+        "small M": to_chebyshev(ARC, 40),
+    }
+    level = LevelSpec(excluded=tuple(split_prime(Q5, 11)[:1]))
+    calls = [
+        (8, x, "arc", "plus", None),
+        (3, float(x), "arc", "plus", None),
+        (5, x, "arc", "minus", None),
+        (2, x, "arc", "plus", None),
+        (4, x, "other arc", "plus", None),
+        (6, float(x), "small M", "minus", None),
+        (7, x, "arc", "plus", level),
+        (1, float(x) + 0.5, "arc", "plus", level),
+        (4, x, "small M", "minus", None),
+        (6, x, "arc", "minus", None),
+    ]
+    moments_engine._main_term_kernel.cache_clear()
+    got = [main_term_report(n, Q5, xx, pairs[p], sign=s, level=lv) for n, xx, p, s, lv in calls]
+    for rep, (n, xx, p, s, lv) in zip(got, calls):
+        want = _cold(n, Q5, xx, pairs[p], sign=s, level=lv)
+        assert rep.partition_terms == want.partition_terms
+        assert rep.total == want.total and rep.pi_L_x == want.pi_L_x
+    assert got[6].pi_L_x == got[0].pi_L_x - 1
+
+
+def test_kernel_is_shared_by_int_and_float_bounds():
+    pair = to_chebyshev(ARC, 30)
+    moments_engine._main_term_kernel.cache_clear()
+    main_term_report(2, Q5, 5000, pair)
+    main_term_report(3, Q5, 5000.0, pair)
+    main_term_report(4, Q5, 5000.9, pair)
+    info = moments_engine._main_term_kernel.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (2, 1, 1, 1)
+
+
+def test_sweep_builds_each_profile_once(monkeypatch):
+    calls = []
+
+    def counted(coeffs, w):
+        calls.append(coeffs.size)
+        return _even_profile(coeffs, w)
+
+    monkeypatch.setattr(moments_engine, "_even_profile", counted)
+    pair = to_chebyshev(ARC, limit_law_m(Q5, 20_000))
+    moments_engine._main_term_kernel.cache_clear()
+    for n in range(1, 9):
+        main_term_report(n, Q5, 20_000, pair)
+    assert len(calls) == 8
+    for n in (8, 3, 5):
+        main_term_report(n, Q5, 20_000, pair)
+    assert len(calls) == 8
+
+
+def test_guard_holds_with_lower_orders_cached():
+    # 7 * 1300 is within the guard, 8 * 1300 is not
+    pair = to_chebyshev(ARC, 1300)
+    fs = FieldSpec.rationals()
+    moments_engine._main_term_kernel.cache_clear()
+    for n in range(1, 8):
+        main_term_report(n, fs, 300, pair)
+    with pytest.raises(ValueError, match="guard"):
+        main_term_report(8, fs, 300, pair)
+    assert moment_main_term(7, fs, 300, pair) == _cold(7, fs, 300, pair).total
+
+
+def test_threads_sharing_a_kernel_match_cold_calls():
+    pair = to_chebyshev(ARC, limit_law_m(Q5, 20_000))
+    orders = [8, 2, 7, 3, 6, 4, 5, 1]
+    want = {n: _cold(n, Q5, 20_000, pair).partition_terms for n in orders}
+    got = {}
+    moments_engine._main_term_kernel.cache_clear()
+    main_term_report(1, Q5, 20_000, pair)  # every thread shares this kernel
+    threads = [
+        threading.Thread(
+            target=lambda n=n: got.__setitem__(n, main_term_report(n, Q5, 20_000, pair))
+        )
+        for n in orders
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert {n: rep.partition_terms for n, rep in got.items()} == want
+
+
+@pytest.mark.parametrize("fs, x", [(Q5, 100_000), (FieldSpec.rationals(), 20_000)])
+def test_main_term_matches_cumulant_oracle(fs, x):
+    # the partition expansion is the n-th moment of the model sum, which the
+    # oracle takes from per-norm cumulants
+    pair = to_chebyshev(ARC, limit_law_m(fs, x))
+    for sign in ("plus", "minus"):
+        z = ZSeries.from_extremal(pair, sign)
+        want = cumulant_main_terms(z.series.coeffs, ideal_norms(fs, x), 8)
+        for n in range(1, 9):
+            got = moment_main_term(n, fs, x, pair, sign=sign)
+            assert abs(got - want[n - 1]) <= 1e-12, (sign, n)
 
 
 def test_moebius_route_reproduces_powers():
