@@ -227,9 +227,11 @@ _SCHEMA = {
     "clt": ("Monte Carlo ensemble run", (
         _FIELD._replace(default=_REQUIRED),
         _x_key(2.0),
-        _Key("size", _INTEGER, flag="--size"),
+        _Key("size", _INTEGER, _REQUIRED, lambda h: h >= 100, "moment reports require size >= 100",
+             "--size"),
         _Key("seed", _INTEGER, flag="--seed"),
-        _Key("max_moment", _INTEGER, 6, flag="--max-moment"),
+        _Key("max_moment", _INTEGER, 6, lambda n: 1 <= n <= 12,
+             "moment order cap must lie in 1..12", "--max-moment"),
         _EXCLUDE,
         _Key("statistic", default={}, rows=(
             _Key("kind", _TEXT, "indicator", flag="--statistic", choices=("indicator", "smooth")),

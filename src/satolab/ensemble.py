@@ -27,22 +27,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import eval_U
 from .errors import ConfigError
 from .measures import (
     _GRID,
-    LocalMeasure,
     _bracket,
     _cdf_norms,
+    _expectations,
     _guide,
     _invert,
     _norm_runs,
     _Series,
-    chebyshev_moment,
-    quantile,
 )
 from .number_field import FieldSpec, LevelSpec, ideal_norms
-from .rng import counter_words, integers_at, member_keys, uniform_matrix, uniforms_at
+from .rng import counter_words, integers_at, member_keys, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
 __all__ = [
@@ -51,12 +48,10 @@ __all__ = [
     "MomentReport",
     "SmoothSpec",
     "SmoothStatistic",
-    "TraceIdentityReport",
     "gaussian_moment",
     "member_statistic",
     "run_ensemble",
     "smooth_weight",
-    "trace_identity_check",
 ]
 
 # Members per work item, and cells per cache-sized tile of ideal rows whose
@@ -209,15 +204,6 @@ class MomentReport:
     overflow: int
     histogram_edges: tuple
     histogram_counts: tuple
-
-
-@dataclass(frozen=True)
-class TraceIdentityReport:
-    empirical: float
-    target: float
-    z_score: float
-    standard_error: float
-    size: int
 
 
 def _truncation_window(spec: SmoothSpec, big_m: float) -> int:
@@ -395,16 +381,8 @@ def _build_context(fs, level, x, statistic) -> _Context:
     big_m = statistic.M
     # the first run holds the smallest norm, whose series is the longest
     coef_f, coef_g, v_weight = _smooth_profile(spec, big_m, len(runs[0][2].powers))
-    # E_q[phi_M] and E_q[phi_M^2] = sum_n q^{-n} coefs[n] over each norm's series
-    m_q, s_q = (
-        np.concatenate(
-            [
-                sum((p * c[n] for n, p in enumerate(s.powers, 1)), np.full_like(s.fac, c[0]))
-                for _, _, s in runs
-            ]
-        ).ravel()
-        for c in (coef_f, coef_g)
-    )
+    # E_q[phi_M] and E_q[phi_M^2] at every distinct norm
+    m_q, s_q = _expectations(coef_f, 1.0 / qs), _expectations(coef_g, 1.0 / qs)
     return _Context(
         pi_L_x=count,
         center=count * float(coef_f[0]),
@@ -570,43 +548,5 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> MomentReport:
         model_centered_moments=m_moments,
         model_centered_standard_errors=m_errors,
         model_centered_ks=_ks_to_normal(y_model),
-        size=total,
-    )
-
-
-def trace_identity_check(config: EnsembleConfig, ideals, ms) -> TraceIdentityReport:
-    """Ensemble average of a product of U_m values vs its closed form.
-
-    The closed form is the product of local Chebyshev moments: q^{-m/2} per
-    even order, zero if any order is odd.  Angles are drawn at the list
-    position of each ideal, so the check shares no stream with run_ensemble.
-    """
-    ideal_list = list(ideals)
-    orders = [int(m) for m in ms]
-    if len(ideal_list) != len(orders):
-        raise ValueError("need one order per ideal")
-    if any(m < 0 for m in orders):
-        raise ValueError("orders must be nonnegative")
-    if len(set(ideal_list)) != len(ideal_list):
-        raise ValueError("ideals must be pairwise distinct")
-    total = config.size
-    keys = member_keys(config.seed, np.arange(total, dtype=np.uint64))
-    u = uniform_matrix(keys, len(ideal_list))
-    prod = np.ones(total)
-    target = 1.0
-    for j, (ideal, m) in enumerate(zip(ideal_list, orders)):
-        meas = LocalMeasure(ideal.norm)
-        theta = quantile(meas, u[:, j])
-        prod = prod * eval_U(m, theta)
-        target *= chebyshev_moment(meas, m)
-    empirical = float(np.mean(prod))
-    spread = float(np.std(prod, ddof=1)) if total > 1 else 0.0
-    se = spread / math.sqrt(total) if total > 1 else 0.0
-    z = (empirical - target) / se if se > 0.0 else 0.0
-    return TraceIdentityReport(
-        empirical=empirical,
-        target=float(target),
-        z_score=float(z),
-        standard_error=se,
         size=total,
     )

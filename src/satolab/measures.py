@@ -25,6 +25,11 @@ runs that share a series length (_norm_runs).  The inverter leaves
 |cdf(theta) - u| <= 1e-15 for every u in [0, 1], and theta within 1e-12
 rad of the root for u in [1e-12, 1 - 1e-5]; nearer the ends a cdf
 rounding error of 1e-16 moves the root by more than that.
+
+The same expansion gives local expectations: a function with the series
+sum_n c_n U_{2n}(cos theta) has E_q = sum_n c_n q^{-n}, which _expectations
+forms at every distinct norm for the theory's Z^r profiles and for the
+smooth model mean and variance.
 """
 from __future__ import annotations
 
@@ -57,6 +62,10 @@ _NEWTON_STEPS = 2
 _TAIL_CELLS = 32
 # Slack on the guide cell edges, far above the rounding error of _guide_map.
 _GUIDE_SLACK = 2.0**-40
+# Past q^n = e^690 (about 1e300) the term c_n w^n, w = 1/q, is about 1e-300
+# of c_n and no longer moves a row's value, so the Horner step for w^n
+# skips those rows.
+_LOG_UNDERFLOW = 690.0
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,29 @@ def moment_quadrature(measure, m: int, quadrature_points: int = 2**12) -> float:
     grid = np.linspace(0.0, math.pi, 2 * int(quadrature_points) + 1)
     integrand = eval_U(int(m), grid) * density(measure, grid)
     return simpson_quadrature(integrand, grid[1] - grid[0])
+
+
+def _expectations(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E_q of the series sum_n coeffs[n] U_{2n}(cos theta) at every w = 1/q:
+    U_{2n} integrates to q^{-n}, so each is the polynomial sum_n coeffs[n]
+    w^n, by Horner.
+
+    w must be non-increasing (norms ascending): the Horner step for w^n
+    then updates only the prefix of rows with q^n <= e^690, and a row
+    outside it starts from zero exactly when it enters.  The prefixes shrink
+    as n grows, so the loop starts at the last n whose prefix is non-empty.
+    """
+    if np.any(np.diff(w) > 0.0):
+        raise ValueError("w must be non-increasing")
+    log_q = -np.log(w)
+    limits = np.full(coeffs.size, np.inf)
+    limits[1:] = _LOG_UNDERFLOW / np.arange(1, coeffs.size)
+    rows = np.searchsorted(log_q, limits, side="right")
+    total = np.zeros_like(w)
+    for n in range(np.count_nonzero(rows) - 1, -1, -1):
+        head = rows[n]
+        total[:head] = total[:head] * w[:head] + coeffs[n]
+    return total
 
 
 def _local_tail_length(q: float) -> int:

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import ChebyshevSeries, series_product
+from .measures import _expectations
 from .number_field import FieldSpec, LevelSpec, _bound, ideal_norms, pi_L
 from .selberg import ExtremalPair
 
@@ -29,7 +30,6 @@ __all__ = [
     "classify_partition",
     "growth_bookkeeping",
     "main_term_report",
-    "moment_main_term",
     "partitions_of",
     "limit_law_m",
     "z_power_coeffs",
@@ -139,36 +139,6 @@ def z_power_coeffs(z: ZSeries, r: int) -> ChebyshevSeries:
     return power
 
 
-# Past q^k = e^690 (about 1e300) the term c_k w^k, w = 1/q, is about 1e-300
-# of c_k and no longer moves a row's value, so the Horner step for w^k
-# skips those rows.
-_LOG_UNDERFLOW = 690.0
-
-
-def _even_profile(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Local integrals of the series with Chebyshev coefficients coeffs at
-    every w = 1/q: odd-degree terms integrate to zero and U_m picks up
-    q^{-m/2}, so each is the even-coefficient polynomial at w, by Horner.
-
-    w must be non-increasing (norms ascending): the Horner step for w^k
-    then updates only the prefix of rows with q^k <= e^690, and a row
-    outside it starts from zero exactly when it enters.  The prefixes shrink
-    as k grows, so the loop starts at the last k whose prefix is non-empty.
-    """
-    if np.any(np.diff(w) > 0.0):
-        raise ValueError("w must be non-increasing")
-    even = coeffs[::2]
-    log_q = -np.log(w)
-    limits = np.full(even.size, np.inf)
-    limits[1:] = _LOG_UNDERFLOW / np.arange(1, even.size)
-    rows = np.searchsorted(log_q, limits, side="right")
-    total = np.zeros_like(w)
-    for k in range(np.count_nonzero(rows) - 1, -1, -1):
-        head = rows[k]
-        total[:head] = total[:head] * w[:head] + even[k]
-    return total
-
-
 @lru_cache(maxsize=16)
 def _set_partitions(u: int) -> tuple:
     """All set partitions of range(u) as tuples of position tuples."""
@@ -247,7 +217,7 @@ class _MainTermKernel:
         with self._lock:
             for r in range(len(self.f_rows) + 1, n + 1):
                 self.power = self.z if r == 1 else series_product(self.power, self.z)
-                self.f_rows[r] = _even_profile(self.power.coeffs, self.w)
+                self.f_rows[r] = _expectations(self.power.coeffs[::2], self.w)
         return self.f_rows
 
 
@@ -316,18 +286,6 @@ def main_term_report(
         case_totals=case_totals,
         partition_terms=tuple(detail),
     )
-
-
-def moment_main_term(
-    n: int,
-    fs: FieldSpec,
-    x,
-    pair: ExtremalPair,
-    sign: str = "plus",
-    level: LevelSpec = None,
-) -> float:
-    """Normalized n-th moment main term; see main_term_report."""
-    return main_term_report(n, fs, x, pair, sign=sign, level=level).total
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,21 @@
 """Reference implementations that the tests compare the program against."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from satolab.measures import _cdf_series, _density, _measure_series
+from satolab.chebyshev import eval_U
+from satolab.ensemble import smooth_weight
+from satolab.measures import (
+    LocalMeasure,
+    _cdf_series,
+    _density,
+    _measure_series,
+    chebyshev_moment,
+    quantile,
+)
 from satolab.number_field import primes_up_to
+from satolab.rng import member_keys, uniform_matrix
 
 
 def linearize_product(m: int, n: int) -> list:
@@ -96,6 +107,21 @@ def full_horner(coeffs, w):
     return total
 
 
+def smooth_power_coeffs(spec, big_m: float, r: int, n_max: int) -> np.ndarray:
+    """U_2n coefficients, n = 0..n_max, of phi_M(theta/pi)^r, by the
+    trapezoid rule on 4096 nodes over one period.
+
+    c_n = (2/pi) int_0^pi phi_M^r U_2n(cos theta) sin^2 theta dtheta, and
+    U_2n(cos theta) sin^2 theta = (cos 2n theta - cos (2n + 2) theta)/2, so the
+    integrand is pi-periodic; for a gaussian weight it is also smooth, and
+    the rule is exact to rounding once the nodes outnumber its frequencies.
+    """
+    theta = np.arange(4096) * (math.pi / 4096)
+    weight = smooth_weight(spec, big_m, theta / math.pi) ** r
+    n = np.arange(n_max + 1)[:, None]
+    return (np.cos(2 * n * theta) - np.cos((2 * n + 2) * theta)) @ weight / 4096
+
+
 def cumulant_main_terms(z_coeffs, norms, orders: int) -> list:
     """E[(sum_i Z(theta_i))^n] / pi_L^{n/2} for n = 1..orders under the
     independence model, with Z = sum_k z_coeffs[k] U_k(cos theta) and one
@@ -140,3 +166,50 @@ def cumulant_main_terms(z_coeffs, norms, orders: int) -> list:
         )
     size = float(np.asarray(norms).size)
     return [moments[n] / size ** (n / 2.0) for n in range(1, orders + 1)]
+
+
+@dataclass(frozen=True)
+class TraceIdentityReport:
+    empirical: float
+    target: float
+    z_score: float
+    standard_error: float
+    size: int
+
+
+def trace_identity_check(config, ideals, ms) -> TraceIdentityReport:
+    """Ensemble average of a product of U_m values vs its closed form.
+
+    The closed form is the product of local Chebyshev moments: q^{-m/2} per
+    even order, zero if any order is odd.  Angles are drawn at the list
+    position of each ideal, so the check shares no stream with run_ensemble.
+    """
+    ideal_list = list(ideals)
+    orders = [int(m) for m in ms]
+    if len(ideal_list) != len(orders):
+        raise ValueError("need one order per ideal")
+    if any(m < 0 for m in orders):
+        raise ValueError("orders must be nonnegative")
+    if len(set(ideal_list)) != len(ideal_list):
+        raise ValueError("ideals must be pairwise distinct")
+    total = config.size
+    keys = member_keys(config.seed, np.arange(total, dtype=np.uint64))
+    u = uniform_matrix(keys, len(ideal_list))
+    prod = np.ones(total)
+    target = 1.0
+    for j, (ideal, m) in enumerate(zip(ideal_list, orders)):
+        meas = LocalMeasure(ideal.norm)
+        theta = quantile(meas, u[:, j])
+        prod = prod * eval_U(m, theta)
+        target *= chebyshev_moment(meas, m)
+    empirical = float(np.mean(prod))
+    spread = float(np.std(prod, ddof=1)) if total > 1 else 0.0
+    se = spread / math.sqrt(total) if total > 1 else 0.0
+    z = (empirical - target) / se if se > 0.0 else 0.0
+    return TraceIdentityReport(
+        empirical=empirical,
+        target=float(target),
+        z_score=float(z),
+        standard_error=se,
+        size=total,
+    )

@@ -8,6 +8,7 @@ byte-for-byte reproducibility contract.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -482,7 +483,8 @@ def test_theory_value_error_is_not_blamed_on_a_key(tmp_path):
 
 
 def _doc_tables():
-    """{heading: [(key, default cell), ...]} for the key tables of docs/config.md."""
+    """{heading: [(key, type cell, default cell), ...]} for the key tables of
+    docs/config.md."""
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "config.md")
     tables, heading = {}, None
     for line in open(path).read().splitlines():
@@ -490,8 +492,37 @@ def _doc_tables():
             heading = line.lstrip("#").strip()
         elif line.startswith("| `") and not line.startswith("| `--"):
             cells = [c.strip() for c in line.strip("|").split("|")]
-            tables.setdefault(heading, []).append((cells[0].strip("`"), cells[2]))
+            tables.setdefault(heading, []).append((cells[0].strip("`"), cells[1], cells[2]))
     return tables
+
+
+# the leading word of a docs type cell, per config value type
+_TYPE_WORDS = (
+    (cli._INTEGER, "int"), (cli._NUMBER, "number"), (cli._TEXT, "string"),
+    (cli._FIELD_NAME, "string"), (cli._INTEGERS, "list"), (cli._PAIRS, "list"),
+    (cli._ARC, "`[a, b]`"), (None, "object"),
+)
+
+
+def _range_edges(kind: str) -> list:
+    """(value, inside) pairs at each end of the range a docs type cell states,
+    `int >= k`, `number > k`, `int in a..b` or `number in [a, b]`, and just
+    past it; [] for a cell that states none."""
+    word = kind.split()[0]
+    if word not in ("int", "number"):
+        return []
+    num = int if word == "int" else float
+
+    def step(v, d):  # the next value past v, in the direction of d = +-1
+        return v + d if word == "int" else math.nextafter(v, d * math.inf)
+
+    if m := re.match(r"\w+ (>=?) ([^,\s]+)", kind):
+        k = num(m[2])
+        return [(k, m[1] == ">="), (step(k, -1), False), (step(k, 1), True)]
+    if m := re.fullmatch(r"\w+ in (\d+)\.\.(\d+)|\w+ in \[(\S+), (\S+)\]", kind):
+        lo, hi = (num(v) for v in m.groups() if v is not None)
+        return [(lo, True), (step(lo, -1), False), (hi, True), (step(hi, 1), False)]
+    return []
 
 
 def test_docs_list_the_schema():
@@ -505,7 +536,17 @@ def test_docs_list_the_schema():
     tables = _doc_tables()
     assert set(tables) == set(expected)
     for heading, rows in expected.items():
-        assert tables[heading] == [(key.name, cell(key.default)) for key in rows], heading
+        got = [(name, default) for name, _, default in tables[heading]]
+        assert got == [(key.name, cell(key.default)) for key in rows], heading
+        for key, (_, kind, _) in zip(rows, tables[heading]):
+            where = (heading, key.name)
+            if key.choices:
+                assert kind == " or ".join(f'`"{c}"`' for c in key.choices), where
+            else:
+                word = next(w for t, w in _TYPE_WORDS if t is key.type)
+                assert kind == word or kind.startswith(word + " "), where
+            for value, inside in _range_edges(kind):
+                assert key.check is not None and key.check(value) == inside, (where, value)
 
 
 def test_threads_env_hint(tmp_path, monkeypatch):

@@ -3,13 +3,14 @@ identities, determinism contracts, and the trace-identity closed form."""
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import bisection_quantile, searchsorted_bracket
+from oracles import bisection_quantile, searchsorted_bracket, trace_identity_check
 from satolab import ensemble
 from satolab.chebyshev import simpson_quadrature
 from satolab.ensemble import (
@@ -30,7 +31,6 @@ from satolab.ensemble import (
     member_statistic,
     run_ensemble,
     smooth_weight,
-    trace_identity_check,
 )
 from satolab.errors import ConfigError
 from satolab.measures import (
@@ -592,6 +592,43 @@ def test_smooth_profile_matches_mpmath(spec, big_m):
     # the U_0 coefficients are the same bits for every series length
     assert _smooth_profile(spec, big_m, 0)[0][0] == coef_f[0]
     assert _smooth_profile(spec, big_m, 46)[2] == v_weight
+
+
+@pytest.mark.parametrize("fs, x", [(FieldSpec.rationals(), 20.0), (Q5, 2000.0)])
+@pytest.mark.parametrize(
+    "spec, big_m",
+    [
+        (SmoothSpec(kind="gaussian", lam=0.3), 2.0),
+        (SmoothSpec(kind="gaussian", lam=1.0), 4.0),
+        # coef_f peaks at n = 1 and falls slowly: every term up to n_max counts,
+        # and cutting each norm's series where q^-n < 1e-14 misses the bounds
+        (SmoothSpec(kind="gaussian", lam=2.5), 7.0),
+        (SmoothSpec(kind="custom", table=((0.0, 1.0), (0.5, 0.5), (1.0, 0.25))), 4.0),
+    ],
+)
+def test_smooth_model_moments_match_exact_sums(fs, x, spec, big_m):
+    # mean_model and variance_model against exact rational sums over the
+    # distinct norms of the same double coefficients, at exact 1/q
+    ctx = ensemble._build_context(fs, NO_LEVEL, x, SmoothStatistic(spec, big_m))
+    qs, counts = np.unique(ideal_norms(fs, x, NO_LEVEL), return_counts=True)
+    n_max = len(_measure_series(LocalMeasure(qs[0])).powers)
+    coef_f, coef_g, _ = _smooth_profile(spec, big_m, n_max)
+
+    def expectation(coeffs, q):
+        total = Fraction(0)
+        for c in coeffs[::-1].tolist():
+            total = total / q + Fraction(c)
+        return total
+
+    mean = variance = second = Fraction(0)
+    for q, count in zip(qs.astype(int).tolist(), counts.tolist()):
+        m, s = expectation(coef_f, q), expectation(coef_g, q)
+        mean += count * m
+        variance += count * (s - m * m)
+        second += count * s
+    eps = 2.0**-52
+    assert abs(Fraction(ctx.mean_model) - mean) <= 2 * eps * abs(mean)
+    assert abs(Fraction(ctx.variance_model) - variance) <= 2 * eps * second
 
 
 def test_custom_table_member_matches_oracle():

@@ -5,18 +5,26 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import full_horner, smooth_power_coeffs
 from satolab.chebyshev import eval_U, simpson_quadrature
+from satolab.ensemble import SmoothSpec, smooth_weight
 from satolab.measures import (
     LocalMeasure,
+    _expectations,
     cdf,
     chebyshev_moment,
     density,
     moment_quadrature,
     quantile,
 )
+from satolab.moments_engine import ZSeries, z_power_coeffs
+from satolab.number_field import FieldSpec, LevelSpec, ideal_norms
 from satolab.rng import root_key, uniforms_at
+from satolab.selberg import ArcInterval, to_chebyshev
 
 MU = LocalMeasure(math.inf)
+Q5 = FieldSpec.real_quadratic(5)
+ARC = ArcInterval(math.pi / 4, math.pi / 2)
 
 
 def sample(measure, seed: int, n: int):
@@ -182,3 +190,53 @@ def test_sample_interval_mass_within_four_se():
     hits = float(np.mean((angles >= a) & (angles <= b)))
     se = math.sqrt(p * (1 - p) / n)
     assert abs(hits - p) < 4 * se
+
+
+def _distinct_w(fs, x):
+    """w = 1/q of the distinct norms up to x, ascending norms."""
+    return 1.0 / np.unique(ideal_norms(fs, x, LevelSpec.empty()))
+
+
+def test_expectations_prefix_horner_is_bitwise_full_horner():
+    # Skipping rows where c_n w^n has underflowed past every digit must not
+    # move a single bit of the profile.
+    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "plus")
+    w = _distinct_w(Q5, 1e5)
+    for r in range(1, 9):
+        coeffs = z_power_coeffs(z, r).coeffs
+        assert np.array_equal(_expectations(coeffs[::2], w), full_horner(coeffs, w))
+
+
+def test_expectations_skip_only_coefficients_that_reach_no_row():
+    # over Q the smallest norm is 2, so only n <= 690 / log 2 (995) of the
+    # 2,941 even coefficients of Z^8 at M = 735 reach a row; the Horner loop
+    # starts there and still moves no bit
+    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "plus")
+    w = _distinct_w(FieldSpec.rationals(), 1e4)
+    coeffs = z_power_coeffs(z, 8).coeffs
+    assert coeffs[::2].size == 2941 and w[0] == 0.5
+    assert np.array_equal(_expectations(coeffs[::2], w), full_horner(coeffs, w))
+
+
+def test_expectations_reject_unsorted_weights():
+    w = _distinct_w(Q5, 2000)
+    coeffs = np.linspace(1.0, 0.0, 41)
+    assert np.array_equal(_expectations(coeffs[::2], w), full_horner(coeffs, w))
+    shuffled = np.random.default_rng(5).permutation(w)
+    with pytest.raises(ValueError):
+        _expectations(coeffs[::2], shuffled)
+
+
+@pytest.mark.parametrize("lam, big_m", [(0.3, 2.0), (1.0, 4.0)])
+def test_expectations_of_smooth_powers_match_quadrature(lam, big_m):
+    # E_q[phi_M^r] through the kernel, from U_2n coefficients taken by the
+    # oracle's own quadrature, against the trapezoid rule on phi_M^r times the
+    # local density: both integrands are smooth and pi-periodic
+    spec = SmoothSpec(lam=lam)
+    qs = np.array([2.0, 3.0, 49.0, 1009.0])
+    theta = np.arange(1024) * (math.pi / 1024)
+    phi = smooth_weight(spec, big_m, theta / math.pi)
+    for r in range(1, 7):
+        got = _expectations(smooth_power_coeffs(spec, big_m, r, 64), 1.0 / qs)
+        want = [math.pi / 1024 * math.fsum(phi**r * density(LocalMeasure(q), theta)) for q in qs]
+        assert np.max(np.abs(got - want)) <= 1e-12, r

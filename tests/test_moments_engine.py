@@ -25,13 +25,13 @@ from satolab.moments_engine import (
     classify_partition,
     growth_bookkeeping,
     main_term_report,
-    moment_main_term,
     partitions_of,
     limit_law_m,
     z_power_coeffs,
 )
 from satolab import moments_engine
-from satolab.moments_engine import _distinct_tuple_sum, _ei, _even_profile
+from satolab.measures import _expectations
+from satolab.moments_engine import _distinct_tuple_sum, _ei
 from satolab.number_field import (
     FieldSpec,
     LevelSpec,
@@ -141,36 +141,6 @@ def _distinct_norm_weights(fs, x):
     return 1.0 / qs, counts.astype(np.float64)
 
 
-def test_even_profile_prefix_horner_is_bitwise_full_horner():
-    # Skipping rows where c_k w^k has underflowed past every digit must not
-    # move a single bit of the profile.
-    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "plus")
-    w, _ = _distinct_norm_weights(Q5, 1e5)
-    for r in range(1, 9):
-        coeffs = z_power_coeffs(z, r).coeffs
-        assert np.array_equal(_even_profile(coeffs, w), full_horner(coeffs, w))
-
-
-def test_even_profile_skips_only_coefficients_that_reach_no_row():
-    # over Q the smallest norm is 2, so only k <= 690 / log 2 (995) of the
-    # 2,941 even coefficients of Z^8 at M = 735 reach a row; the Horner loop
-    # starts there and still moves no bit
-    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "plus")
-    w, _ = _distinct_norm_weights(FieldSpec.rationals(), 1e4)
-    coeffs = z_power_coeffs(z, 8).coeffs
-    assert coeffs[::2].size == 2941 and w[0] == 0.5
-    assert np.array_equal(_even_profile(coeffs, w), full_horner(coeffs, w))
-
-
-def test_even_profile_rejects_unsorted_weights():
-    w, _ = _distinct_norm_weights(Q5, 2000)
-    coeffs = np.linspace(1.0, 0.0, 41)
-    assert np.array_equal(_even_profile(coeffs, w), full_horner(coeffs, w))
-    shuffled = np.random.default_rng(5).permutation(w)
-    with pytest.raises(ValueError):
-        _even_profile(coeffs, shuffled)
-
-
 def test_shared_block_cache_matches_fresh_cache_sums():
     x = 20_000
     pair = to_chebyshev(ARC, limit_law_m(Q5, x))
@@ -243,9 +213,9 @@ def test_sweep_builds_each_profile_once(monkeypatch):
 
     def counted(coeffs, w):
         calls.append(coeffs.size)
-        return _even_profile(coeffs, w)
+        return _expectations(coeffs, w)
 
-    monkeypatch.setattr(moments_engine, "_even_profile", counted)
+    monkeypatch.setattr(moments_engine, "_expectations", counted)
     pair = to_chebyshev(ARC, limit_law_m(Q5, 20_000))
     moments_engine._main_term_kernel.cache_clear()
     for n in range(1, 9):
@@ -265,7 +235,7 @@ def test_guard_holds_with_lower_orders_cached():
         main_term_report(n, fs, 300, pair)
     with pytest.raises(ValueError, match="guard"):
         main_term_report(8, fs, 300, pair)
-    assert moment_main_term(7, fs, 300, pair) == _cold(7, fs, 300, pair).total
+    assert main_term_report(7, fs, 300, pair).total == _cold(7, fs, 300, pair).total
 
 
 def test_threads_sharing_a_kernel_match_cold_calls():
@@ -303,7 +273,7 @@ def test_main_term_matches_cumulant_oracle(fs, x):
         z = ZSeries.from_extremal(pair, sign)
         want = cumulant_main_terms(z.series.coeffs, ideal_norms(fs, x), 8)
         for n in range(1, 9):
-            got = moment_main_term(n, fs, x, pair, sign=sign)
+            got = main_term_report(n, fs, x, pair, sign=sign).total
             assert abs(got - want[n - 1]) <= 1e-12, (sign, n)
 
 
@@ -376,7 +346,7 @@ def test_z_power_pointwise_spot_check():
 
 def _local_integral(z, r, q):
     """The local integral of Z^r at norm q, by the program's Horner path."""
-    return float(_even_profile(z_power_coeffs(z, r).coeffs, np.array([1.0 / q]))[0])
+    return float(_expectations(z_power_coeffs(z, r).coeffs[::2], np.array([1.0 / q]))[0])
 
 
 def test_local_integral_single_term():
@@ -437,10 +407,10 @@ def test_main_term_matches_brute_force():
     fs = FieldSpec.rationals()
     for n in (1, 2, 3):
         want = _brute_main_term(n, fs, 200, pair, "plus")
-        got = moment_main_term(n, fs, 200, pair, sign="plus")
+        got = main_term_report(n, fs, 200, pair, sign="plus").total
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
     want = _brute_main_term(4, fs, 60, pair, "plus")
-    got = moment_main_term(4, fs, 60, pair, sign="plus")
+    got = main_term_report(4, fs, 60, pair, sign="plus").total
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -448,7 +418,7 @@ def test_main_term_brute_force_with_norm_multiplicity():
     # split primes share a norm, exercising the grouped-count path
     pair = to_chebyshev(ARC, 5)
     want = _brute_main_term(2, Q5, 200, pair, "minus")
-    got = moment_main_term(2, Q5, 200, pair, sign="minus")
+    got = main_term_report(2, Q5, 200, pair, sign="minus").total
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -458,8 +428,8 @@ def test_main_term_even_orders_near_gaussian():
     m = limit_law_m(fs, x)
     pair = to_chebyshev(ARC, m)
     v = variance_sum(pair).plus
-    second = moment_main_term(2, fs, x, pair, sign="plus")
-    fourth = moment_main_term(4, fs, x, pair, sign="plus")
+    second = main_term_report(2, fs, x, pair, sign="plus").total
+    fourth = main_term_report(4, fs, x, pair, sign="plus").total
     assert second == pytest.approx(v, rel=1e-2)
     assert fourth == pytest.approx(3.0 * v**2, rel=2e-2)
 
@@ -469,7 +439,7 @@ def test_main_term_odd_orders_small():
     fs = FieldSpec.rationals()
     pair = to_chebyshev(ARC, limit_law_m(fs, x))
     for n in (1, 3):
-        assert abs(moment_main_term(n, fs, x, pair, sign="plus")) < 0.05
+        assert abs(main_term_report(n, fs, x, pair, sign="plus").total) < 0.05
 
 
 def test_main_term_distance_to_target_nonincreasing():
@@ -478,7 +448,7 @@ def test_main_term_distance_to_target_nonincreasing():
     for x in (10_000, 100_000, 1_000_000):
         pair = to_chebyshev(ARC, limit_law_m(fs, x))
         v = variance_sum(pair).plus
-        errs.append(abs(moment_main_term(2, fs, x, pair, sign="plus") / v - 1.0))
+        errs.append(abs(main_term_report(2, fs, x, pair, sign="plus").total / v - 1.0))
     assert errs[0] >= errs[1] >= errs[2]
 
 
@@ -503,13 +473,13 @@ def test_moment_main_term_guards():
     fs = FieldSpec.rationals()
     pair = to_chebyshev(ARC, 6)
     with pytest.raises(ValueError):
-        moment_main_term(0, fs, 100, pair)
+        main_term_report(0, fs, 100, pair)
     with pytest.raises(ValueError):
-        moment_main_term(9, fs, 100, pair)
-    assert moment_main_term(2, fs, 100, pair) > 0.0
+        main_term_report(9, fs, 100, pair)
+    assert main_term_report(2, fs, 100, pair).total > 0.0
     only = split_prime(fs, 2)
     with pytest.raises(ValueError):
-        moment_main_term(2, fs, 2, pair, level=LevelSpec(excluded=tuple(only)))
+        main_term_report(2, fs, 2, pair, level=LevelSpec(excluded=tuple(only)))
 
 
 def test_weight_vector_validation():
