@@ -41,9 +41,10 @@ from .moments_engine import (
 )
 from .number_field import (
     _SIEVE_CAPACITY,
+    _SPLIT_TYPES,
     FieldSpec,
     LevelSpec,
-    enumerate_prime_ideals,
+    _outside,
     higher_power_sum,
     is_prime,
     mertens_sum,
@@ -58,6 +59,7 @@ from .selberg import (
 )
 
 _SANDWICH_SLACK = 1e-9
+_CSV_BLOCK = 1 << 16
 
 
 def _fmt_float(v: float) -> str:
@@ -108,15 +110,21 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, _render_json(obj) + "\n")
 
 
-def _write_csv(path: str, header, rows) -> None:
-    def cell(v):
-        if isinstance(v, (float, np.floating)):
-            return format(float(v), ".17g")
-        return str(v)
+def _write_csv(path: str, header, columns) -> None:
+    """Write equal-length columns under header, _CSV_BLOCK rows at a time;
+    float columns take 17 significant digits, others their str."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [_cells(c[lo : lo + _CSV_BLOCK]) for c in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+
+def _cells(column: np.ndarray) -> list:
+    if column.dtype.kind == "f":
+        return [format(v, ".17g") for v in column.tolist()]
+    return column.astype(str).tolist()
 
 
 # ----------------------------------------------------------------- schema
@@ -192,8 +200,9 @@ def _x_key(low: float) -> _Key:
 
 _FIELD = _Key("field", _FIELD_NAME, "rationals", flag="--field", help="rationals or sqrtD")
 _EXCLUDE = _Key(
-    "exclude_primes", _INTEGERS, [], lambda ps: all(map(is_prime, ps)) and len(set(ps)) == len(ps),
-    "entries must be distinct rational primes", "--exclude-primes",
+    "exclude_primes", _INTEGERS, [],
+    lambda ps: all(p < 2**64 and is_prime(p) for p in ps) and len(set(ps)) == len(ps),
+    "entries must be distinct rational primes below 2^64", "--exclude-primes",
 )
 _INTERVAL = _Key(
     "interval", _ARC, _REQUIRED, lambda ab: 0.0 <= ab[0] < ab[1] <= math.pi,
@@ -352,14 +361,14 @@ def _smooth_statistic(values: dict, scale: str, prefix: str = "") -> SmoothStati
 
 def _emit(args, config: dict, report_name: str, report: dict, table: tuple = None) -> None:
     """Write the resolved-config echo, the report (led by that echo) and,
-    given as (file name, header, rows), the CSV table of one run."""
+    given as (file name, header, columns), the CSV table of one run."""
     out = getattr(args, "out", None) or "."
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "resolved_config.json"), config)
     _write_json(os.path.join(out, report_name), {"config": config, **report})
     if table:
-        name, header, rows = table
-        _write_csv(os.path.join(out, name), header, rows)
+        name, header, columns = table
+        _write_csv(os.path.join(out, name), header, columns)
 
 
 def _threads(args) -> int:
@@ -421,7 +430,7 @@ def _run_approx(args) -> int:
         "variance_sum_plus": sums.plus,
         "variance_sum_minus": sums.minus,
     }
-    coeffs = [(k, pair.f_plus.coeffs[k], pair.f_minus.coeffs[k]) for k in range(m + 1)]
+    coeffs = (np.arange(m + 1), pair.f_plus.coeffs[: m + 1], pair.f_minus.coeffs[: m + 1])
     _emit(args, config, "approx_report.json", report,
           ("approx_coefficients.csv", ("m", "f_plus", "f_minus"), coeffs))
     print(
@@ -447,7 +456,7 @@ def _run_measures(args) -> int:
         worst = max(worst, err)
         rows.append((q, m, exact, quad, err))
     _emit(args, config, "measures_report.json", {"max_abs_err": worst},
-          ("measures_table.csv", ("q", "m", "exact", "quadrature", "abs_err"), rows))
+          ("measures_table.csv", ("q", "m", "exact", "quadrature", "abs_err"), zip(*rows)))
     print(f"measures: q={q:g} max_m={max_m} max_abs_err={worst:.3e}")
     return 0
 
@@ -459,19 +468,19 @@ def _run_primes(args) -> int:
     config = _resolve("primes", args)
     fs = FieldSpec.from_name(config["field"])
     x = config["x"]
-    ideals = enumerate_prime_ideals(fs, x, LevelSpec.above_primes(fs, config["exclude_primes"]))
+    table = _outside(fs, x, LevelSpec.above_primes(fs, config["exclude_primes"]))
     mert = mertens_sum(fs, x)
     higher = higher_power_sum(fs, x)
     report = {
-        "pi_L_x": len(ideals),
+        "pi_L_x": table.norm.size,
         "mertens_sum": mert,
         "mertens_minus_loglog": mert - math.log(math.log(x)),
         "higher_power_sum": higher,
     }
-    table = [(i.norm, i.p, i.label, i.f, i.split_type) for i in ideals]
+    columns = (*table[:4], np.array(_SPLIT_TYPES, dtype=object)[table.code])
     _emit(args, config, "primes_report.json", report,
-          ("primes_table.csv", ("norm", "p", "label", "residue_degree", "split_type"), table))
-    print(f"primes: field={config['field']} x={x:g} pi_L={len(ideals)}")
+          ("primes_table.csv", ("norm", "p", "label", "residue_degree", "split_type"), columns))
+    print(f"primes: field={config['field']} x={x:g} pi_L={table.norm.size}")
     return 0
 
 
@@ -504,9 +513,8 @@ def _run_clt(args) -> int:
     report = run_ensemble(config, threads=_threads(args))
     body = asdict(report)
     edges, counts = body.pop("histogram_edges"), body.pop("histogram_counts")
-    bins = [(edges[i], edges[i + 1], counts[i]) for i in range(len(counts))]
     _emit(args, echo, "report.json", body,
-          ("histogram.csv", ("bin_left", "bin_right", "count"), bins))
+          ("histogram.csv", ("bin_left", "bin_right", "count"), (edges[:-1], edges[1:], counts)))
     print(
         f"clt: size={report.size} ks={report.ks_statistic:.6f} "
         f"model_ks={report.model_centered_ks:.6f}"
@@ -580,7 +588,7 @@ def _run_smooth(args) -> int:
         "variance_weight": variance_weight,
     }
     _emit(args, config, "smooth_report.json", report,
-          ("smooth_profile.csv", ("t", "phi"), list(zip(ts, profile))))
+          ("smooth_profile.csv", ("t", "phi"), (ts, profile)))
     print(
         f"smooth: phi={spec.kind} M={big_m:g} mean={mean_weight:.6g} "
         f"variance={variance_weight:.6g}"

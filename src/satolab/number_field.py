@@ -13,20 +13,20 @@ The ideals of norm <= x are held as one column table per (field, bound):
 int64 columns norm, p, label and f and a split-type code, sorted by
 (norm, p, label) and built in array passes from the sieve and one
 vectorized Kronecker symbol (Euler's criterion by square-and-multiply on
-int64 arrays for odd p, the disc mod 8 rule for p = 2).  ideal_norms(fs, x,
-level) returns its read-only float64 norm column, and pi_L, the sums above,
-the moment main terms and the sampler read only that column.
-enumerate_prime_ideals builds PrimeIdeal objects from the table, in table
-order, the first time a (field, bound) asks for them.  A level's exclusions
-are removed by matching (norm, p, label, f), the fields PrimeIdeal compares.
+int64 arrays for odd p, the disc mod 8 rule for p = 2).  _outside(fs, x,
+level) is the one place a level applies: it removes the excluded ideals by
+matching (norm, p, label, f) and returns the table's read-only rows.
+ideal_norms reads its float64 norm column, which pi_L, the moment main
+terms and the sampler use; the primes subcommand writes its columns; and
+enumerate_prime_ideals builds PrimeIdeal tuples from them on each call.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,11 @@ _RATIONAL, _SPLIT, _INERT, _RAMIFIED = range(4)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2^64."""
+    """Deterministic primality for n < 2^64; a ValueError from 2^64 up,
+    where the witness set no longer decides."""
     n = int(n)
+    if n >= 2**64:
+        raise ValueError(f"{n} is past the 2^64 range of the primality test")
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -177,15 +180,14 @@ class FieldSpec:
         raise ValueError(f"unknown field '{name}' (use rationals or sqrtD)")
 
 
-@dataclass(frozen=True, order=True)
-class PrimeIdeal:
-    """A prime ideal, keyed by (norm, p, label) for stable ordering."""
+class PrimeIdeal(NamedTuple):
+    """A prime ideal; as a tuple it sorts by (norm, p, label)."""
 
     norm: int
     p: int
     label: int  # 0, or 1 for the second conjugate of a split prime
     f: int
-    split_type: str = field(compare=False)
+    split_type: str
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def split_prime(fs: FieldSpec, p: int) -> list:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     primes = np.array([p], dtype=np.int64 if p <= _INT64_ROOT else object)
-    return list(_ideals(*_split_columns(fs, primes)[1:]))
+    return _prime_ideals(_split_columns(fs, primes))
 
 
 def _split_columns(fs: FieldSpec, primes: np.ndarray) -> tuple:
@@ -237,32 +239,14 @@ def _split_columns(fs: FieldSpec, primes: np.ndarray) -> tuple:
     return np.where(inert, p * p, p), p, label, np.where(inert, 2, 1), code
 
 
-def _ideals(p, label, f, code) -> tuple:
-    """PrimeIdeal objects from the columns p, label, f and split-type code, in
-    row order.
-
-    Fields are set by object.__setattr__, as the frozen dataclass __init__
-    sets them, but without one Python-level __init__ call per object.
-    Writing them through __dict__ would be faster still, but it gives every
-    object its own dict and doubles the memory of the list.  The norm of a
-    degree-one ideal is its p, the same int object.
-    """
-    p, label, f, code = (c.tolist() for c in (p, label, f, code))
-    new, put = object.__new__, object.__setattr__
-    out = []
-    for p_, label_, f_, code_ in zip(p, label, f, code):
-        ideal = new(PrimeIdeal)
-        put(ideal, "norm", p_ if f_ == 1 else p_ * p_)
-        put(ideal, "p", p_)
-        put(ideal, "label", label_)
-        put(ideal, "f", f_)
-        put(ideal, "split_type", _SPLIT_TYPES[code_])
-        out.append(ideal)
-    return tuple(out)
+def _prime_ideals(columns) -> list:
+    """PrimeIdeal tuples from the columns norm, p, label, f and split-type
+    code, in row order."""
+    norm, p, label, f, code = (c.tolist() for c in columns[:5])
+    return list(map(PrimeIdeal, norm, p, label, f, map(_SPLIT_TYPES.__getitem__, code)))
 
 
-@dataclass(frozen=True)
-class _IdealTable:
+class _IdealTable(NamedTuple):
     """The prime ideals of norm <= bound as read-only columns, sorted by
     (norm, p, label); norm_float is the norm column as float64."""
 
@@ -286,12 +270,6 @@ def _ideal_table(fs: FieldSpec, bound: int) -> _IdealTable:
     return _IdealTable(*columns)
 
 
-@lru_cache(maxsize=8)
-def _ideal_objects(fs: FieldSpec, bound: int) -> tuple:
-    table = _ideal_table(fs, bound)
-    return _ideals(table.p, table.label, table.f, table.code)
-
-
 def _bound(x) -> int:
     x = float(x)
     if x < 2.0:
@@ -299,9 +277,13 @@ def _bound(x) -> int:
     return int(math.floor(x))
 
 
-def _outside(table: _IdealTable, level: LevelSpec) -> np.ndarray:
-    """Mask of the table rows that match no excluded ideal of the level in
-    (norm, p, label, f)."""
+def _outside(fs: FieldSpec, x, level: LevelSpec = None) -> _IdealTable:
+    """The table of the prime ideals of norm <= x without the level's
+    excluded ideals, matched on (norm, p, label, f); its columns are
+    read-only."""
+    table = _ideal_table(fs, _bound(x))
+    if level is None or not level.excluded:
+        return table
     keep = np.ones(table.norm.size, dtype=bool)
     top = int(table.norm[-1]) if table.norm.size else 0
     for ideal in level.excluded:
@@ -314,27 +296,21 @@ def _outside(table: _IdealTable, level: LevelSpec) -> np.ndarray:
             & (table.f[lo:hi] == ideal.f)
         )
         keep[lo + np.flatnonzero(same)] = False
-    return keep
+    columns = [c[keep] for c in table]
+    for c in columns:
+        c.flags.writeable = False
+    return _IdealTable(*columns)
 
 
 def enumerate_prime_ideals(fs: FieldSpec, x, level: LevelSpec = None) -> list:
     """All prime ideals of norm <= x outside the level, sorted by (norm, p, label)."""
-    bound = _bound(x)
-    ideals = _ideal_objects(fs, bound)
-    if level is not None and level.excluded:
-        return list(compress(ideals, _outside(_ideal_table(fs, bound), level).tolist()))
-    return list(ideals)
+    return _prime_ideals(_outside(fs, x, level))
 
 
 def ideal_norms(fs: FieldSpec, x, level: LevelSpec = None) -> np.ndarray:
     """Norms of the prime ideals of norm <= x outside the level, ascending,
     as a read-only float64 array; builds no PrimeIdeal object."""
-    table = _ideal_table(fs, _bound(x))
-    if level is None or not level.excluded:
-        return table.norm_float
-    norms = table.norm_float[_outside(table, level)]
-    norms.flags.writeable = False
-    return norms
+    return _outside(fs, x, level).norm_float
 
 
 def pi_L(fs: FieldSpec, x, level: LevelSpec = None) -> int:

@@ -16,10 +16,12 @@ import time
 import pytest
 
 import satolab.cli as cli
+from oracles import enumerate_one_prime_at_a_time
 from satolab.cli import main
 from satolab.number_field import FieldSpec, pi_L
 
 PI = math.pi
+Q5 = FieldSpec.real_quadratic(5)
 QUARTER = ["0.78539816339744828", "1.5707963267948966"]
 
 
@@ -71,6 +73,51 @@ def test_primes_report_matches_library(tmp_path):
     assert rep["mertens_minus_loglog"] == pytest.approx(
         rep["mertens_sum"] - math.log(math.log(100.0)), rel=1e-12
     )
+
+
+def test_primes_table_bytes_match_oracle(tmp_path):
+    # 78,506 rows: past the first 2^16-row write block, with one inert (3),
+    # one ramified (5) and one split (11) prime excluded
+    out = str(tmp_path)
+    argv = ["primes", "--field", "sqrt5", "--x", "1e6", "--exclude-primes", "3", "5", "11"]
+    assert main([*argv, "--out", out]) == 0
+    rows = [r for r in enumerate_one_prime_at_a_time(Q5, 10**6) if r[1] not in (3, 5, 11)]
+    want = "norm,p,label,residue_degree,split_type\n" + "".join(
+        f"{norm},{p},{label},{f},{kind}\n" for norm, p, label, f, kind in rows
+    )
+    assert len(rows) == 78506
+    assert open(os.path.join(out, "primes_table.csv"), "rb").read() == want.encode()
+    assert _read(os.path.join(out, "primes_report.json"))["pi_L_x"] == len(rows)
+
+
+def test_exclude_primes_past_the_primality_range(tmp_path, capsys):
+    # 1287836182261 * 2575672364521 passes the 12-witness test; the schema
+    # refuses every entry from 2^64 up instead of asking it
+    out = str(tmp_path)
+    clt = ["clt", "--field", "sqrt5", "--x", "500", "--size", "100", "--seed", "1",
+           "--interval", *QUARTER]
+    for value in (3317044064679887385961981, 2**64):
+        for sub in (["primes", "--x", "100"], clt):
+            assert main([*sub, "--exclude-primes", str(value), "--out", out]) == 2, value
+            assert "'exclude_primes'" in capsys.readouterr().err
+    assert main(["primes", "--x", "100", "--exclude-primes", str(2**64 - 59), "--out", out]) == 0
+    capsys.readouterr()
+
+
+def test_primes_peak_memory_at_1e7(tmp_path):
+    # the child reads its own high-water mark: ru_maxrss would carry the
+    # parent's over fork and exec
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    script = (
+        "import satolab.cli as cli\n"
+        "assert cli.main(['primes', '--field', 'sqrt5', '--x', '1e7', '--out', '.']) == 0\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+    )
+    proc = _fresh_interpreter(tmp_path, script)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split("VmHWM:")[1].split()[0]) / 1024
+    assert peak_mb < 256, peak_mb
 
 
 def _run_clt(out, extra=()):

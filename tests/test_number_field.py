@@ -48,6 +48,17 @@ def test_is_prime_against_sieve():
     assert not is_prime(2**61 + 1)
 
 
+def test_is_prime_refuses_past_its_witness_range():
+    # the 12 witnesses decide only below 2^64; past it a composite such as
+    # 1287836182261 * 2575672364521 must not be answered
+    assert is_prime(2**64 - 59) and not is_prime(2**64 - 1)
+    for n in (2**64, 1287836182261 * 2575672364521, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        split_prime(Q5, 2**89 - 1)
+
+
 def test_primes_up_to_counts():
     assert primes_up_to(10).tolist() == [2, 3, 5, 7]
     assert len(primes_up_to(10**4)) == 1229
@@ -264,9 +275,8 @@ def test_ideal_table_matches_one_prime_at_a_time(x):
 
 @pytest.mark.parametrize("name", FIELDS)
 def test_level_exclusions_match_on_compared_fields(name):
-    # exclusions match on (norm, p, label, f), the fields PrimeIdeal equality
-    # compares: one conjugate of a split prime, whole primes, and ideals of
-    # norm > x
+    # exclusions match on (norm, p, label, f): one conjugate of a split
+    # prime, whole primes, and ideals of norm > x
     fs = FieldSpec.from_name(name)
     above = LevelSpec.above_primes(fs, [3, 13, 11, 1009, 2**61 - 1]).excluded
     for x in (120, 10**4):
@@ -283,19 +293,22 @@ def test_level_exclusions_match_on_compared_fields(name):
 
 
 def test_ideal_norms_read_only_and_built_without_objects(monkeypatch):
-    def no_objects(*columns):
+    def no_objects(*fields):
         raise AssertionError("ideal_norms built PrimeIdeal objects")
 
-    monkeypatch.setattr(number_field, "_ideals", no_objects)
+    level = LevelSpec.above_primes(Q5, [11])
+    monkeypatch.setattr(number_field, "PrimeIdeal", no_objects)
+    with pytest.raises(AssertionError):  # the patch reaches the object path
+        enumerate_prime_ideals(Q5, 100)
     _ideal_table.cache_clear()
-    number_field._ideal_objects.cache_clear()
     norms = ideal_norms(Q5, 1e6)
     assert norms.dtype == np.float64 and norms.size == 78510
     assert np.all(np.diff(norms) >= 0.0)
     with pytest.raises(ValueError):
         norms[0] = 1.0
     assert ideal_norms(Q5, 1e6) is norms
-    assert number_field._ideal_objects.cache_info().currsize == 0
+    pruned = ideal_norms(Q5, 1e6, level)
+    assert pruned.size == 78508 and not pruned.flags.writeable
 
 
 def test_pi_l_at_one_million():
