@@ -161,7 +161,7 @@ def _field_name(v) -> str:
 
 
 _TEXT = _Type(str, "a string")
-_FIELD_NAME = _Type(_field_name, "rationals, q, Q or sqrtD with D > 1 squarefree")
+_FIELD_NAME = _Type(_field_name, "rationals, q, Q or sqrtD with 1 < D <= 10^12 squarefree")
 _NUMBER = _Type(float, "a number", {"type": float})
 _INTEGER = _Type(_integer, "an integer", {"type": int})
 _INTEGERS = _Type(
@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if key.type is _ARC:
                 p.add_argument("--degrees", action="store_true", help="interval in degrees")
         if sub == "clt":
-            p.add_argument("--threads", type=int)
+            p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -372,18 +372,9 @@ def _emit(args, config: dict, report_name: str, report: dict, table: tuple = Non
 
 
 def _threads(args) -> int:
-    val = getattr(args, "threads", None)
-    if val is None:
-        env = os.environ.get("SATOLAB_THREADS")
-        if env is None:
-            return 1
-        try:
-            val = int(env)
-        except ValueError:
-            raise ConfigError("threads", f"SATOLAB_THREADS is not an integer: '{env}'")
-    if val < 1:
+    if args.threads < 1:
         raise ConfigError("threads", "thread count must be >= 1")
-    return int(val)
+    return args.threads
 
 
 # ---------------------------------------------------------------- approx

@@ -11,12 +11,13 @@ Determinism contract: every variate is a pure function of
 consumes it.  The indicator never forms the uniform u = k 2^-53: it compares
 the 53-bit integer k with integer cut points K = ceil(F(a) 2^53) and
 H = floor(F(b) 2^53), and since scaling by 2^53 is exact, K <= k <= H holds
-exactly when F(a) <= u <= F(b).  Indicator counts add up per member as
-integers; smooth weights fill one contiguous member-major row per member,
-reduced once.  Member values go into an array indexed by member and only then
-into moments, so reports are bit-identical under any blocking, tiling or
-thread count.  Per block the indicator holds O(_TILE) cells and the smooth
-path one members x pi_L output.
+exactly when F(a) <= u <= F(b).  Both statistics keep one memory rule: a
+block holds O(_TILE) cells and one float64 total per member at any x, and each
+group of _ROWS ideal rows from its bucket's first row adds its per-member
+count or weight sum to the totals in row order.  _ROWS fixes that order and
+_TILE only sizes tiles; member values go into an array indexed by member and
+only then into moments, so reports are bit-identical under any blocking,
+tiling or thread count.
 """
 from __future__ import annotations
 
@@ -55,8 +56,11 @@ __all__ = [
 ]
 
 # Members per work item, and cells per cache-sized tile of ideal rows whose
-# uniforms are drawn and consumed together; any values give identical output.
+# uniforms are drawn and consumed together; neither moves a bit of the output.
 _BLOCK, _TILE = 2048, 2**15
+# Ideal rows per group added into the member totals, from each bucket's first
+# row; it fixes the summation order, so it moves the last bits of smooth output.
+_ROWS = 16
 # Norms past this bracket in one shared row, the limit law's cdf: every local
 # cdf lies within about 0.21/q of it, so each root stays within one cell of its
 # bracket; x = 1e4 keeps every norm's own row.
@@ -440,22 +444,24 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
     if inv is None:  # indicator
         words = counter_words(np.arange(n))[:, None]
         lo, hi = ctx.cut_lo[:, None], ctx.cut_hi[:, None]
-        buckets, out = [(0, n, None)], np.zeros(keys.size, dtype=np.int64)
+        buckets = [(0, n, None)]
     else:
-        buckets, out = inv.buckets, np.empty((keys.size, n))
-    row = keys[None, :]
-    step = max(1, _TILE // keys.size)
+        buckets = inv.buckets
+    total, row = np.zeros(keys.size), keys[None, :]
+    step = max(1, _TILE // (_ROWS * keys.size)) * _ROWS
     for k0, k1, series in buckets:
         for a in range(k0, k1, step):
             s = slice(a, min(a + step, k1))
-            if inv is None:
+            if inv is None:  # whole counts, exact in float64 below 2^53
                 k = integers_at(row, words[s])
-                out += np.count_nonzero((k >= lo[s]) & (k <= hi[s]), axis=0)
-            else:
-                u = uniforms_at(row, np.arange(s.start, s.stop)[:, None])
-                theta = _angles(inv, s, series[a - k0 : s.stop - k0], u)
-                out[:, s] = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi)).T
-    return out.astype(np.float64) if inv is None else out.sum(axis=1)
+                total += np.count_nonzero((k >= lo[s]) & (k <= hi[s]), axis=0)
+                continue
+            u = uniforms_at(row, np.arange(s.start, s.stop)[:, None])
+            theta = _angles(inv, s, series[a - k0 : s.stop - k0], u)
+            phi = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi)).T
+            for g in range(0, phi.shape[1], _ROWS):  # one contiguous row per member
+                total += np.ascontiguousarray(phi[:, g : g + _ROWS]).sum(axis=1)
+    return total
 
 
 def member_statistic(config: EnsembleConfig, member_index: int) -> float:

@@ -159,8 +159,8 @@ class FieldSpec:
     @classmethod
     def real_quadratic(cls, D: int) -> "FieldSpec":
         D = int(D)
-        if D <= 1:
-            raise ValueError("D must be a squarefree integer > 1")
+        if not 1 < D <= 10**12:  # keeps the trial division below under 0.2 s
+            raise ValueError("D must be a squarefree integer with 1 < D <= 10^12")
         for k in range(2, math.isqrt(D) + 1):
             if D % (k * k) == 0:
                 raise ValueError(f"D={D} is not squarefree (divisible by {k}^2)")

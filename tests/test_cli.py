@@ -596,9 +596,23 @@ def test_docs_list_the_schema():
                 assert key.check is not None and key.check(value) == inside, (where, value)
 
 
-def test_threads_env_hint(tmp_path, monkeypatch):
+def test_threads_below_one_name_threads(tmp_path, monkeypatch, capsys):
     out = str(tmp_path)
-    monkeypatch.setenv("SATOLAB_THREADS", "2")
-    assert _run_clt(out) == 0
+    for bad in ("0", "-1"):
+        assert _run_clt(out, ["--threads", bad]) == 2
+        assert "'threads'" in capsys.readouterr().err
+    # only --threads sets the worker count, so the environment changes nothing
     monkeypatch.setenv("SATOLAB_THREADS", "abc")
-    assert _run_clt(out) == 2
+    assert _run_clt(out) == 0
+
+
+def test_large_sqrt_d_refused_at_once(tmp_path, capsys):
+    out = str(tmp_path)
+    start = time.perf_counter()
+    argv = ["primes", "--field", "sqrt1000000000000000003", "--x", "100", "--out", out]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "'field'" in capsys.readouterr().err
+    # 10^12 - 2 = 2 x 499999999999 is squarefree and just below the bound
+    assert main(["primes", "--field", "sqrt999999999998", "--x", "100", "--out", out]) == 0
+    assert main(["primes", "--field", "sqrt1000000000039", "--x", "100", "--out", out]) == 2

@@ -125,22 +125,31 @@ def test_smooth_member_matches_quantile_oracle():
 
 
 def test_member_values_independent_of_batching():
-    smooth = EnsembleConfig(
-        field=Q5,
-        level=NO_LEVEL,
-        x=400.0,
-        size=64,
-        seed=20260816,
-        statistic=SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0),
+    def smooth(phi, x, size):
+        statistic = SmoothStatistic(phi=phi, M=4.0)
+        return EnsembleConfig(
+            field=Q5, level=NO_LEVEL, x=x, size=size, seed=20260816, statistic=statistic
+        )
+
+    gaussian = SmoothSpec(kind="gaussian", lam=1.0)
+    custom = SmoothSpec(kind="custom", table=((0.0, 1.0), (0.5, 0.4), (1.0, 0.0)))
+    small = ((0, 1), (1, 10), (10, 37), (37, 64))
+    # x = 3e4 spans several series buckets and the shared row past _SHARED_Q
+    large = ((0, 1), (1, 77), (77, 299), (299, 300))
+    cases = (
+        (_indicator_config(size=64), small, (41,)),
+        (smooth(gaussian, 400.0, 64), small, (41,)),
+        (smooth(gaussian, 3e4, 300), large, (0, 76, 77, 298, 299)),
+        (smooth(custom, 3e4, 300), large, (0, 76, 77, 298, 299)),
     )
-    for cfg in (_indicator_config(size=64), smooth):
+    for cfg, batches, members in cases:
         ctx = _context(cfg)
-        keys = member_keys(cfg.seed, np.arange(64, dtype=np.uint64))
+        keys = member_keys(cfg.seed, np.arange(cfg.size, dtype=np.uint64))
         whole = _member_values(ctx, keys)
-        batches = ((0, 1), (1, 10), (10, 37), (37, 64))
         pieces = np.concatenate([_member_values(ctx, keys[a:b]) for a, b in batches])
-        assert np.array_equal(whole, pieces)
-        assert member_statistic(cfg, 41) == whole[41]
+        assert np.array_equal(whole, pieces), cfg
+        for i in members:
+            assert member_statistic(cfg, i) == whole[i], (cfg, i)
 
 
 def _unit_inverter(qs):
@@ -336,10 +345,19 @@ def _peak_bytes(ctx, keys):
 
 
 def test_smooth_block_memory_stays_tile_sized():
-    # one 2,048-member block at x = 1e4: the 20 MB member-major output plus
-    # tile-sized temporaries; whole-block uniforms and angles peaked at 116 MB
+    # one 2,048-member block at x = 1e4 holds tile-sized temporaries and one
+    # total per member; whole-block uniforms and angles peaked at 116 MB, and
+    # the members x pi_L output that followed them at 24 MiB
     peak = _peak_bytes(*_block(SMOOTH, 1e4, 2048))
-    assert peak <= 64 * 2**20, peak / 2**20
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
+def test_smooth_block_memory_does_not_depend_on_x():
+    # 256 members at x = 1e4 (1,233 ideals) and 1e5 (9,590 ideals); a
+    # members x pi_L output made these 7.4 and 23.7 MiB
+    low, high = (_peak_bytes(*_block(SMOOTH, x, 256)) for x in (1e4, 1e5))
+    assert abs(high - low) <= 2**20, (low / 2**20, high / 2**20)
+    assert max(low, high) <= 8 * 2**20, (low / 2**20, high / 2**20)
 
 
 def test_indicator_block_memory_does_not_depend_on_x():

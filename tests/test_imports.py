@@ -1,6 +1,7 @@
 """Static checks of the package source: every imported name is used, every
-private module-level name is read somewhere in the package, and nothing in it
-imports scipy, which only the tests and the benchmark need."""
+private module-level name is read somewhere in the package, nothing in it
+imports scipy, which only the tests and the benchmark need, and nothing in it
+reads the environment, so flags and config files are the only knobs."""
 import ast
 import pathlib
 import subprocess
@@ -108,6 +109,43 @@ def test_unread_private_names_oracle():
 def test_package_reads_every_private_name():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def environment_reads(source: str) -> list:
+    """(line, name) for each use of os.environ or os.getenv in the module, as
+    an attribute of os or imported from it."""
+    env = {"environ", "getenv"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in env]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in env
+        ):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_environment_reads_oracle():
+    source = (
+        "import os\n"
+        "from os import getenv as ge, path\n"
+        "a = os.environ.get('A')\n"
+        "b = os.getenv('B'), ge('C')\n"
+        "c = os.path.join('x', 'environ'), {'environ': 1}['environ']\n"
+    )
+    assert environment_reads(source) == [(2, "getenv"), (3, "environ"), (4, "getenv")]
+
+
+def test_package_reads_no_environment():
+    found = {
+        path.name: environment_reads(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: rows for name, rows in found.items() if rows} == {}
 
 
 def imported_modules(source: str) -> list:
