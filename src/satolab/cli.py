@@ -2,11 +2,13 @@
 
 Every subcommand resolves its parameters from defaults, an optional JSON
 config file, and flags (flags win), writes the resolved configuration back
-out as JSON, and emits JSON reports plus CSV tables. All floats are
-serialized with 17 significant digits so a rerun from the resolved config
-reproduces the outputs byte for byte. One table, _SCHEMA, lists each
-subcommand's keys; it builds the argument parser, drives the resolution
-and range checks, and orders the resolved-config echo.
+out as JSON, and emits JSON reports plus CSV tables. JSON goes through
+json.dumps, one list item per line; a CSV cell is the str of its value.
+Either way a float prints as its shortest round-trip repr, so a rerun from
+the resolved config reproduces the outputs byte for byte. One table,
+_SCHEMA, lists each subcommand's keys; it builds the argument parser,
+drives the resolution and range checks, and orders the resolved-config
+echo.
 """
 from __future__ import annotations
 
@@ -62,69 +64,27 @@ _SANDWICH_SLACK = 1e-9
 _CSV_BLOCK = 1 << 16
 
 
-def _fmt_float(v: float) -> str:
-    if math.isnan(v):
-        return '"nan"'
-    if math.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
-    return format(v, ".17g")
-
-
-def _render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _plain(obj):
+    """obj as json.dumps takes it: numpy scalars as Python numbers, tuples
+    as lists, keys as str, and nan, inf and -inf as those strings."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f'{pad}  {json.dumps(str(k))}: {_render_json(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat and len(obj) <= 8:
-            return "[" + ", ".join(_render_json(v) for v in obj) + "]"
-        rows = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
-def _write_json(path: str, obj) -> None:
-    _write_text(path, _render_json(obj) + "\n")
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_csv(path: str, header, columns) -> None:
     """Write equal-length columns under header, _CSV_BLOCK rows at a time;
-    float columns take 17 significant digits, others their str."""
+    each cell is the str of its value, so a float is its shortest repr."""
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [_cells(c[lo : lo + _CSV_BLOCK]) for c in columns]
+            cells = [map(str, c[lo : lo + _CSV_BLOCK].tolist()) for c in columns]
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
-
-
-def _cells(column: np.ndarray) -> list:
-    if column.dtype.kind == "f":
-        return [format(v, ".17g") for v in column.tolist()]
-    return column.astype(str).tolist()
 
 
 # ----------------------------------------------------------------- schema
@@ -191,6 +151,12 @@ def _positive(v: float) -> bool:
     return 0.0 < v < math.inf
 
 
+def _int_key(name: str, default, lo: int, hi: int, what: str, flag: str, help=None):
+    """An integer key bounded to lo..hi, so that no size runs unbounded."""
+    return _Key(name, _INTEGER, default, lambda v: lo <= v <= hi,
+                f"{what} must lie in {lo}..{hi}", flag, help)
+
+
 def _x_key(low: float) -> _Key:
     return _Key(
         "x", _NUMBER, _REQUIRED, lambda x: low <= x <= _SIEVE_CAPACITY,
@@ -220,27 +186,23 @@ _SCALE = _Key(
 _SCHEMA = {
     "approx": ("extremal majorant/minorant diagnostics", (
         _INTERVAL,
-        _Key("m", _INTEGER, 20, lambda m: m >= 3, "trigonometric degree must be >= 3", "--M"),
-        _Key("grid", _INTEGER, 4097, lambda g: g >= 3, "need at least 3 sandwich check points",
-             "--grid", "sandwich check points"),
+        _int_key("m", 20, 3, 10_000, "trigonometric degree", "--M"),
+        _int_key("grid", 4097, 3, 16_385, "check points", "--grid", "sandwich check points"),
     )),
     "measures": ("local Chebyshev moment table", (
         _Key("q", _NUMBER, _REQUIRED, lambda q: 2.0 <= q < math.inf,
              "local measure norm q must be finite and >= 2", "--q"),
-        _Key("max_m", _INTEGER, 6, lambda m: m >= 0, "moment order cap must be nonnegative",
-             "--max-m"),
-        _Key("points", _INTEGER, 4096, lambda p: p >= 1, "need at least 1 quadrature point",
-             "--points", "Simpson rule on 2 * points panels"),
+        _int_key("max_m", 6, 0, 1000, "moment order cap", "--max-m"),
+        _int_key("points", 4096, 1, 65_536, "quadrature points", "--points",
+                 "Simpson rule on 2 * points panels"),
     )),
     "primes": ("prime ideal enumeration and sums", (_FIELD, _x_key(16.0), _EXCLUDE)),
     "clt": ("Monte Carlo ensemble run", (
         _FIELD._replace(default=_REQUIRED),
         _x_key(2.0),
-        _Key("size", _INTEGER, _REQUIRED, lambda h: h >= 100, "moment reports require size >= 100",
-             "--size"),
+        _int_key("size", _REQUIRED, 100, 10**7, "ensemble size", "--size"),
         _Key("seed", _INTEGER, flag="--seed"),
-        _Key("max_moment", _INTEGER, 6, lambda n: 1 <= n <= 12,
-             "moment order cap must lie in 1..12", "--max-moment"),
+        _int_key("max_moment", 6, 1, 12, "moment order cap", "--max-moment"),
         _EXCLUDE,
         _Key("statistic", default={}, rows=(
             _Key("kind", _TEXT, "indicator", flag="--statistic", choices=("indicator", "smooth")),
@@ -251,18 +213,17 @@ _SCHEMA = {
     "theory": ("deterministic moment main terms", (
         _FIELD,
         _x_key(16.0),
-        _Key("n", _INTEGER, 2, lambda n: 1 <= n <= 8, "moment order must lie in 1..8", "--n"),
+        _int_key("n", 2, 1, 8, "moment order", "--n"),
         _INTERVAL,
-        _Key("m", _INTEGER, 0, lambda m: m == 0 or m >= 3, "expansion degree must be 0 or >= 3",
-             "--M", "0 picks the limit-law degree"),
+        _Key("m", _INTEGER, 0, lambda m: m == 0 or 3 <= m <= 10_000,
+             "expansion degree must be 0 or in 3..10000", "--M", "0 picks the limit-law degree"),
         _Key("sign", _TEXT, "plus", flag="--sign", choices=("plus", "minus")),
         _Key("weights", _INTEGERS, [], lambda ks: all(k >= 4 and k % 2 == 0 for k in ks),
              "weights must be even integers >= 4", "--weights"),
     )),
     "smooth": ("periodized weight profile and moments", (
         _PHI, _LAM, _TABLE, _SCALE._replace(name="smooth_m"),
-        _Key("points", _INTEGER, 513, lambda p: p >= 2, "need at least 2 profile points",
-             "--points"),
+        _int_key("points", 513, 2, 10**6, "profile points", "--points"),
     )),
 }
 
@@ -364,8 +325,10 @@ def _emit(args, config: dict, report_name: str, report: dict, table: tuple = Non
     given as (file name, header, columns), the CSV table of one run."""
     out = getattr(args, "out", None) or "."
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "resolved_config.json"), config)
-    _write_json(os.path.join(out, report_name), {"config": config, **report})
+    report = {"config": config, **report}
+    for name, obj in (("resolved_config.json", config), (report_name, report)):
+        with open(os.path.join(out, name), "w", newline="") as fh:
+            fh.write(json.dumps(_plain(obj), indent=2) + "\n")
     if table:
         name, header, columns = table
         _write_csv(os.path.join(out, name), header, columns)

@@ -168,8 +168,10 @@ class FieldSpec:
         return cls(kind="real_quadratic", D=D, degree=2, discriminant=disc)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def from_name(cls, name: str) -> "FieldSpec":
-        """'rationals' (or 'q', 'Q'), or 'sqrtD' for Q(sqrt D) with D squarefree."""
+        """'rationals' (or 'q', 'Q'), or 'sqrtD' for Q(sqrt D) with D squarefree;
+        cached, so the config check and the run share one squarefree test."""
         if not isinstance(name, str):
             raise ValueError(f"field name must be a string, got {name!r}")
         if name in ("rationals", "q", "Q"):

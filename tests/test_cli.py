@@ -5,6 +5,7 @@ directory; reports are parsed back and checked against the library
 routines, and the resolved-config echo is replayed to confirm the
 byte-for-byte reproducibility contract.
 """
+import csv
 import json
 import math
 import os
@@ -12,7 +13,9 @@ import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import satolab.cli as cli
@@ -341,6 +344,15 @@ def test_config_error_exit_codes(tmp_path, capsys):
         (["smooth", "--smooth-m", "0.5"], "smooth_m"),
         # n * M beyond the exact-expansion guard is M's fault at n = 8
         (["theory", "--x", "2000", "--interval", *QUARTER, "--M", "1300", "--n", "8"], "m"),
+        # one past each size bound; none of these runs
+        (["approx", "--interval", *QUARTER, "--M", "10001"], "m"),
+        (["approx", "--interval", *QUARTER, "--grid", "16386"], "grid"),
+        (["measures", "--q", "4", "--max-m", "1001"], "max_m"),
+        (["measures", "--q", "4", "--points", "65537"], "points"),
+        (["clt", "--field", "sqrt5", "--x", "500", "--size", "10000001", "--seed", "1",
+          "--interval", *QUARTER], "size"),
+        (["theory", "--x", "2000", "--interval", *QUARTER, "--M", "10001", "--n", "1"], "m"),
+        (["smooth", "--points", "1000001"], "points"),
     ):
         assert main(argv + ["--out", out]) == 2, argv
         assert f"'{key}'" in capsys.readouterr().err, argv
@@ -553,8 +565,8 @@ _TYPE_WORDS = (
 
 def _range_edges(kind: str) -> list:
     """(value, inside) pairs at each end of the range a docs type cell states,
-    `int >= k`, `number > k`, `int in a..b` or `number in [a, b]`, and just
-    past it; [] for a cell that states none."""
+    `int >= k`, `number > k`, `int in a..b` (alone or before a comma) or
+    `number in [a, b]`, and just past it; [] for a cell that states none."""
     word = kind.split()[0]
     if word not in ("int", "number"):
         return []
@@ -566,7 +578,7 @@ def _range_edges(kind: str) -> list:
     if m := re.match(r"\w+ (>=?) ([^,\s]+)", kind):
         k = num(m[2])
         return [(k, m[1] == ">="), (step(k, -1), False), (step(k, 1), True)]
-    if m := re.fullmatch(r"\w+ in (\d+)\.\.(\d+)|\w+ in \[(\S+), (\S+)\]", kind):
+    if m := re.match(r"\w+ in (\d+)\.\.(\d+)(?:,|$)|\w+ in \[(\S+), (\S+)\]$", kind):
         lo, hi = (num(v) for v in m.groups() if v is not None)
         return [(lo, True), (step(lo, -1), False), (hi, True), (step(hi, 1), False)]
     return []
@@ -616,3 +628,68 @@ def test_large_sqrt_d_refused_at_once(tmp_path, capsys):
     # 10^12 - 2 = 2 x 499999999999 is squarefree and just below the bound
     assert main(["primes", "--field", "sqrt999999999998", "--x", "100", "--out", out]) == 0
     assert main(["primes", "--field", "sqrt1000000000039", "--x", "100", "--out", out]) == 2
+
+
+def test_outputs_round_trip_exactly(tmp_path):
+    # every float reads back bit for bit and as a float, -0.0 and 2.0
+    # included; non-finite floats read back as strings
+    floats = [-0.0, 2.0, 1e16, 0.1 + 0.2, 5e-324, np.float64(1 / 3)]
+    odd = [math.nan, math.inf, -math.inf]
+    report = {"floats": floats, "int": np.int64(2**62), "flag": np.bool_(True), "odd": odd,
+              "nested": ((1.5, (-0.0, 2)), ()), 7: "seven"}
+    table = ("t.csv", ("f", "i", "o"), (floats, [np.int64(2**62)] * 6, odd * 2))
+    cli._emit(SimpleNamespace(out=str(tmp_path)), {"seed": 1}, "r.json", report, table)
+    got = _read(tmp_path / "r.json")
+    assert list(got) == ["config", "floats", "int", "flag", "odd", "nested", "7"]
+    assert got["config"] == _read(tmp_path / "resolved_config.json") == {"seed": 1}
+    assert [type(v) for v in got["floats"]] == [float] * 6
+    assert [v.hex() for v in got["floats"]] == [float(v).hex() for v in floats]
+    assert type(got["int"]) is int and got["int"] == 2**62
+    assert got["flag"] is True
+    assert got["odd"] == ["nan", "inf", "-inf"]
+    assert got["nested"] == [[1.5, [0.0, 2]], []] and got["nested"][0][1][0].hex() == "-0x0.0p+0"
+    assert got["7"] == "seven"
+    with open(tmp_path / "t.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["f", "i", "o"]
+    assert [float(r[0]).hex() for r in rows[1:]] == [float(v).hex() for v in floats]
+    assert [int(r[1]) for r in rows[1:]] == [2**62] * 6
+    assert [r[2] for r in rows[1:]] == ["nan", "inf", "-inf"] * 2
+    for bad in ({1, 2}, np.complex128(1j), object()):
+        with pytest.raises(TypeError):
+            cli._emit(SimpleNamespace(out=str(tmp_path)), {}, "r.json", {"bad": bad})
+
+
+def test_size_keys_are_bounded():
+    # lint: every integer key but the seed sets a size or an order, and must
+    # refuse absurd values before any work starts
+    keys = [(sub, k) for sub, (_, rows) in cli._SCHEMA.items() for row in rows
+            for k in row.rows or (row,)]
+    loose = [
+        (sub, key.name) for sub, key in keys
+        if key.type is cli._INTEGER and key.name != "seed"
+        and (key.check is None or key.check(10**18))
+    ]
+    assert loose == []
+
+
+def test_field_spec_built_once_per_call(tmp_path, monkeypatch):
+    # the config check and the run share one squarefree trial division
+    built = []
+    real_quadratic = FieldSpec.real_quadratic.__func__
+
+    def counted(cls, D):
+        built.append(D)
+        return real_quadratic(cls, D)
+
+    monkeypatch.setattr(FieldSpec, "real_quadratic", classmethod(counted))
+    out = str(tmp_path)
+    for argv in (
+        ["primes", "--x", "100"],
+        ["clt", "--x", "500", "--size", "100", "--seed", "1", "--interval", *QUARTER],
+        ["theory", "--x", "2000", "--interval", *QUARTER],
+    ):
+        FieldSpec.from_name.cache_clear()
+        built.clear()
+        assert main([*argv, "--field", "sqrt5", "--out", out]) == 0
+        assert built == [5], argv
