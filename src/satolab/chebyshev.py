@@ -72,8 +72,8 @@ def eval_U(n: int, theta) -> np.ndarray:
     """U_n(cos theta) via sin((n+1)theta)/sin(theta).
 
     Near theta = 0 and theta = pi the quotient degenerates and the three-term
-    recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2} is used, which reproduces
-    the endpoint values U_n(1) = n+1 and U_n(-1) = (-1)^n (n+1) exactly.
+    recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2} is used; at the endpoints
+    themselves the exact values U_n(1) = n+1 and U_n(-1) = (-1)^n (n+1).
 
     Args:
         n: nonnegative integer degree.
@@ -97,13 +97,18 @@ def eval_U(n: int, theta) -> np.ndarray:
 
 
 def _eval_u_recurrence(n: int, x: np.ndarray) -> np.ndarray:
-    pm1 = np.ones_like(x)
-    if n == 0:
-        return pm1
-    p = 2.0 * x
+    # U_n(1) = n + 1 and U_n(-1) = (-1)^n (n + 1): the integers the recurrence
+    # gives there, written down; the recurrence runs at the other nodes only
+    out = np.where(x > 0.0, n + 1.0, (-1.0) ** n * (n + 1.0))
+    inner = np.abs(x) != 1.0
+    if n == 0 or not np.any(inner):
+        return out
+    y = x[inner]
+    pm1, p = np.ones_like(y), 2.0 * y
     for _ in range(n - 1):
-        pm1, p = p, 2.0 * x * p - pm1
-    return p
+        pm1, p = p, 2.0 * y * p - pm1
+    out[inner] = p
+    return out
 
 
 def series_product(a: ChebyshevSeries, b: ChebyshevSeries) -> ChebyshevSeries:

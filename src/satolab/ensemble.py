@@ -458,9 +458,15 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
                 continue
             u = uniforms_at(row, np.arange(s.start, s.stop)[:, None])
             theta = _angles(inv, s, series[a - k0 : s.stop - k0], u)
-            phi = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi)).T
-            for g in range(0, phi.shape[1], _ROWS):  # one contiguous row per member
-                total += np.ascontiguousarray(phi[:, g : g + _ROWS]).sum(axis=1)
+            phi = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi))
+            phi = np.ascontiguousarray(phi.T)  # one contiguous row per member
+            # each group sums its 16 values, then the groups add in row order
+            groups, rest = divmod(phi.shape[1], _ROWS)
+            full = groups * _ROWS
+            sums = [total[:, None], phi[:, :full].reshape(keys.size, groups, _ROWS).sum(axis=2)]
+            if rest:
+                sums.append(phi[:, full:].sum(axis=1)[:, None])
+            total = np.cumsum(np.concatenate(sums, axis=1), axis=1)[:, -1]
     return total
 
 
@@ -474,30 +480,24 @@ def member_statistic(config: EnsembleConfig, member_index: int) -> float:
 
 
 def _jackknife_se(values: np.ndarray) -> float:
-    """Delete-one jackknife error of the sample mean.
-
-    For the mean the replicate formula collapses to std/sqrt(n) with the
-    n-1 convention; computed from the replicates directly.
-    """
+    """Delete-one jackknife error of the sample mean, in its closed form
+    std/sqrt(n) with the n-1 convention; 0.0 below two values."""
     n = values.size
-    if n < 2:
-        return 0.0
-    total = float(np.sum(values))
-    repl = (total - values) / (n - 1.0)
-    rbar = float(np.mean(repl))
-    return float(math.sqrt((n - 1.0) / n * float(np.sum((repl - rbar) ** 2))))
+    return float(np.std(values, ddof=1)) / math.sqrt(n) if n >= 2 else 0.0
 
 
 def _ks_to_normal(y: np.ndarray) -> float:
     """Two-sided sup distance between the empirical cdf and the normal cdf."""
     ys = np.sort(y)
     n = ys.size
-    # the normal cdf 0.5 erfc(-y/sqrt 2), within an ulp of scipy.special.ndtr
-    root2 = math.sqrt(2.0)
-    f = np.array([0.5 * math.erfc(-v / root2) for v in ys.tolist()])
-    above = np.arange(1, n + 1) / n - f
-    below = f - np.arange(0, n) / n
-    return float(max(np.max(above), np.max(below)))
+    # the normal cdf 0.5 erfc(-y/sqrt 2), within an ulp of scipy.special.ndtr,
+    # through lists of 2^16 values at a time
+    root2, gap, step = math.sqrt(2.0), 0.0, 2**16
+    for a in range(0, n, step):
+        f = np.array([0.5 * math.erfc(-v / root2) for v in ys[a : a + step].tolist()])
+        i = np.arange(a, a + f.size)
+        gap = max(gap, float(np.max((i + 1) / n - f)), float(np.max(f - i / n)))
+    return gap
 
 
 def run_ensemble(config: EnsembleConfig, threads: int = 1) -> MomentReport:

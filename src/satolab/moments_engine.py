@@ -9,7 +9,6 @@ hypothesis under which the sampled trace terms are negligible.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -154,33 +153,15 @@ def _set_partitions(u: int) -> tuple:
     return tuple(new)
 
 
-def _distinct_tuple_sum(
-    parts: tuple, f_rows: dict, counts: np.ndarray, block_sum_cache: dict
-) -> float:
+def _distinct_tuple_sum(parts: tuple, block_sum) -> float:
     """Sum over pairwise-distinct ideal tuples of the product of local
     integrals, by inclusion-exclusion over set partitions of positions.
 
     Collapsing a block of positions onto one ideal carries the Moebius
-    factor (-1)^(|B|-1) (|B|-1)!; the per-block power sums are computed
-    with compensated summation over the distinct-norm groups.  The block
-    sums depend only on f_rows and counts, so block_sum_cache (filled in
-    place) may be shared by calls summing several partitions over the same
-    rows: main_term_report passes the block_sums of its _MainTermKernel,
-    which every moment order at one (field, bound, level, Z) shares.
+    factor (-1)^(|B|-1) (|B|-1)!; block_sum(multiset) is the power sum of
+    one block over the ideals, as _block_summer builds it.
     """
     u = len(parts)
-
-    def block_sum(multiset: tuple) -> float:
-        got = block_sum_cache.get(multiset)
-        if got is not None:
-            return got
-        prod = f_rows[multiset[0]].copy()
-        for r in multiset[1:]:
-            prod = prod * f_rows[r]
-        val = math.fsum((counts * prod).tolist())
-        block_sum_cache[multiset] = val
-        return val
-
     terms = []
     for sigma in _set_partitions(u):
         factor = 1.0
@@ -192,43 +173,43 @@ def _distinct_tuple_sum(
     return math.fsum(terms)
 
 
-class _MainTermKernel:
-    """What main_term_report reads, for one (field, bound, level, Z): the
-    ideal count, counts and w = 1/q of the distinct norms (ascending), the
-    local profiles f_rows[r] of Z^r and the block sums of
-    _distinct_tuple_sum.  Rows are added as an order first needs them, with
-    Z^r built as Z^(r-1) Z as z_power_coeffs builds it, so every order reads
-    the rows and sums that a fresh call would compute, bit for bit.  A lock
-    keeps threads that share the kernel from extending the rows at once; a
-    block sum two threads both compute is the same value."""
+def _block_summer(row, counts: np.ndarray):
+    """Cached block sums sum_q counts[q] prod_{r in multiset} row(r)[q] over
+    the distinct norms, each by compensated summation."""
 
-    def __init__(self, norms: np.ndarray, z: ChebyshevSeries):
-        qs, counts = np.unique(norms, return_counts=True)
-        self.size = int(norms.size)
-        self.counts = counts.astype(np.float64)
-        self.w = 1.0 / qs
-        self.z = z
-        self.power = None  # Z^r for the last row built
-        self.f_rows = {}
-        self.block_sums = {}
-        self._lock = threading.Lock()
+    @lru_cache(maxsize=None)
+    def block_sum(multiset: tuple) -> float:
+        prod = row(multiset[0])
+        for r in multiset[1:]:
+            prod = prod * row(r)
+        return math.fsum((counts * prod).tolist())
 
-    def rows(self, n: int) -> dict:
-        with self._lock:
-            for r in range(len(self.f_rows) + 1, n + 1):
-                self.power = self.z if r == 1 else series_product(self.power, self.z)
-                self.f_rows[r] = _expectations(self.power.coeffs[::2], self.w)
-        return self.f_rows
+    return block_sum
 
 
 @lru_cache(maxsize=1)
-def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes) -> _MainTermKernel:
-    """The kernel of the last (field, bound, level, Z coefficients) asked
-    for; one entry, so a process holds at most the rows of one call."""
+def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
+    """(ideal count, block_sum) for the last (field, bound, level, Z
+    coefficients) asked for; one entry, so a process holds at most the rows
+    of one call.  The local profile row(r) of Z^r and each block sum are
+    built once, as an order first needs them, with Z^r = Z^(r-1) Z as
+    z_power_coeffs builds it, so every order reads the bits a fresh call
+    would compute.  The caches are lru_caches, so threads may share them."""
     norms = ideal_norms(fs, bound, level)
     if not norms.size:
         raise ValueError("no prime ideals of norm <= x")
-    return _MainTermKernel(norms, ChebyshevSeries(np.frombuffer(z_bytes).copy()))
+    qs, counts = np.unique(norms, return_counts=True)
+    z = ChebyshevSeries(np.frombuffer(z_bytes).copy())
+
+    @lru_cache(maxsize=None)
+    def power(r: int) -> ChebyshevSeries:
+        return z if r == 1 else series_product(power(r - 1), z)
+
+    @lru_cache(maxsize=None)
+    def row(r: int) -> np.ndarray:
+        return _expectations(power(r).coeffs[::2], 1.0 / qs)
+
+    return int(norms.size), _block_summer(row, counts.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -260,16 +241,13 @@ def main_term_report(
         raise ValueError("moment order must lie in 1..8 for exact tuple sums")
     z = ZSeries.from_extremal(pair, sign)
     _check_power(z, n)
-    kernel = _main_term_kernel(fs, _bound(x), level, z.series.coeffs.tobytes())
-    f_rows = kernel.rows(int(n))
-    scale = float(kernel.size) ** (n / 2.0)
+    size, block_sum = _main_term_kernel(fs, _bound(x), level, z.series.coeffs.tobytes())
+    scale = float(size) ** (n / 2.0)
     case_totals = {1: 0.0, 2: 0.0, 3: 0.0}
     case_parts = {1: [], 2: [], 3: []}
     detail = []
     for partition in partitions_of(int(n)):
-        tuple_sum = _distinct_tuple_sum(
-            partition.parts, f_rows, kernel.counts, kernel.block_sums
-        )
+        tuple_sum = _distinct_tuple_sum(partition.parts, block_sum)
         value = float(partition.weight) * tuple_sum / scale
         label = classify_partition(partition.parts)
         case_parts[label].append(value)
@@ -281,7 +259,7 @@ def main_term_report(
         n=int(n),
         sign=sign,
         m_used=pair.degree,
-        pi_L_x=kernel.size,
+        pi_L_x=size,
         total=total,
         case_totals=case_totals,
         partition_terms=tuple(detail),

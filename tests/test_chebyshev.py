@@ -70,6 +70,16 @@ def test_eval_u_endpoints_exact():
         assert eval_U(n, math.pi) == (-1) ** n * (n + 1)
 
 
+def test_eval_u_endpoints_match_recurrence():
+    # the closed form at cos(theta) = +-1 gives the float recurrence's bits
+    for x, theta in ((1.0, 0.0), (-1.0, math.pi)):
+        pm1, p = 1.0, 2.0 * x
+        assert eval_U(0, theta) == pm1
+        for n in range(1, 1001):
+            assert eval_U(n, theta) == p == recurrence_oracle(n, x), (x, n)
+            pm1, p = p, 2.0 * x * p - pm1
+
+
 def test_eval_u_near_endpoint_stable():
     # Inside the recurrence-fallback window the value must still track the
     # limit (n+1) closely.

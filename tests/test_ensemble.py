@@ -448,10 +448,14 @@ def test_histogram_partitions_members():
 
 
 def test_jackknife_matches_closed_form():
+    def two_pass(v):
+        mean = math.fsum(v.tolist()) / v.size
+        return math.sqrt(math.fsum(((v - mean) ** 2).tolist()) / (v.size - 1) / v.size)
+
     rng = np.random.default_rng(20260816)
-    v = rng.normal(size=501)
-    closed = float(np.std(v, ddof=1) / math.sqrt(v.size))
-    assert _jackknife_se(v) == pytest.approx(closed, rel=1e-12)
+    # an offset of 1e6 on 1e5 values cancels about 8 digits in a replicate mean
+    for v in (rng.normal(size=501), rng.normal(size=10**5) + 1e6):
+        assert _jackknife_se(v) == pytest.approx(two_pass(v), rel=1e-12)
     assert _jackknife_se(np.array([3.0])) == 0.0
 
 
@@ -460,7 +464,8 @@ def test_ks_matches_scipy():
     normal = rng.normal(size=2000)
     # past |y| = 8 the normal cdf is within 6.2e-16 of 0 or 1
     far = rng.uniform(8.0, 40.0, size=40) * np.repeat([-1.0, 1.0], 20)
-    for y in (normal, np.concatenate([normal, far])):
+    # the last one spans two chunks of the erfc pass
+    for y in (normal, np.concatenate([normal, far]), rng.normal(size=2**16 + 3000)):
         want = stats.kstest(y, "norm").statistic
         assert _ks_to_normal(y) == pytest.approx(float(want), abs=1e-15)
 

@@ -1,7 +1,9 @@
 """Static checks of the package source: every imported name is used, every
 private module-level name is read somewhere in the package, nothing in it
-imports scipy, which only the tests and the benchmark need, and nothing in it
-reads the environment, so flags and config files are the only knobs."""
+imports scipy, which only the tests and the benchmark need, nothing in it
+reads the environment, so flags and config files are the only knobs, and
+nothing in it imports threading: its caches are lru_caches, which threads
+may share without a lock."""
 import ast
 import pathlib
 import subprocess
@@ -172,6 +174,29 @@ def test_package_does_not_import_scipy():
             if module.split(".")[0] == "scipy"
         ]
         for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: rows for name, rows in found.items() if rows} == {}
+
+
+def threading_imports(source: str) -> list:
+    """(line, module) for each import of threading or of a submodule of it."""
+    return [(line, m) for line, m in imported_modules(source) if m.split(".")[0] == "threading"]
+
+
+def test_threading_imports_oracle():
+    source = (
+        "import threading\n"
+        "from threading import Lock\n"
+        "import os, threading as th\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "threading_free = 'threading'\n"
+    )
+    assert threading_imports(source) == [(1, "threading"), (2, "threading"), (3, "threading")]
+
+
+def test_package_does_not_import_threading():
+    found = {
+        path.name: threading_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: rows for name, rows in found.items() if rows} == {}
 

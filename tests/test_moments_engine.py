@@ -31,7 +31,7 @@ from satolab.moments_engine import (
 )
 from satolab import moments_engine
 from satolab.measures import _expectations
-from satolab.moments_engine import _distinct_tuple_sum, _ei
+from satolab.moments_engine import _block_summer, _distinct_tuple_sum, _ei
 from satolab.number_field import (
     FieldSpec,
     LevelSpec,
@@ -125,7 +125,7 @@ def test_distinct_tuple_sum_matches_brute_force():
         for r in f_rows
     }
     for parts in [(2,), (1, 1), (2, 1), (3, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:
-        got = _distinct_tuple_sum(parts, f_rows, counts, {})
+        got = _distinct_tuple_sum(parts, _block_summer(f_rows.__getitem__, counts))
         want = 0.0
         for tup in itertools.permutations(range(len(per_site[1])), len(parts)):
             prod = 1.0
@@ -155,7 +155,9 @@ def test_shared_block_cache_matches_fresh_cache_sums():
             (
                 p.parts,
                 classify_partition(p.parts),
-                float(p.weight) * _distinct_tuple_sum(p.parts, f_rows, counts, {}) / scale,
+                float(p.weight)
+                * _distinct_tuple_sum(p.parts, _block_summer(f_rows.__getitem__, counts))
+                / scale,
             )
             for p in partitions_of(n)
         )
@@ -226,6 +228,37 @@ def test_sweep_builds_each_profile_once(monkeypatch):
     assert len(calls) == 8
 
 
+def test_sweep_builds_each_block_sum_once():
+    def set_partitions(items):
+        if not items:
+            yield []
+            return
+        for rest in set_partitions(items[1:]):
+            for i in range(len(rest)):
+                yield rest[:i] + [[items[0], *rest[i]]] + rest[i + 1 :]
+            yield [[items[0]], *rest]
+
+    blocks = {
+        tuple(sorted(p.parts[i] for i in block))
+        for n in range(1, 9)
+        for p in partitions_of(n)
+        for sigma in set_partitions(list(range(len(p.parts))))
+        for block in sigma
+    }
+    x = 20_000
+    pair = to_chebyshev(ARC, limit_law_m(Q5, x))
+    z_bytes = ZSeries.from_extremal(pair, "plus").series.coeffs.tobytes()
+    moments_engine._main_term_kernel.cache_clear()
+    for n in range(1, 9):
+        main_term_report(n, Q5, x, pair)
+    block_sum = moments_engine._main_term_kernel(Q5, x, None, z_bytes)[1]
+    assert block_sum.cache_info().misses == len(blocks)
+    for n in (8, 3, 5):
+        main_term_report(n, Q5, x, pair)
+    assert block_sum.cache_info().misses == len(blocks)
+    assert moments_engine._main_term_kernel.cache_info().misses == 1
+
+
 def test_guard_holds_with_lower_orders_cached():
     # 7 * 1300 is within the guard, 8 * 1300 is not
     pair = to_chebyshev(ARC, 1300)
@@ -285,7 +318,8 @@ def test_moebius_route_reproduces_powers():
     f_rows = {r: v**r for r in range(1, 7)}
     for n in range(1, 7):
         acc = [
-            float(p.weight) * _distinct_tuple_sum(p.parts, f_rows, counts, {})
+            float(p.weight)
+            * _distinct_tuple_sum(p.parts, _block_summer(f_rows.__getitem__, counts))
             for p in partitions_of(n)
         ]
         assert math.fsum(acc) == pytest.approx(float(np.sum(v)) ** n, rel=1e-11)
