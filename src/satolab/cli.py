@@ -352,10 +352,8 @@ def _run_approx(args) -> int:
     circle = interval.to_circle()
     xs = np.linspace(-0.5, 0.5, grid)
     chi = ((xs >= circle.alpha) & (xs <= circle.beta)).astype(np.float64)
-    fp = evaluate_circle_poly(pair.s_plus, xs)
-    fm = evaluate_circle_poly(pair.s_minus, xs)
-    margin_plus = float(np.min(fp - chi))
-    margin_minus = float(np.min(chi - fm))
+    margin_plus = float(np.min(evaluate_circle_poly(pair.s_plus, grid) - chi))
+    margin_minus = float(np.min(chi - evaluate_circle_poly(pair.s_minus, grid)))
     if margin_plus < -_SANDWICH_SLACK or margin_minus < -_SANDWICH_SLACK:
         raise ContractViolation(
             "sandwich violated: min(F+ - chi) = "
@@ -363,20 +361,17 @@ def _run_approx(args) -> int:
             f"at M = {m} on {grid} points"
         )
 
-    close_plus = max(
-        abs(pair.s_plus[k] - chi_hat(circle, k)) for k in range(-m, m + 1)
-    )
-    close_minus = max(
-        abs(pair.s_minus[k] - chi_hat(circle, k)) for k in range(-m, m + 1)
-    )
+    chi_k = chi_hat(circle, np.arange(-m, m + 1))
+    close_plus = float(np.max(np.abs(np.array(list(pair.s_plus.values())) - chi_k)))
+    close_minus = float(np.max(np.abs(np.array(list(pair.s_minus.values())) - chi_k)))
     sums = variance_sum(pair)
     defect = 1.0 / (m + 1)
     report = {
         "mass_defect_plus": float(pair.s_plus[0].real - circle.length),
         "mass_defect_minus": float(pair.s_minus[0].real - circle.length),
         "defect_target": defect,
-        "coefficient_closeness_plus": float(close_plus),
-        "coefficient_closeness_minus": float(close_minus),
+        "coefficient_closeness_plus": close_plus,
+        "coefficient_closeness_minus": close_minus,
         "closeness_bound": defect,
         "sandwich_margin_plus": margin_plus,
         "sandwich_margin_minus": margin_minus,

@@ -531,10 +531,11 @@ def run_ensemble(config: EnsembleConfig, threads: int = 1) -> MomentReport:
     y = (values - ctx.center) / ctx.scale
     y_model = (values - ctx.mean_model) / ctx.scale
     orders = range(1, config.max_moment + 1)
-    moments = tuple(float(np.mean(y**r)) for r in orders)
-    errors = tuple(_jackknife_se(y**r) for r in orders)
-    m_moments = tuple(float(np.mean(y_model**r)) for r in orders)
-    m_errors = tuple(_jackknife_se(y_model**r) for r in orders)
+    # each power once, for its moment and for that moment's error
+    (moments, errors), (m_moments, m_errors) = (
+        zip(*((float(np.mean(p)), _jackknife_se(p)) for p in (z**r for r in orders)))
+        for z in (y, y_model)
+    )
     edges = np.linspace(-5.0, 5.0, 61)
     counts = np.histogram(y, bins=edges)[0]
     return MomentReport(

@@ -33,6 +33,7 @@ smooth model mean and variance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,9 +104,15 @@ def chebyshev_moment(measure, m: int) -> float:
 
 def moment_quadrature(measure, m: int, quadrature_points: int = 2**12) -> float:
     """Quadrature cross-check of chebyshev_moment: Simpson on 2 quadrature_points panels."""
-    grid = np.linspace(0.0, math.pi, 2 * int(quadrature_points) + 1)
-    integrand = eval_U(int(m), grid) * density(measure, grid)
-    return simpson_quadrature(integrand, grid[1] - grid[0])
+    grid, weight = _weighted_grid(measure, int(quadrature_points))
+    return simpson_quadrature(eval_U(int(m), grid) * weight, grid[1] - grid[0])
+
+
+@functools.lru_cache(maxsize=1)
+def _weighted_grid(measure, quadrature_points: int) -> tuple:
+    """The Simpson grid and the density on it, shared across the orders m."""
+    grid = np.linspace(0.0, math.pi, 2 * quadrature_points + 1)
+    return grid, density(measure, grid)
 
 
 def _expectations(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:

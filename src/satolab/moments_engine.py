@@ -58,10 +58,7 @@ class ZSeries:
 
     @classmethod
     def from_extremal(cls, pair: ExtremalPair, sign: str = "plus") -> "ZSeries":
-        f = pair.f_plus if sign == "plus" else pair.f_minus
-        if f is None:
-            raise ValueError("pair lacks the Chebyshev expansion; use to_chebyshev")
-        coeffs = f.coeffs.copy()
+        coeffs = (pair.f_plus if sign == "plus" else pair.f_minus).coeffs.copy()
         coeffs[0] = 0.0
         return cls(series=ChebyshevSeries(coeffs), source=sign)
 

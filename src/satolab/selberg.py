@@ -86,29 +86,35 @@ class ExtremalPair:
 
     s_plus and s_minus map m in [-M, M] to the circle Fourier coefficient
     (coefficients vanish for |m| > M); f_plus and f_minus hold the Chebyshev
-    coefficients of F+- and are None until to_chebyshev fills them.
+    coefficients of F+-.
     """
 
     degree: int
     s_plus: dict
     s_minus: dict
-    f_plus: ChebyshevSeries = None
-    f_minus: ChebyshevSeries = None
+    f_plus: ChebyshevSeries
+    f_minus: ChebyshevSeries
 
 
-def chi_hat(J: CircleInterval, m: int) -> complex:
-    """Fourier coefficient of the indicator of J: (e(-m alpha)-e(-m beta))/(2 pi i m)."""
-    m = int(m)
-    if m == 0:
-        return complex(J.length)
-    num = np.exp(-2j * math.pi * m * J.alpha) - np.exp(-2j * math.pi * m * J.beta)
-    return complex(num / (2j * math.pi * m))
+def chi_hat(J: CircleInterval, m):
+    """Fourier coefficient of the indicator of J at the integer or integer
+    array m: (e(-m alpha)-e(-m beta))/(2 pi i m)."""
+    m = np.asarray(m)
+    k = np.where(m == 0, 1, m)
+    num = np.exp(-2j * math.pi * k * J.alpha) - np.exp(-2j * math.pi * k * J.beta)
+    return np.where(m == 0, J.length, num / (2j * math.pi * k))[()]
 
 
 def selberg_coefficients(J: CircleInterval, M: int) -> ExtremalPair:
-    """Circle Fourier coefficients of the degree-M extremal pair for J.
+    """Degree-M extremal pair for J: circle coefficients and Chebyshev re-expansion.
 
     Evaluates the closed form of the module docstring for all |m| <= M.
+    With the cosine coefficients scr(m) = hatS(m) + hatS(-m) (so scr(0) = 2
+    hatS(0)) the Chebyshev coefficients telescope:
+
+        F(m) = scr(m) - scr(m+2),   scr(m+2) := 0 for m + 2 > M,
+
+    which reproduces S(theta/2pi) + S(-theta/2pi) pointwise.
     """
     if not isinstance(M, (int, np.integer)) or M < 1:
         raise ValueError("M must be a positive integer")
@@ -121,51 +127,37 @@ def selberg_coefficients(J: CircleInterval, M: int) -> ExtremalPair:
     chi = (ea - eb) / (2j * math.pi * k)
     vaaler = math.pi * u * (1.0 - u) / np.tan(math.pi * u) + u
     fejer = (1.0 - u) * (ea + eb) / (2.0 * delta)
-    out = {}
-    for name, sign in (("plus", 1.0), ("minus", -1.0)):
-        pos = vaaler * chi + sign * fejer
-        full = np.concatenate([pos[::-1].conj(), [J.length + sign / delta], pos])
-        out[name] = dict(zip(range(-M, M + 1), full.tolist()))
-    return ExtremalPair(degree=M, s_plus=out["plus"], s_minus=out["minus"])
+    signs = np.array([[1.0], [-1.0]])
+    pos = vaaler * chi + signs * fejer
+    full = np.concatenate([pos[:, ::-1].conj(), J.length + signs / delta, pos], axis=1)
+    scr = (full[:, M:] + full[:, M::-1]).real
+    fhat = scr.copy()
+    fhat[:, :-2] -= scr[:, 2:]
+    circle = (dict(zip(range(-M, M + 1), row.tolist())) for row in full)
+    return ExtremalPair(M, *circle, *map(ChebyshevSeries, fhat))
 
 
-def evaluate_circle_poly(coeff_map: dict, x) -> np.ndarray:
-    """Evaluate sum_m c_m e(m x) at circle points x (real output)."""
-    x = np.asarray(x, dtype=np.float64)
-    total = np.zeros_like(x, dtype=np.complex128)
-    for m, c in coeff_map.items():
-        total += c * np.exp(2j * math.pi * m * x)
-    return total.real
+def evaluate_circle_poly(coeff_map: dict, grid: int) -> np.ndarray:
+    """Real part of sum_m c_m e(m x) at the points x = linspace(-1/2, 1/2, grid).
+
+    With n = grid - 1 the points are x_j = -1/2 + j/n, where e(m x_j) =
+    (-1)^m e(mj/n): each c_m (-1)^m folds into bin m mod n, one inverse FFT
+    gives x_0..x_{n-1}, and x_n = 1/2 repeats x_0.
+    """
+    n = int(grid) - 1
+    ms = np.array(list(coeff_map))
+    cs = np.array(list(coeff_map.values()), dtype=np.complex128)
+    bins = np.zeros(n, dtype=np.complex128)
+    np.add.at(bins, ms % n, np.where(ms % 2 == 0, cs, -cs))
+    values = np.fft.ifft(bins, norm="forward").real
+    return np.append(values, values[0])
 
 
 def to_chebyshev(I: ArcInterval, M: int) -> ExtremalPair:
-    """Extremal pair for the arc I with the Chebyshev re-expansion filled.
-
-    With hatS the circle coefficients at alpha = a/2pi, beta = b/2pi, the
-    cosine coefficients are scr(m) = hatS(m) + hatS(-m) (so scr(0) = 2
-    hatS(0)) and the Chebyshev coefficients telescope:
-
-        F(m) = scr(m) - scr(m+2),   scr(m+2) := 0 for m + 2 > M,
-
-    which reproduces S(theta/2pi) + S(-theta/2pi) pointwise.
-    """
+    """selberg_coefficients for the circle image of the arc I, for M >= 3."""
     if M < 3:
         raise ValueError("M must be at least 3")
-    base = selberg_coefficients(I.to_circle(), M)
-
-    def reexpand(smap: dict) -> ChebyshevSeries:
-        scr = np.array([(smap[m] + smap[-m]).real for m in range(M + 1)])
-        fhat = scr.copy()
-        fhat[:-2] -= scr[2:]
-        return ChebyshevSeries(fhat)
-
-    return ExtremalPair(
-        degree=M,
-        s_plus=base.s_plus,
-        s_minus=base.s_minus,
-        f_plus=reexpand(base.s_plus),
-        f_minus=reexpand(base.s_minus),
-    )
+    return selberg_coefficients(I.to_circle(), M)
 
 
 def mu_infty_interval(I: ArcInterval) -> float:
@@ -180,8 +172,6 @@ class VarianceSums(NamedTuple):
 
 def variance_sum(pair: ExtremalPair) -> VarianceSums:
     """sum_{m=1}^{M} F(m)^2 for each sign; the Selberg variance surrogate."""
-    if pair.f_plus is None or pair.f_minus is None:
-        raise ValueError("pair lacks the Chebyshev expansion; use to_chebyshev")
     return VarianceSums(
         plus=float(np.sum(pair.f_plus.coeffs[1:] ** 2)),
         minus=float(np.sum(pair.f_minus.coeffs[1:] ** 2)),

@@ -98,6 +98,31 @@ def enumerate_one_prime_at_a_time(fs, bound: int) -> list:
     )
 
 
+def circle_poly_direct(coeff_map, x):
+    """Real part of sum_m c_m e(m x) at the points x, one complex
+    exponential over all of x per coefficient."""
+    x = np.asarray(x, dtype=np.float64)
+    total = np.zeros_like(x, dtype=np.complex128)
+    for m, c in coeff_map.items():
+        total += c * np.exp(2j * math.pi * m * x)
+    return total.real
+
+
+def circle_poly_long_double(coeff_map, grid: int, js):
+    """Real part of sum_m c_m e(m x_j) at x_j = -1/2 + j/(grid - 1) for the
+    indices js, with the phases reduced exactly in integers and the sum in
+    long double: e(m x_j) = exp(i pi k/n), k = m (2j - n) mod 2n."""
+    n = grid - 1
+    ms = np.array(list(coeff_map), dtype=np.int64)
+    cs = np.array(list(coeff_map.values()), dtype=np.complex128)
+    js = np.asarray(js, dtype=np.int64)
+    k = (ms[None, :] * (2 * js[:, None] - n)) % (2 * n)
+    angle = np.longdouble("3.14159265358979323846264338327950288") * k.astype(np.longdouble) / n
+    re = cs.real.astype(np.longdouble)
+    im = cs.imag.astype(np.longdouble)
+    return (np.cos(angle) * re - np.sin(angle) * im).sum(axis=1)
+
+
 def full_horner(coeffs, w):
     """The even-coefficient polynomial of coeffs at every w, by Horner over
     every coefficient and every row."""

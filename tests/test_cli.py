@@ -49,6 +49,16 @@ def test_approx_full_interval_defects(tmp_path):
     assert len(csv_lines) == 22
 
 
+def test_approx_at_size_bounds(tmp_path):
+    # the largest accepted degree and grid
+    out = str(tmp_path)
+    argv = ["approx", "--interval", *QUARTER, "--M", "10000", "--grid", "16385", "--out", out]
+    assert main(argv) == 0
+    rep = _read(os.path.join(out, "approx_report.json"))
+    assert rep["sandwich_margin_plus"] >= -1e-9
+    assert rep["sandwich_margin_minus"] >= -1e-9
+
+
 def test_measures_table_example(tmp_path):
     out = str(tmp_path)
     assert main(["measures", "--q", "4", "--max-m", "6", "--out", out]) == 0

@@ -209,6 +209,7 @@ def test_cli_runs_load_no_scipy(tmp_path):
          "--statistic", "smooth"],
         ["theory", "--x", "2000", "--interval", "0.7853981633974483", "1.5707963267948966"],
         ["smooth"],
+        ["approx", "--interval", "0.7853981633974483", "1.5707963267948966", "--M", "50"],
     ]
     script = (
         "import sys\n"

@@ -338,9 +338,8 @@ def test_z_series_construction():
         ZSeries.from_extremal(pair, "both")
     with pytest.raises(ValueError):
         ZSeries(series=ChebyshevSeries([0.5, 1.0]), source="plus")
-    bare = selberg_coefficients(ARC.to_circle(), 10)
-    with pytest.raises(ValueError):
-        ZSeries.from_extremal(bare, "plus")
+    circle_pair = selberg_coefficients(ARC.to_circle(), 10)
+    assert np.array_equal(ZSeries.from_extremal(circle_pair, "plus").series.coeffs, z.series.coeffs)
 
 
 def test_z_power_identity_and_guards():

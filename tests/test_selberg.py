@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import polygamma, zeta
 
+from oracles import circle_poly_direct, circle_poly_long_double
 from satolab.chebyshev import simpson_quadrature
 from satolab.selberg import (
     ArcInterval,
@@ -257,7 +258,7 @@ def test_selberg_matches_direct_periodization():
     M = 10
     delta = M + 1
     pair = selberg_coefficients(j, M)
-    xs = np.linspace(0.0, 1.0, 23, endpoint=False)[:, None]
+    xs = np.linspace(-0.5, 0.5, 23)[:, None]
     nus = np.arange(-300, 301)
     plus = 0.5 * (
         beurling_B(delta * (xs - j.alpha + nus)) + beurling_B(delta * (j.beta - xs - nus))
@@ -267,7 +268,7 @@ def test_selberg_matches_direct_periodization():
     )
     for smap, terms in ((pair.s_plus, plus), (pair.s_minus, minus)):
         direct = np.array([math.fsum(row) for row in terms])
-        poly = evaluate_circle_poly(smap, xs[:, 0])
+        poly = evaluate_circle_poly(smap, 23)
         assert np.max(np.abs(direct - poly)) < 3e-5
 
 
@@ -290,10 +291,56 @@ def test_selberg_circle_sandwich():
     pair = selberg_coefficients(j, 10)
     xs = np.linspace(-0.5, 0.5, 10**4)
     chi = ((xs >= j.alpha) & (xs <= j.beta)).astype(float)
-    sp = evaluate_circle_poly(pair.s_plus, xs)
-    sm = evaluate_circle_poly(pair.s_minus, xs)
+    sp = evaluate_circle_poly(pair.s_plus, 10**4)
+    sm = evaluate_circle_poly(pair.s_minus, 10**4)
     assert np.max(chi - sp) <= 1e-9
     assert np.max(sm - chi) <= 1e-9
+
+
+def test_circle_poly_fft_matches_direct_sum():
+    # Grids both finer and coarser than the 2M + 1 frequencies, so that
+    # coefficients fold onto shared bins.
+    for J in (QUARTER.to_circle(), CircleInterval(-0.3, 0.41)):
+        for M, grid in ((10, 23), (10, 3), (40, 23), (40, 4097)):
+            pair = selberg_coefficients(J, M)
+            xs = np.linspace(-0.5, 0.5, grid)
+            for smap in (pair.s_plus, pair.s_minus):
+                got = evaluate_circle_poly(smap, grid)
+                assert np.max(np.abs(got - circle_poly_direct(smap, xs))) < 1e-14
+
+
+def test_circle_poly_fft_matches_long_double_sum():
+    # At the largest accepted approx call, against exact phases summed in
+    # long double, at the grid ends, every 400th point and the 41 points
+    # around each end of the interval.
+    grid = 16385
+    j = QUARTER.to_circle()
+    pair = selberg_coefficients(j, 10000)
+    ends = [round((grid - 1) * (e + 0.5)) for e in (j.alpha, j.beta)]
+    js = np.unique(np.concatenate(
+        [np.arange(0, grid, 400), [grid - 1], *(np.arange(e - 20, e + 21) for e in ends)]
+    ))
+    for smap in (pair.s_plus, pair.s_minus):
+        got = evaluate_circle_poly(smap, grid)[js]
+        assert float(np.max(np.abs(got - circle_poly_long_double(smap, grid, js)))) < 1e-15
+
+
+def _chi_hat_scalar(J, m: int) -> complex:
+    # the one-m formula in Python arithmetic
+    if m == 0:
+        return complex(J.length)
+    num = np.exp(-2j * math.pi * m * J.alpha) - np.exp(-2j * math.pi * m * J.beta)
+    return complex(num / (2j * math.pi * m))
+
+
+def test_chi_hat_array_matches_scalar_bits():
+    ms = np.arange(-10000, 10001)
+    for J in (QUARTER.to_circle(), CircleInterval(-0.3, 0.41), CircleInterval(-0.5, 0.5)):
+        got = chi_hat(J, ms)
+        want = np.array([_chi_hat_scalar(J, m) for m in ms.tolist()])
+        assert got.tobytes() == want.tobytes()
+        one = np.array([chi_hat(J, m) for m in ms.tolist()])
+        assert one.tobytes() == want.tobytes()
 
 
 def test_selberg_validation():
@@ -325,11 +372,13 @@ def test_to_chebyshev_arc_sandwich():
 
 def test_to_chebyshev_pointwise_consistency():
     # F(theta) must reproduce S(theta/2pi) + S(-theta/2pi).
+    # On linspace(-1/2, 1/2, 2001) the points 1000 + i and 1000 - i are
+    # +-x for x = i/2000 in [0, 1/2].
     pair = to_chebyshev(QUARTER, 12)
-    thetas = np.linspace(0.0, math.pi, 10**3)
-    xs = thetas / (2 * math.pi)
+    thetas = 2 * math.pi * np.linspace(-0.5, 0.5, 2001)[1000:]
     for smap, series in ((pair.s_plus, pair.f_plus), (pair.s_minus, pair.f_minus)):
-        circle = evaluate_circle_poly(smap, xs) + evaluate_circle_poly(smap, -xs)
+        values = evaluate_circle_poly(smap, 2001)
+        circle = values[1000:] + values[1000::-1]
         assert np.max(np.abs(series.evaluate(thetas) - circle)) < 1e-8
 
 
@@ -378,12 +427,6 @@ def test_variance_sum_converges_to_bernoulli_variance():
     assert errs[80][1] <= 0.5 * math.log(80) / 80
     assert errs[80][0] < errs[10][0]
     assert errs[80][1] < errs[10][1]
-
-
-def test_variance_sum_requires_expansion():
-    pair = selberg_coefficients(QUARTER.to_circle(), 10)
-    with pytest.raises(ValueError):
-        variance_sum(pair)
 
 
 def test_integrated_sandwich():
