@@ -84,15 +84,28 @@ def eval_U(n: int, theta) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    t = _check_theta(theta)
-    s = np.sin(t)
-    safe = np.abs(s) >= _SINE_QUOTIENT_CUTOFF
-    out = np.empty_like(t)
-    out[safe] = np.sin((n + 1) * t[safe]) / s[safe]
-    if not np.all(safe):
-        out[~safe] = _eval_u_recurrence(n, np.cos(t[~safe]))
+    out = _eval_u_at(n, _u_nodes(_check_theta(theta)))
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return out[()] if out.ndim == 0 else float(out)
+    return out
+
+
+def _u_nodes(t: np.ndarray) -> tuple:
+    """What eval_U reads of the angles t at every degree: the mask of the
+    nodes where the sine quotient is used, their angles and sines, and
+    cos t at the other nodes."""
+    s = np.sin(t)
+    safe = np.abs(s) >= _SINE_QUOTIENT_CUTOFF
+    return safe, t[safe], s[safe], np.cos(t[~safe])
+
+
+def _eval_u_at(n: int, nodes: tuple) -> np.ndarray:
+    """U_n at the angles that _u_nodes read."""
+    safe, t_safe, s_safe, x_rest = nodes
+    out = np.empty(safe.shape)
+    out[safe] = np.sin((n + 1) * t_safe) / s_safe
+    if x_rest.size:
+        out[~safe] = _eval_u_recurrence(n, x_rest)
     return out
 
 

@@ -34,8 +34,10 @@ from .measures import (
     _bracket,
     _cdf_norms,
     _expectations,
+    _grid_rows,
     _guide,
     _invert,
+    _local_tail_length,
     _norm_runs,
     _Series,
 )
@@ -256,11 +258,14 @@ class _Inverter:
 
     Ideals come sorted by norm, and the series length never rises with the
     norm, so each run of norms sharing a series length is a contiguous range
-    of ideal rows.  Ideal row j reads cdf and guide row rows[j] on _GRID: its
-    norm's own row up to _SHARED_Q, the last row (the limit law's) past it.
-    buckets list (k0, k1, series) per run: ideal rows k0..k1 - 1 with their
-    own series factors as (k, 1) columns that broadcast over members, inverted
-    in tiles of about _TILE cells.  walk is the longest that a guide row needs.
+    of ideal rows.  Ideal row j reads cdf, guide and slope row rows[j] on
+    _GRID: its norm's own row up to _SHARED_Q, the last row (the limit law's)
+    past it, from ideal row `shared` on.  buckets list (k0, k1, series) per
+    run, split at `shared`: ideal rows k0..k1 - 1 with their own series
+    factors as (k, 1) columns that broadcast over members, inverted in tiles
+    of about _TILE cells.  Rows before `shared` start from the slopes 1/f of
+    their own cdf and take one Newton step, the rest two (measures._invert).
+    walk is the longest that a guide row needs.
     """
 
     rows: np.ndarray
@@ -268,6 +273,8 @@ class _Inverter:
     cdf_table: np.ndarray
     guide: np.ndarray
     walk: int
+    slopes: np.ndarray
+    shared: int
 
 
 @dataclass
@@ -383,8 +390,8 @@ def _build_context(fs, level, x, statistic) -> _Context:
 
     spec = statistic.phi
     big_m = statistic.M
-    # the first run holds the smallest norm, whose series is the longest
-    coef_f, coef_g, v_weight = _smooth_profile(spec, big_m, len(runs[0][2].powers))
+    # to the series length of the smallest norm, the longest
+    coef_f, coef_g, v_weight = _smooth_profile(spec, big_m, _local_tail_length(qs[0]))
     # E_q[phi_M] and E_q[phi_M^2] at every distinct norm
     m_q, s_q = _expectations(coef_f, 1.0 / qs), _expectations(coef_g, 1.0 / qs)
     return _Context(
@@ -403,23 +410,33 @@ def _inverter(qs, counts, runs) -> _Inverter:
     """Inverter for the ascending distinct norms qs and their runs
     (_norm_runs); counts[i] ideals have norm qs[i]."""
     own = int(np.searchsorted(qs, _SHARED_Q, side="right"))
-    # cdf and guide rows of the norms up to _SHARED_Q in chunks of about
-    # _TILE cells, to bound the temporaries, then the limit law's row
+    # cdf, guide and slope rows of the norms up to _SHARED_Q in chunks of
+    # about _TILE cells, to bound the temporaries, then the limit law's row
     step = max(1, _TILE // _GRID.size)
     chunks = []
     for i0, i1, s in runs:
         for a in range(i0, min(i1, own), step):
             b = min(a + step, i1, own)
             chunks.append((a, b, s[a - i0 : b - i0]))
-    tables = [_cdf_norms([chunk], _GRID) for chunk in [*chunks, (own, own + 1, _Series())]]
-    guides, walks = zip(*map(_guide, tables))
+    chunks.append((own, own + 1, _Series()))
+    table, slopes = np.empty((own + 1, _GRID.size)), np.empty((own + 1, _GRID.size))
+    guide, walk = np.empty(table.shape, dtype=np.int32), 0
+    for a, b, s in chunks:
+        table[a:b], slopes[a:b] = _grid_rows(s)
+        guide[a:b], w = _guide(table[a:b])
+        walk = max(walk, w)
+    # every thread reads the tables
+    table.flags.writeable = guide.flags.writeable = slopes.flags.writeable = False
     norm_of = np.repeat(np.arange(counts.size), counts)
-    edges = np.searchsorted(norm_of, [i0 for i0, _, _ in runs] + [counts.size])
+    first = np.concatenate([[0], np.cumsum(counts)])  # first ideal row of each norm
+    shared = int(first[own])
     buckets = [
-        (k0, k1, s[norm_of[k0:k1] - i0]) for (i0, _, s), k0, k1 in zip(runs, edges, edges[1:])
+        (k0, k1, s[norm_of[k0:k1] - i0])
+        for i0, i1, s in runs
+        for k0, k1 in ((first[i0], min(first[i1], shared)), (max(first[i0], shared), first[i1]))
+        if k0 < k1
     ]
-    rows = np.minimum(norm_of, own)
-    return _Inverter(rows, buckets, np.concatenate(tables), np.concatenate(guides), max(walks))
+    return _Inverter(np.minimum(norm_of, own), buckets, table, guide, walk, slopes, shared)
 
 
 @lru_cache(maxsize=4)
@@ -433,9 +450,10 @@ def _context(config: EnsembleConfig) -> _Context:
 
 def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray) -> np.ndarray:
     """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
-    series factors are `series`."""
-    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u)
-    return _invert(u, *bracket, series)
+    series factors are `series`; rows before inv.shared read their slopes."""
+    slopes = inv.slopes if rows.start < inv.shared else None
+    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u, slopes)
+    return _invert(u, series, *bracket)
 
 
 def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:

@@ -12,19 +12,24 @@ ratio in U_{2n}(cos theta) q^{-n}, which also yields a closed-form CDF used
 by the inverse-transform sampler.
 
 cdf, quantile and the ensemble sampler share one series kernel
-(_cdf_series), one bracket grid (_GRID, 4097 nodes) and one inverter
-(_invert).  The bracket is a guide table in g(u) = (1 + cbrt u -
-cbrt(1 - u))/2, which flattens the cubic cdf tails: one gather into the
-n - 1 guide cells of an n-node row, then a walk of at most 2 steps.  The
-sampler brackets every norm past 1e4 in one shared row, the cdf of
-LocalMeasure(math.inf), and the norm's own Newton steps close the O(1/q)
-gap: each step is clipped to the bracketed cell and its two neighbours.
-The series factors of a norm q are built once, by the scalar power q^{-n}
-(_powers): for one measure, or for a column of ascending norms split into
-runs that share a series length (_norm_runs).  The inverter leaves
-|cdf(theta) - u| <= 1e-15 for every u in [0, 1], and theta within 1e-12
-rad of the root for u in [1e-12, 1 - 1e-5]; nearer the ends a cdf
-rounding error of 1e-16 moves the root by more than that.
+(_cdf_series, by Clenshaw's recurrence over sin 2k theta), one bracket grid
+(_GRID, 4097 nodes) and one inverter (_invert).  The bracket is a guide
+table in g(u) = (1 + cbrt u - cbrt(1 - u))/2, which flattens the cubic cdf
+tails: one gather into the n - 1 guide cells of an n-node row, then a walk
+of at most 2 steps.  In a norm's own row the start is cubic Hermite
+inverse interpolation with slopes 1/f from a slope table of the same
+shape (_grid_rows), and one Newton step follows.  The first and last 32
+cells start from cube-root interpolation and take two steps.  The sampler
+brackets every norm past 1e4 in one shared row, the cdf of
+LocalMeasure(math.inf), starts there linearly, and the norm's own two
+Newton steps close the O(1/q) gap.  Each step is clipped to the bracketed
+cell and its two neighbours.  The series factors of a norm q are built
+once, from the scalar power q^{-n} (_powers): for one measure, or for a
+column of ascending norms split into runs that share a series length
+(_norm_runs).  The inverter leaves |cdf(theta) - u| <= 1e-15 for every u
+in [0, 1], and theta within 1e-12 rad of the root for u in [1e-12, 1 -
+1e-5]; nearer the ends a cdf rounding error of 1e-16 moves the root by
+more than that.
 
 The same expansion gives local expectations: a function with the series
 sum_n c_n U_{2n}(cos theta) has E_q = sum_n c_n q^{-n}, which _expectations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _check_theta, eval_U, simpson_quadrature
+from .chebyshev import _check_theta, _eval_u_at, _u_nodes, simpson_quadrature
 
 __all__ = [
     "LocalMeasure",
@@ -54,12 +59,14 @@ __all__ = [
 # series, giving absolute truncation error under 2e-14.
 _TAIL_EPS = 1e-14
 _TWO_PI = 2.0 * math.pi
-# Bracket grid and Newton steps of quantile and of the sampler.
+# Bracket grid of quantile and of the sampler, and its cell width.
 _GRID = np.linspace(0.0, math.pi, 4097)
 _GRID.flags.writeable = False
-_NEWTON_STEPS = 2
+_CELL = math.pi / (_GRID.size - 1)
+_GRID_SIN, _GRID_COS = np.sin(_GRID), np.cos(_GRID)
 # Cells at each end of a bracket grid where the inverter starts from cube-root
-# interpolation: there the cdf is cubic in the distance to the endpoint.
+# interpolation and takes two Newton steps: there the cdf is cubic in the
+# distance to the endpoint.
 _TAIL_CELLS = 32
 # Slack on the guide cell edges, far above the rounding error of _guide_map.
 _GUIDE_SLACK = 2.0**-40
@@ -104,15 +111,16 @@ def chebyshev_moment(measure, m: int) -> float:
 
 def moment_quadrature(measure, m: int, quadrature_points: int = 2**12) -> float:
     """Quadrature cross-check of chebyshev_moment: Simpson on 2 quadrature_points panels."""
-    grid, weight = _weighted_grid(measure, int(quadrature_points))
-    return simpson_quadrature(eval_U(int(m), grid) * weight, grid[1] - grid[0])
+    grid, weight, nodes = _weighted_grid(measure, int(quadrature_points))
+    return simpson_quadrature(_eval_u_at(int(m), nodes) * weight, grid[1] - grid[0])
 
 
 @functools.lru_cache(maxsize=1)
 def _weighted_grid(measure, quadrature_points: int) -> tuple:
-    """The Simpson grid and the density on it, shared across the orders m."""
+    """The Simpson grid, the density on it and what eval_U reads of it
+    (chebyshev._u_nodes), shared across the orders m."""
     grid = np.linspace(0.0, math.pi, 2 * quadrature_points + 1)
-    return grid, density(measure, grid)
+    return grid, density(measure, grid), _u_nodes(grid)
 
 
 def _expectations(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -147,17 +155,31 @@ def _local_tail_length(q: float) -> int:
 class _Series:
     """Hoisted factors of the cdf series at one norm or at a column of norms.
 
-    powers[n-1] = q^{-n}; the density ratio to the limiting measure is
-    fac/(qp - 4 cos^2 theta) with qp = q + 2 + 1/q and fac = q + 1.  The
-    limiting measure has no terms and qp = fac = None (ratio 1).
+    The cdf is theta/pi + sum_k coeffs[k-1] sin(2 k theta), k = 1..N + 1,
+    with coeffs[k-1] = (p_k - p_{k-1})/(2 pi k), p_0 = 1, p_n = q^{-n} for
+    n <= N = _local_tail_length(q) and p_{N+1} = 0.  The density ratio to the
+    limiting measure is fac/(qp - 4 cos^2 theta) with qp = q + 2 + 1/q and
+    fac = q + 1.  The limiting measure has the one coefficient -1/(2 pi) and
+    qp = fac = None (ratio 1).
     """
 
-    powers: tuple = ()
+    coeffs: tuple = (-1.0 / _TWO_PI,)
     qp: object = None
     fac: object = None
 
     def __getitem__(self, rows):  # the factors of some rows of a column series
-        return _Series(tuple(p[rows] for p in self.powers), self.qp[rows], self.fac[rows])
+        return _Series(tuple(a[rows] for a in self.coeffs), self.qp[rows], self.fac[rows])
+
+    def cells(self, shape, at):
+        """The factors at the cells `at` (an np.nonzero tuple) of an array of
+        `shape` that the series broadcasts over."""
+        if self.fac is None:
+            return self
+
+        def pick(v):
+            return np.broadcast_to(v, shape)[at]
+
+        return _Series(tuple(map(pick, self.coeffs)), pick(self.qp), pick(self.fac))
 
 
 def _powers(q: float) -> list:
@@ -167,11 +189,20 @@ def _powers(q: float) -> list:
     return [w**n for n in range(1, _local_tail_length(q) + 1)]
 
 
+def _coeffs(powers) -> np.ndarray:
+    """The series coefficients from the powers p_1..p_N of one norm, or of
+    one norm a row."""
+    powers = np.asarray(powers, dtype=np.float64)
+    one = np.ones(powers.shape[:-1] + (1,))
+    p = np.concatenate([one, powers, 0.0 * one], axis=-1)
+    return np.diff(p, axis=-1) / (_TWO_PI * np.arange(1, p.shape[-1]))
+
+
 def _measure_series(measure) -> _Series:
     q = measure.q
     if math.isinf(q):
         return _Series()
-    return _Series(tuple(_powers(q)), q + 2.0 + 1.0 / q, q + 1.0)
+    return _Series(tuple(_coeffs(_powers(q))), q + 2.0 + 1.0 / q, q + 1.0)
 
 
 def _norm_runs(qs: np.ndarray) -> list:
@@ -187,8 +218,8 @@ def _norm_runs(qs: np.ndarray) -> list:
     runs = []
     for i0, i1 in zip(edges, edges[1:]):
         q = qs[i0:i1, None]
-        powers = np.array(per_norm[i0:i1]).T[:, :, None]
-        runs.append((i0, i1, _Series(tuple(powers), q + 2.0 + 1.0 / q, q + 1.0)))
+        coeffs = _coeffs(per_norm[i0:i1]).T[:, :, None]
+        runs.append((i0, i1, _Series(tuple(coeffs), q + 2.0 + 1.0 / q, q + 1.0)))
     return runs
 
 
@@ -200,27 +231,24 @@ def _density(sin_t, cos_t, series: _Series):  # given sin theta and cos theta
 
 
 def _cdf_series(theta, sin_t, cos_t, series: _Series):
-    """The local cdf series, given sin theta and cos theta.
+    """The local cdf theta/pi + sin(2 theta) b_1, given sin theta and cos theta.
 
-    sin 2 theta and 2 cos 2 theta come from the caller's sin and cos, and
-    sin 2 n theta by the three-term recurrence.  Each term runs the operations
-    of total += p/(2 pi n) sk - p/(2 pi (n + 1)) sk_next in that order, into
-    four buffers of the output's shape that the terms reuse.
+    b_1 = sum_k a_k U_{k-1}(cos 2 theta), the sum of a_k sin(2 k theta) over
+    sin(2 theta), by Clenshaw's recurrence b_k = a_k + 2 cos(2 theta) b_{k+1}
+    - b_{k+2} (Clenshaw, MTAC 1955): three operations a term, into three
+    buffers of the output's shape that the terms reuse.
     """
-    s1 = 2.0 * sin_t * cos_t
-    total = theta / math.pi - s1 / _TWO_PI
-    c = 2.0 * (cos_t * cos_t - sin_t * sin_t)
-    sk_prev = np.zeros_like(total)
-    sk = np.empty_like(total)
-    sk[...] = s1
-    sk_next, term = np.empty_like(total), np.empty_like(total)
-    for n, p in enumerate(series.powers, 1):
-        np.subtract(np.multiply(c, sk, out=sk_next), sk_prev, out=sk_next)
-        np.multiply(p / (_TWO_PI * n), sk, out=term)
-        np.multiply(p / (_TWO_PI * (n + 1)), sk_next, out=sk_prev)  # sk_prev is spent
-        total += np.subtract(term, sk_prev, out=term)
-        sk_prev, sk, sk_next = sk, sk_next, sk_prev
-    return total
+    c = 2.0 - 4.0 * sin_t * sin_t
+    *rest, last = series.coeffs
+    b1 = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(last)))
+    b1[...] = last
+    b2, t = np.zeros_like(b1), np.empty_like(b1)
+    for a in reversed(rest):
+        np.multiply(c, b1, out=t)
+        t -= b2
+        t += a
+        b1, b2, t = t, b1, b2
+    return theta / math.pi + 2.0 * sin_t * cos_t * b1
 
 
 def cdf(measure, theta):
@@ -231,8 +259,9 @@ def cdf(measure, theta):
 
         sum_n q^{-n} [ sin(2 n theta)/(2 n) - sin((2 n + 2) theta)/(2 n + 2) ] / pi
 
-    (with the n = 0 term read as the limiting cdf), truncated geometrically.
-    Both endpoints are exact: cdf(0) = 0 and cdf(pi) = 1.
+    (with the n = 0 term read as the limiting cdf), truncated geometrically
+    and summed by sine frequency (_cdf_series).  Both endpoints are exact:
+    cdf(0) = 0 and cdf(pi) = 1.
     """
     t = _check_theta(theta)
     return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))
@@ -278,60 +307,103 @@ def _guide(table: np.ndarray):
     return lo.astype(np.int32).reshape(table.shape[:-1] + (n,)), walk
 
 
-def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u):
+def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u, slopes=None):
     """Cell index idx with table[row, idx - 1] < u <= table[row, idx], clipped
-    to [1, n - 1], and those two values; rows broadcasts against u."""
+    to [1, n - 1], and those two values; rows broadcasts against u.  Given a
+    slope table of the table's shape, its two values at the cell ends follow."""
     n = table.shape[-1]
     flat = table.ravel()
-    idx = guide.ravel()[rows * n + ((n - 1) * _guide_map(u)).astype(np.intp)]
     base = rows * n
+    idx = guide.ravel()[base + ((n - 1) * _guide_map(u)).astype(np.intp)]
     for _ in range(walk):
         idx += flat[base + idx] < u
     at = base + idx
-    return idx, flat[at - 1], flat[at]
+    below = at - 1
+    if slopes is None:
+        return idx, flat[below], flat[at]
+    m = slopes.ravel()
+    return idx, flat[below], flat[at], m[below], m[at]
+
+
+def _grid_rows(series: _Series):
+    """The cdf and the slopes 1/f on _GRID, one row per norm of `series`.  The
+    slopes are 0 at both ends, where f vanishes and only tail cells, which
+    read no slope, begin or end."""
+    table = _cdf_series(_GRID, _GRID_SIN, _GRID_COS, series)
+    slopes = np.zeros(table.shape)
+    np.divide(1.0, _density(_GRID_SIN[1:-1], _GRID_COS[1:-1], series), out=slopes[..., 1:-1])
+    return table, slopes
 
 
 def _lerp(v, v0, v1, a, b):
     return a + (v - v0) / np.maximum(v1 - v0, 1e-300) * (b - a)
 
 
-def _invert(u, idx, r_lo, r_hi, series: _Series):
-    """Quantiles of u bracketed in the _GRID cells [_GRID[idx - 1], _GRID[idx]].
+def _hermite(u, r_lo, r_hi, m_lo, m_hi, lo):
+    """Cubic Hermite inverse interpolation across the _GRID cells from lo,
+    with slopes dtheta/du = m_lo, m_hi at the ends (Hormann & Leydold, ACM
+    TOMACS 2003): the linear start lo + t _CELL, t the cell fraction of u,
+    plus t (1 - t) ((1 - t) (h m_lo - _CELL) - t (h m_hi - _CELL)), where
+    h = r_hi - r_lo."""
+    h = r_hi - r_lo
+    t = (u - r_lo) / h
+    s = 1.0 - t
+    return lo + t * (_CELL + s * (s * (h * m_lo - _CELL) - t * (h * m_hi - _CELL)))
 
-    r_lo and r_hi are the bracket row's values at the cell ends.  The start
-    point is inverse interpolation across the cell: linear in the interior, and
-    linear in the cube roots of u and of the row values (of 1 - u and 1 - row
-    near pi) in the first and last _TAIL_CELLS cells, where the cdf is cubic in
-    the distance to the endpoint.  The _NEWTON_STEPS Newton steps on `series`
-    are clipped to the cell and its two neighbours, inside [0, pi], and skipped
-    where the density is below 1e-12.
+
+def _newton(theta, u, lo, hi, series: _Series):
+    """One Newton step on cdf(theta) = u, clipped to [lo, hi] and skipped
+    where the density is below 1e-12."""
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    dens = _density(sin_t, cos_t, series)
+    resid = _cdf_series(theta, sin_t, cos_t, series) - u
+    step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
+    return np.clip(theta - step, lo, hi)
+
+
+def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None):
+    """Quantiles of u bracketed in the _GRID cells [_GRID[idx - 1], _GRID[idx]]
+    of a cdf row whose values at the cell ends are r_lo and r_hi.
+
+    Given the slopes m_lo and m_hi (1/f at the cell ends, _grid_rows), the
+    row is the cdf of `series` itself: the start is cubic Hermite inverse
+    interpolation and one Newton step on `series` follows.  Otherwise the row
+    is another measure's: the start is linear and two steps follow.  In the
+    first and last _TAIL_CELLS cells, where the cdf is cubic in the distance
+    to the endpoint, the start is linear in the cube roots of u and of the row
+    values (of 1 - u and 1 - row near pi), and two steps follow either way.
+    Each step is clipped to the cell and its two neighbours, inside [0, pi].
     """
     lo = _GRID[idx - 1]
-    hi = _GRID[idx]
-    theta = _lerp(u, r_lo, r_hi, lo, hi)
-    head = np.nonzero(idx <= _TAIL_CELLS)
-    theta[head] = _lerp(
-        np.cbrt(u[head]), np.cbrt(r_lo[head]), np.cbrt(r_hi[head]), lo[head], hi[head]
-    )
-    tail = np.nonzero(idx >= _GRID.size - _TAIL_CELLS)
-    theta[tail] = _lerp(
-        np.cbrt(1.0 - u[tail]), np.cbrt(1.0 - r_hi[tail]), np.cbrt(1.0 - r_lo[tail]),
-        hi[tail], lo[tail],
+    if m_lo is None:
+        theta = _lerp(u, r_lo, r_hi, lo, _GRID[idx])
+    else:
+        theta = _hermite(u, r_lo, r_hi, m_lo, m_hi, lo)
+    ends = np.nonzero((idx <= _TAIL_CELLS) | (idx >= _GRID.size - _TAIL_CELLS))
+    v, k, v_lo, v_hi = u[ends], idx[ends], r_lo[ends], r_hi[ends]
+    a, b = lo[ends], _GRID[k]
+    theta[ends] = np.where(
+        k <= _TAIL_CELLS,
+        _lerp(np.cbrt(v), np.cbrt(v_lo), np.cbrt(v_hi), a, b),
+        _lerp(np.cbrt(1.0 - v), np.cbrt(1.0 - v_hi), np.cbrt(1.0 - v_lo), b, a),
     )
     lo = np.take(_GRID, idx - 2, mode="clip")  # foot of the cell below, or 0
     hi = np.take(_GRID, idx + 1, mode="clip")  # top of the cell above, or pi
-    for _ in range(_NEWTON_STEPS):
-        sin_t = np.sin(theta)
-        cos_t = np.cos(theta)
-        dens = _density(sin_t, cos_t, series)
-        resid = _cdf_series(theta, sin_t, cos_t, series) - u
-        step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
-        theta = np.clip(theta - step, lo, hi)
-    return np.where(u == 0.0, 0.0, np.where(u == 1.0, math.pi, theta))
+    theta = _newton(theta, u, lo, hi, series)
+    if m_lo is None:
+        theta = _newton(theta, u, lo, hi, series)
+        last = theta[ends]
+    else:
+        last = _newton(theta[ends], v, lo[ends], hi[ends], series.cells(u.shape, ends))
+    # u = 0 and u = 1 bracket in tail cells
+    theta[ends] = np.where(v == 0.0, 0.0, np.where(v == 1.0, math.pi, last))
+    return theta
 
 
 def quantile(measure, u):
-    """Inverse of cdf: a 4097-point guide-table bracket, then two Newton steps.
+    """Inverse of cdf: a 4097-point guide-table bracket, a cubic Hermite start
+    and one Newton step; a cube-root start and two steps in the 32 cells at
+    each end.
 
     |cdf(quantile(u)) - u| <= 1e-15 for every u in [0, 1], and for u in
     [1e-12, 1 - 1e-5] the angle is within 1e-12 rad of the root.
@@ -341,7 +413,8 @@ def quantile(measure, u):
     if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise ValueError("u must lie in [0, 1]")
     u_flat = np.atleast_1d(u_arr).ravel()
-    table = cdf(measure, _GRID)
-    bracket = _bracket(table, *_guide(table), 0, u_flat)
-    theta = _invert(u_flat, *bracket, _measure_series(measure))
+    series = _measure_series(measure)
+    table, slopes = _grid_rows(series)
+    bracket = _bracket(table, *_guide(table), 0, u_flat, slopes)
+    theta = _invert(u_flat, series, *bracket)
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]

@@ -57,6 +57,22 @@ def bisection_quantile(measure, u):
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]
 
 
+def long_double_cdf(q: float, theta) -> np.ndarray:
+    """The truncated local cdf series of measures.cdf in long double, term by
+    term: theta/pi + sum_k a_k sin(2 k theta), a_k = (p_k - p_{k-1})/(2 pi k),
+    with p_0 = 1, p_n = q^-n for n <= N, the measure's series length, and
+    p_{N+1} = 0.  Every sine is taken directly, with no recurrence."""
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    t = np.asarray(theta, dtype=np.float64).astype(ld)
+    n = 0 if math.isinf(q) else int(math.floor(-math.log(1e-14) / math.log(q)))
+    p = [ld(1)] + [ld(1) / ld(q) ** k for k in range(1, n + 1)] + [ld(0)]
+    total = t / pi
+    for k in range(1, n + 2):
+        total += (p[k] - p[k - 1]) / (2 * pi * k) * np.sin(2 * k * t)
+    return total
+
+
 def searchsorted_bracket(table, u):
     """Cell index idx with table[idx - 1] < u <= table[idx] by binary search,
     clipped to [1, n - 1], and those two values."""

@@ -197,6 +197,17 @@ def test_fast_inversion_agrees_with_quantile():
     assert worst < 1e-9
 
 
+def test_invert_matrix_residual_at_rounding_level():
+    # own rows: a Hermite start and one Newton step, two steps in tail cells
+    qs = np.array([2.0, 4.0, 9973.0])
+    inv = _unit_inverter(qs)
+    assert inv.shared == qs.size
+    up = np.random.default_rng(31).random((qs.size, 200_000))
+    theta = _invert_matrix(inv, up)
+    for q, row, u in zip(qs, theta, up):
+        assert np.max(np.abs(cdf(LocalMeasure(q), row) - u)) <= 1e-15, q
+
+
 def test_shared_row_inversion_agrees_with_quantile():
     # norms past 1e4 bracket in the limit law's row, off by up to 2.1e-5 in
     # F; their own two Newton steps keep angles at rounding level
@@ -289,21 +300,47 @@ def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
     past = norms > _SHARED_Q
     assert past.any() and np.all(inv.rows[past] == own.size)
     assert np.array_equal(qs[inv.rows[~past]], norms[~past])
+    # buckets split where the shared row begins, so each takes one step rule
+    assert inv.shared == np.count_nonzero(~past)
     for k0, k1, series in inv.buckets:
+        assert k1 <= inv.shared or k0 >= inv.shared, (k0, k1)
         for k in range(k0, k1):
             want = _measure_series(LocalMeasure(norms[k]))
             got = series[k - k0]
-            assert np.array_equal([p[0] for p in got.powers], want.powers), k
+            assert np.array_equal([a[0] for a in got.coeffs], want.coeffs), k
             assert (got.qp[0], got.fac[0]) == (want.qp, want.fac), k
+
+
+def test_slope_rows_are_inverse_densities():
+    # own rows and the shared row hold 1/f at every interior node, bit for
+    # bit, and 0 at both ends, where f vanishes
+    norms = ideal_norms(Q5, 2e4)
+    qs, counts = np.unique(norms, return_counts=True)
+    inv = _inverter(qs, counts, _norm_runs(qs))
+    own = qs[qs <= _SHARED_Q]
+    assert inv.slopes.shape == inv.cdf_table.shape
+    for q, row in zip([*own, math.inf], inv.slopes):
+        assert np.array_equal(row[1:-1], 1.0 / density(LocalMeasure(q), _GRID[1:-1])), q
+        assert row[0] == row[-1] == 0.0, q
+
+
+@pytest.mark.parametrize("fs", [FieldSpec.rationals(), Q5])
+def test_own_table_rows_monotone_with_exact_ends(fs):
+    qs, counts = np.unique(ideal_norms(fs, 1e4), return_counts=True)
+    inv = _inverter(qs, counts, _norm_runs(qs))
+    table = inv.cdf_table
+    assert np.all(table[:, 0] == 0.0) and np.all(table[:, -1] == 1.0)
+    assert np.all(np.diff(table, axis=1) >= 0.0)
 
 
 def test_bracket_table_does_not_grow_past_the_shared_norm():
     # at x = 1e6 over sqrt5 (39,300 distinct norms) the 513-node table and
-    # guide took 231 MB; now every norm past 1e4 reads one shared row
+    # guide took 231 MB; now every norm past 1e4 reads one shared row, in the
+    # cdf, guide and slope tables alike
     def table_bytes(x):
         qs, counts = np.unique(ideal_norms(Q5, x), return_counts=True)
         inv = _inverter(qs, counts, _norm_runs(qs))
-        return inv.cdf_table.nbytes + inv.guide.nbytes
+        return inv.cdf_table.nbytes + inv.guide.nbytes + inv.slopes.nbytes
 
     assert table_bytes(1e6) == table_bytes(1e4)
 
@@ -634,7 +671,7 @@ def test_smooth_model_moments_match_exact_sums(fs, x, spec, big_m):
     # distinct norms of the same double coefficients, at exact 1/q
     ctx = ensemble._build_context(fs, NO_LEVEL, x, SmoothStatistic(spec, big_m))
     qs, counts = np.unique(ideal_norms(fs, x, NO_LEVEL), return_counts=True)
-    n_max = len(_measure_series(LocalMeasure(qs[0])).powers)
+    n_max = len(_measure_series(LocalMeasure(qs[0])).coeffs) - 1  # N powers, N + 1 sines
     coef_f, coef_g, _ = _smooth_profile(spec, big_m, n_max)
 
     def expectation(coeffs, q):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import full_horner, smooth_power_coeffs
+from oracles import full_horner, long_double_cdf, smooth_power_coeffs
 from satolab.chebyshev import eval_U, simpson_quadrature
 from satolab.ensemble import SmoothSpec, smooth_weight
 from satolab.measures import (
     LocalMeasure,
+    _cdf_series,
     _expectations,
+    _measure_series,
     cdf,
     chebyshev_moment,
     density,
@@ -111,8 +113,8 @@ def test_weak_convergence_rate():
 def test_cdf_examples():
     assert cdf(MU, math.pi / 2) == pytest.approx(0.5, abs=1e-14)
     assert cdf(MU, math.pi / 4) == pytest.approx(0.25 - 1 / (2 * math.pi), abs=1e-14)
-    assert cdf(LocalMeasure(2), math.pi) == pytest.approx(1.0, abs=1e-12)
-    assert cdf(LocalMeasure(2), 0.0) == 0.0
+    for q in [2.0, 3.0, 4.0, 49.0, 9973.0, 1e5, 1e8, math.inf]:  # exact ends
+        assert cdf(LocalMeasure(q), 0.0) == 0.0 and cdf(LocalMeasure(q), math.pi) == 1.0
     # symmetry about pi/2, and the limiting cdf within O(1/q) at large q
     assert cdf(LocalMeasure(2), math.pi / 2) == pytest.approx(0.5, abs=1e-12)
     big = LocalMeasure(1e6)
@@ -134,6 +136,16 @@ def test_cdf_matches_quadrature():
             assert cdf(m_, grid[idx]) == pytest.approx(quad, abs=1e-10)
 
 
+@pytest.mark.parametrize("q", [2.0, 3.0, 49.0, 9973.0, math.inf])
+def test_cdf_series_matches_long_double(q):
+    # Clenshaw's recurrence over sin(2 k theta) leaves about one rounding of
+    # the result: at most 1.9e-16 at these norms
+    theta = np.random.default_rng(23).random(200_000) * math.pi
+    got = _cdf_series(theta, np.sin(theta), np.cos(theta), _measure_series(LocalMeasure(q)))
+    err = np.max(np.abs(got.astype(np.longdouble) - long_double_cdf(q, theta)))
+    assert err <= 3e-16, err
+
+
 def test_cdf_monotone():
     thetas = np.linspace(0.0, math.pi, 400)
     for measure in [MU, LocalMeasure(2), LocalMeasure(17)]:
@@ -147,6 +159,15 @@ def test_quantile_roundtrip():
         theta = quantile(measure, us)
         assert np.all((theta >= 0.0) & (theta <= math.pi))
         assert np.max(np.abs(cdf(measure, theta) - us)) < 1e-10
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0, 9973.0])
+def test_quantile_residual_at_rounding_level(q):
+    # one Newton step from the Hermite start in the interior cells, two from
+    # the cube-root start in the tail cells
+    measure = LocalMeasure(q)
+    u = np.random.default_rng(29).random(200_000)
+    assert np.max(np.abs(cdf(measure, quantile(measure, u)) - u)) <= 1e-15
 
 
 def test_quantile_median_symmetry():
