@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -228,7 +229,10 @@ _SCHEMA = {
 }
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    and _resolve read it and never change it."""
     parser = argparse.ArgumentParser(
         prog="satolab",
         description="Numerical laboratory for angle statistics over number fields.",

@@ -41,7 +41,7 @@ from .measures import (
     _norm_runs,
     _Series,
 )
-from .number_field import FieldSpec, LevelSpec, ideal_norms
+from .number_field import FieldSpec, LevelSpec, _exact_sum, ideal_norms
 from .rng import counter_words, integers_at, member_keys, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
@@ -382,8 +382,8 @@ def _build_context(fs, level, x, statistic) -> _Context:
             pi_L_x=count,
             center=count * mu,
             scale=math.sqrt(count * max(mu * (1.0 - mu), 0.0)),
-            mean_model=math.fsum(counts * mass),
-            variance_model=math.fsum(counts * mass * (1.0 - mass)),
+            mean_model=_exact_sum(counts * mass),
+            variance_model=_exact_sum(counts * mass * (1.0 - mass)),
             cut_lo=np.repeat(cut_lo, counts),
             cut_hi=np.repeat(cut_hi, counts),
         )
@@ -398,8 +398,8 @@ def _build_context(fs, level, x, statistic) -> _Context:
         pi_L_x=count,
         center=count * float(coef_f[0]),
         scale=math.sqrt(count * v_weight),
-        mean_model=math.fsum(counts * m_q),
-        variance_model=math.fsum(counts * (s_q - m_q * m_q)),
+        mean_model=_exact_sum(counts * m_q),
+        variance_model=_exact_sum(counts * (s_q - m_q * m_q)),
         inverter=_inverter(qs, counts, runs),
         spec=spec,
         big_m=big_m,

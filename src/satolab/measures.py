@@ -132,6 +132,8 @@ def _expectations(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     then updates only the prefix of rows with q^n <= e^690, and a row
     outside it starts from zero exactly when it enters.  The prefixes shrink
     as n grows, so the loop starts at the last n whose prefix is non-empty.
+    Each step multiplies and adds in place on a view of the prefix: the
+    bits of total[:k] * w[:k] + coeffs[n], with no temporary per step.
     """
     if np.any(np.diff(w) > 0.0):
         raise ValueError("w must be non-increasing")
@@ -141,8 +143,9 @@ def _expectations(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     rows = np.searchsorted(log_q, limits, side="right")
     total = np.zeros_like(w)
     for n in range(np.count_nonzero(rows) - 1, -1, -1):
-        head = rows[n]
-        total[:head] = total[:head] * w[:head] + coeffs[n]
+        head = total[: rows[n]]
+        head *= w[: rows[n]]
+        head += coeffs[n]
     return total
 
 

@@ -49,6 +49,9 @@ _SIEVE_BLOCK = 1 << 20
 # Products of two residues mod p stay in int64 while p <= isqrt(2^63 - 1);
 # beyond it the Kronecker kernel works on Python integers.
 _INT64_ROOT = math.isqrt(2**63 - 1)
+# Values per bincount in _exact_sum: 2^23 pieces below 2^30 sum below 2^53,
+# and 2^23 covers the 5.76M norms at the sieve capacity in one pass.
+_SUM_CHUNK = 1 << 23
 
 # Deterministic Miller-Rabin witness set for n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -326,9 +329,42 @@ def _level_free_norms(fs: FieldSpec, x) -> np.ndarray:
     return _ideal_table(fs, _bound(x)).norm
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a finite float64 array: the float
+    math.fsum returns, wherever fsum returns one (fsum raises on some
+    intermediate overflows, such as [1e308, 1e308, -1e308]).
+
+    Each value is M 2^(e-53) with e from np.frexp and M a 53-bit integer,
+    cut as M = hi 2^23 + lo with |hi| < 2^30 and |lo| < 2^23.  np.bincount
+    adds the pieces of each exponent in float64, exactly while every partial
+    sum is an integer below 2^53, so at most _SUM_CHUNK values at a time.
+    Each exponent has four bins, taken in turn along the array, so a run of
+    values of one exponent does not wait on one accumulator.  The bins join
+    as Python ints, and one int true division, correctly rounded, gives the
+    float.
+    """
+    mant, exp = np.frexp(values)
+    low = int(exp.min(initial=0))
+    span = int(exp.max(initial=0)) - low + 1
+    bins = (exp - low) * 4 + (np.arange(exp.size) & 3)
+    mant *= 2.0**30
+    hi = np.trunc(mant)
+    lo = (mant - hi) * 2.0**23
+    total = 0
+    for i in range(0, bins.size, _SUM_CHUNK):
+        at = slice(i, i + _SUM_CHUNK)
+        for piece, shift in ((hi, 23), (lo, 0)):
+            sums = np.bincount(bins[at], weights=piece[at], minlength=4 * span)
+            sums = sums.reshape(span, 4).sum(axis=1)
+            for k in np.flatnonzero(sums).tolist():
+                total += int(sums[k]) << (k + shift)
+    shift = low - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def mertens_sum(fs: FieldSpec, x) -> float:
     """sum of 1/N(p) over all prime ideals of norm <= x (level-free)."""
-    return math.fsum((1.0 / _level_free_norms(fs, x)).tolist())
+    return _exact_sum(1.0 / _level_free_norms(fs, x))
 
 
 def higher_power_sum(fs: FieldSpec, x) -> float:
@@ -338,4 +374,4 @@ def higher_power_sum(fs: FieldSpec, x) -> float:
     is 1.0 over the correctly rounded exact product.
     """
     norms = _level_free_norms(fs, x)
-    return math.fsum((1.0 / (norms * (norms - 1))).tolist())
+    return _exact_sum(1.0 / (norms * (norms - 1)))

@@ -148,6 +148,44 @@ def full_horner(coeffs, w):
     return total
 
 
+def set_partitions(u: int) -> list:
+    """All Bell(u) set partitions of range(u), each a tuple of ascending
+    position tuples in order of their first position: the last position
+    joins each block of a set partition of the others in turn, then opens
+    a new last block."""
+    if u == 0:
+        return [()]
+    out = []
+    for sigma in set_partitions(u - 1):
+        out += [sigma[:i] + (block + (u - 1,),) + sigma[i + 1 :] for i, block in enumerate(sigma)]
+        out.append(sigma + ((u - 1,),))
+    return out
+
+
+def block_order_counts(parts: tuple) -> dict:
+    """{sequence of block multisets: number of set partitions giving it},
+    over the set partitions of the positions of parts."""
+    counts = {}
+    for sigma in set_partitions(len(parts)):
+        blocks = tuple(tuple(sorted(parts[i] for i in block)) for block in sigma)
+        counts[blocks] = counts.get(blocks, 0) + 1
+    return counts
+
+
+def walked_tuple_sum(parts: tuple, block_sum) -> float:
+    """The distinct-tuple sum by a walk over every set partition of the
+    positions, one Moebius term each, multiplied out in block order."""
+    terms = []
+    for sigma in set_partitions(len(parts)):
+        factor = 1.0
+        for block in sigma:
+            multiset = tuple(sorted(parts[i] for i in block))
+            sign = -1.0 if (len(block) - 1) % 2 else 1.0
+            factor *= sign * math.factorial(len(block) - 1) * block_sum(multiset)
+        terms.append(factor)
+    return math.fsum(terms)
+
+
 def smooth_power_coeffs(spec, big_m: float, r: int, n_max: int) -> np.ndarray:
     """U_2n coefficients, n = 0..n_max, of phi_M(theta/pi)^r, by the
     trapezoid rule on 4096 nodes over one period.

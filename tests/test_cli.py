@@ -299,6 +299,29 @@ def test_theory_bytes_do_not_depend_on_sweep_order(tmp_path):
             assert a.read() == b.read(), name
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # theory then clt through the one cached parser write the bytes of each
+    # run in a fresh interpreter
+    runs = {
+        "theory": ["theory", "--field", "sqrt5", "--x", "3000", "--interval", *QUARTER, "--n", "4"],
+        "clt": ["clt", "--field", "sqrt5", "--x", "500", "--size", "100", "--seed", "3",
+                "--interval", *QUARTER],
+    }
+    for name, argv in runs.items():
+        script = f"import sys, satolab.cli as cli; sys.exit(cli.main({argv + ['--out', name]!r}))"
+        assert _fresh_interpreter(tmp_path, script).returncode == 0
+    cli._build_parser.cache_clear()
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / "shared" / name)]) == 0
+    assert cli._build_parser.cache_info()[:2] == (1, 1)  # hits, misses
+    for name in runs:
+        files = sorted(os.listdir(tmp_path / name))
+        assert files == sorted(os.listdir(tmp_path / "shared" / name))
+        for f in files:
+            with open(tmp_path / name / f, "rb") as a, open(tmp_path / "shared" / name / f, "rb") as b:
+                assert a.read() == b.read(), (name, f)
+
+
 def test_smooth_report_and_profile(tmp_path):
     out = str(tmp_path)
     assert main(["smooth", "--lam", "1.0", "--smooth-m", "1", "--out", out]) == 0

@@ -2,8 +2,8 @@
 
 The partition expansion is pinned by an exact multinomial oracle over
 rational site values, the distinct-tuple Moebius sum by brute-force
-enumeration, and the local integrals by direct quadrature against the
-local density.
+enumeration and, bit for bit, by the walk over every set partition, and
+the local integrals by direct quadrature against the local density.
 """
 import itertools
 import math
@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 from scipy.special import expi
 
-from oracles import cumulant_main_terms, full_horner
+from oracles import (
+    block_order_counts,
+    cumulant_main_terms,
+    full_horner,
+    set_partitions,
+    walked_tuple_sum,
+)
 from satolab.chebyshev import ChebyshevSeries
 from satolab.measures import LocalMeasure, density
 from satolab.moments_engine import (
@@ -31,7 +37,7 @@ from satolab.moments_engine import (
 )
 from satolab import moments_engine
 from satolab.measures import _expectations
-from satolab.moments_engine import _block_summer, _distinct_tuple_sum, _ei
+from satolab.moments_engine import _block_orders, _block_summer, _distinct_tuple_sum, _ei
 from satolab.number_field import (
     FieldSpec,
     LevelSpec,
@@ -135,6 +141,28 @@ def test_distinct_tuple_sum_matches_brute_force():
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
+def test_block_orders_count_every_set_partition():
+    # the DP over positions counts each block sequence as the walk over
+    # all Bell(u) set partitions does, for every partition of n <= 8
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            got = dict(_block_orders(p.parts))
+            assert got == block_order_counts(p.parts), p.parts
+            assert sum(got.values()) == len(set_partitions(len(p.parts)))
+
+
+def test_grouped_tuple_sum_is_bitwise_the_walk():
+    rng = np.random.default_rng(23)
+    for scale in (1.0, 1e-3, 1e3):
+        counts = rng.integers(1, 4, size=50).astype(np.float64)
+        f_rows = {r: scale * rng.normal(size=50) for r in range(1, 9)}
+        block_sum = _block_summer(f_rows.__getitem__, counts)
+        for n in range(1, 9):
+            for p in partitions_of(n):
+                want = walked_tuple_sum(p.parts, block_sum)
+                assert _distinct_tuple_sum(p.parts, block_sum) == want, (scale, p.parts)
+
+
 def _distinct_norm_weights(fs, x):
     norms = np.array([ideal.norm for ideal in enumerate_prime_ideals(fs, x)], dtype=np.float64)
     qs, counts = np.unique(norms, return_counts=True)
@@ -229,20 +257,11 @@ def test_sweep_builds_each_profile_once(monkeypatch):
 
 
 def test_sweep_builds_each_block_sum_once():
-    def set_partitions(items):
-        if not items:
-            yield []
-            return
-        for rest in set_partitions(items[1:]):
-            for i in range(len(rest)):
-                yield rest[:i] + [[items[0], *rest[i]]] + rest[i + 1 :]
-            yield [[items[0]], *rest]
-
     blocks = {
         tuple(sorted(p.parts[i] for i in block))
         for n in range(1, 9)
         for p in partitions_of(n)
-        for sigma in set_partitions(list(range(len(p.parts))))
+        for sigma in set_partitions(len(p.parts))
         for block in sigma
     }
     x = 20_000

@@ -1,4 +1,6 @@
-"""Prime splitting, ideal enumeration, and norm-power sums."""
+"""Prime splitting, ideal enumeration, norm-power sums and the exact sum
+of a float array."""
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +12,8 @@ from satolab.number_field import (
     FieldSpec,
     LevelSpec,
     PrimeIdeal,
+    _SUM_CHUNK,
+    _exact_sum,
     _ideal_table,
     _kronecker,
     enumerate_prime_ideals,
@@ -222,6 +226,51 @@ def test_mertens_rationals_x100():
 def test_mertens_minus_loglog_stabilizes():
     vals = [mertens_sum(QQ, x) - math.log(math.log(x)) for x in [10**4, 10**5, 10**6]]
     assert max(vals) - min(vals) <= 0.05
+
+
+def _fsum_cases():
+    rng = np.random.default_rng(41)
+    pair = rng.normal(size=400) * 10.0 ** rng.integers(-30, 30, size=400)
+    cancelling = np.concatenate([pair, -pair, [3e-40]])
+    rng.shuffle(cancelling)
+    return {
+        "random": [rng.normal(size=int(n)) for n in rng.integers(1, 5000, size=20)],
+        "10^-250..10^250": [rng.normal(size=3000) * 10.0 ** rng.integers(-250, 251, size=3000)],
+        "cancelling pairs": [cancelling, np.concatenate([pair, -pair])],
+        "ties to even": [np.array([1.0, 2.0**-53]), np.array([1.0, 2.0**-53, 2.0**-106]),
+                         np.array([1.0 + 2.0**-52, 2.0**-53]), np.array([-1.0, -(2.0**-53)])],
+        "subnormals": [rng.normal(size=1000) * 1e-310, np.array([5e-324] * 7 + [-1e-323]),
+                       np.array([2.0**-1022, -(2.0**-1074), 1e-300])],
+        "zeros": [np.zeros(17), np.array([0.0, -0.0]), np.zeros(0)],
+        "extremes": [np.array([1.7e308, -1.7e308, 4.9e-324]), np.array([1e308, -1e-308, 1e200])],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fsum_cases()))
+def test_exact_sum_is_fsum(case):
+    for values in _fsum_cases()[case]:
+        assert _exact_sum(values) == math.fsum(values.tolist()), values[:4]
+
+
+def test_exact_sum_past_one_bincount():
+    # every value's high piece is 2^30 - 1, so their sum over the whole
+    # array would pass 2^53 and round
+    value = 1.0 - 2.0**-53
+    values = np.full(_SUM_CHUNK + 1, value)
+    assert _exact_sum(values) == math.fsum(itertools.repeat(value, values.size))
+
+
+def test_exact_sum_survives_an_intermediate_overflow():
+    values = np.array([1e308, 1e308, -1e308])
+    with pytest.raises(OverflowError):
+        math.fsum(values.tolist())
+    assert _exact_sum(values) == 1e308
+
+
+def test_norm_power_sums_keep_their_fsum_bits():
+    norms = _ideal_table(Q5, 10**5).norm
+    assert mertens_sum(Q5, 10**5) == math.fsum((1.0 / norms).tolist())
+    assert higher_power_sum(Q5, 10**5) == math.fsum((1.0 / (norms * (norms - 1))).tolist())
 
 
 def test_higher_power_sum_bounded():
