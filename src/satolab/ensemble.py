@@ -8,16 +8,25 @@ smooth weight of the normalized angle t = theta/pi (smooth mode).
 
 Determinism contract: every variate is a pure function of
 (seed, member_index, ideal_position), drawn in the tile of ideal rows that
-consumes it.  The indicator never forms the uniform u = k 2^-53: it compares
-the 53-bit integer k with integer cut points K = ceil(F(a) 2^53) and
-H = floor(F(b) 2^53), and since scaling by 2^53 is exact, K <= k <= H holds
-exactly when F(a) <= u <= F(b).  Both statistics keep one memory rule: a
-block holds O(_TILE) cells and one float64 total per member at any x, and each
-group of _ROWS ideal rows from its bucket's first row adds its per-member
-count or weight sum to the totals in row order.  _ROWS fixes that order and
-_TILE only sizes tiles; member values go into an array indexed by member and
-only then into moments, so reports are bit-identical under any blocking,
-tiling or thread count.
+consumes it.  The indicator never forms the uniform u = k 2^-53: it tests
+the 53-bit integer k = word >> 11 against integer cut points
+K = ceil(F(a) 2^53) and H = floor(F(b) 2^53), as one unsigned range test on
+the raw 64-bit word (_range_test), and since scaling by 2^53 is exact,
+K <= k <= H holds exactly when F(a) <= u <= F(b).
+
+Both statistics keep one memory rule: a block holds one workspace
+(measures._Workspace) of buffers of at most _TILE cells and one float64
+total per member at any x.  Every stage of a tile (the RNG words, the
+bracket, the start, the Newton steps, the cdf series, smooth_weight and the
+group sums) writes into the workspace with out=, so a tile allocates only
+arrays the size of its tail-cell subset (and np.interp's results for a
+custom phi).  A smooth block peaks at 11 buffers, 2.75 MiB, an indicator
+block at 3, 0.75 MiB.  The workspace belongs to one _member_values call, so
+to one block on one thread.  Each group of _ROWS ideal rows from its
+bucket's first row adds its per-member count or weight sum to the totals in
+row order.  _ROWS fixes that order and _TILE only sizes tiles; member values
+go into an array indexed by member and only then into moments, so reports
+are bit-identical under any blocking, tiling or thread count.
 """
 from __future__ import annotations
 
@@ -40,9 +49,10 @@ from .measures import (
     _local_tail_length,
     _norm_runs,
     _Series,
+    _Workspace,
 )
 from .number_field import FieldSpec, LevelSpec, _exact_sum, ideal_norms
-from .rng import counter_words, integers_at, member_keys, uniforms_at
+from .rng import _derive, counter_words, member_keys, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
 __all__ = [
@@ -107,14 +117,17 @@ class SmoothSpec:
                 raise ConfigError("statistic.phi.table", "values must be finite")
             object.__setattr__(self, "table", knots)
 
-    def phi_values(self, u):
-        """Phi(u), vectorized; even in u by construction."""
+    def phi_values(self, u, out=None):
+        """Phi(u), vectorized; even in u by construction.  The gaussian forms
+        in out when given; np.interp, which has no out, returns a new array."""
         uu = np.asarray(u, dtype=np.float64)
         if self.kind == "gaussian":
-            return np.exp(-self.lam * uu * uu)
+            out = np.multiply(-self.lam, uu, out=np.empty_like(uu) if out is None else out)
+            out *= uu
+            return np.exp(out, out=out)[()]
         us = np.array([k[0] for k in self.table])
         vs = np.array([k[1] for k in self.table])
-        return np.interp(np.abs(uu), us, vs, right=0.0)
+        return np.interp(np.abs(uu, out=out), us, vs, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -224,21 +237,27 @@ def _truncation_window(spec: SmoothSpec, big_m: float) -> int:
     return max(1, math.ceil(reach) + pad)
 
 
-def smooth_weight(spec: SmoothSpec, big_m: float, t):
+def smooth_weight(spec: SmoothSpec, big_m: float, t, ws: _Workspace = None):
     """Periodized weight phi_M(t) = sum over m of Phi(M (t + m)).
 
     The window |m| <= m_max keeps the dropped tail below 1e-12 uniformly for
     t in [0, 1]; the custom kind has compact support so its tail is exactly
-    zero.  A window past _MAX_WINDOW is a ConfigError.  Vectorized in t.
+    zero.  A window past _MAX_WINDOW is a ConfigError.  Vectorized in t; the
+    sum and its two temporaries are on buffers of ws when given.
     """
     m_val = float(big_m)
     if not math.isfinite(m_val) or m_val < 1.0:
         raise ValueError("periodization scale M must be >= 1")
     tt = np.asarray(t, dtype=np.float64)
     win = _truncation_window(spec, m_val)
-    acc = np.zeros_like(tt)
+    ws = _Workspace(tt.shape) if ws is None else ws
+    acc, shifted, phi = ws.take(tt.shape, 3)
+    acc.fill(0.0)
     for m in range(-win, win + 1):
-        acc = acc + spec.phi_values(m_val * (tt + m))
+        np.add(tt, m, out=shifted)
+        shifted *= m_val
+        acc += spec.phi_values(shifted, out=phi)
+    ws.give(shifted, phi)
     return acc if tt.shape else float(acc)
 
 
@@ -421,8 +440,11 @@ def _inverter(qs, counts, runs) -> _Inverter:
     chunks.append((own, own + 1, _Series()))
     table, slopes = np.empty((own + 1, _GRID.size)), np.empty((own + 1, _GRID.size))
     guide, walk = np.empty(table.shape, dtype=np.int32), 0
+    ws = _Workspace((step, _GRID.size))
     for a, b, s in chunks:
-        table[a:b], slopes[a:b] = _grid_rows(s)
+        rows = _grid_rows(s, ws)
+        table[a:b], slopes[a:b] = rows
+        ws.give(*rows)
         guide[a:b], w = _guide(table[a:b])
         walk = max(walk, w)
     # every thread reads the tables
@@ -448,43 +470,85 @@ def _context(config: EnsembleConfig) -> _Context:
     return _context_cached(config.field, config.level, config.x, config.statistic)
 
 
-def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray) -> np.ndarray:
+def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray, ws: _Workspace = None):
     """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
     series factors are `series`; rows before inv.shared read their slopes."""
     slopes = inv.slopes if rows.start < inv.shared else None
-    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u, slopes)
-    return _invert(u, series, *bracket)
+    ws = _Workspace(u.shape) if ws is None else ws
+    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u, slopes, ws)
+    return _invert(u, series, *bracket, ws=ws)
+
+
+def _range_test(cut_lo: np.ndarray, cut_hi: np.ndarray):
+    """The rows whose count can be nonzero, and their range test on the raw
+    64-bit word: K <= word >> 11 <= H exactly when (word - L) mod 2^64 <= W,
+    with L = K 2^11 and W = (H - K) 2^11 + 2047.  K is clipped to [0, 2^53]
+    and H to [-1, 2^53 - 1], which moves no count, and rows with H < K are
+    dropped; the rest have 0 <= K <= H < 2^53, so L + W < 2^64."""
+    k = np.clip(cut_lo, 0, 2**53)
+    h = np.clip(cut_hi, -1, 2**53 - 1)
+    rows = np.flatnonzero(k <= h)
+    low = k[rows].astype(np.uint64) << np.uint64(11)
+    width = ((h - k)[rows].astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
+    return rows, low[:, None], width[:, None]
+
+
+def _add_groups(total: np.ndarray, phi: np.ndarray, ws: _Workspace):
+    """Add one tile's weights phi (members x rows) into total: each group of
+    _ROWS rows sums its values, then the groups add in row order, through
+    the running adds of a cumsum."""
+    members, width = phi.shape
+    groups, rest = divmod(width, _ROWS)
+    full = groups * _ROWS
+    sums, run = ws.take((members, 1 + groups + (rest > 0)), 2)
+    sums[:, 0] = total
+    np.sum(phi[:, :full].reshape(members, groups, _ROWS), axis=2, out=sums[:, 1 : 1 + groups])
+    if rest:
+        np.sum(phi[:, full:], axis=1, out=sums[:, -1])
+    np.cumsum(sums, axis=1, out=run)
+    total[:] = run[:, -1]
+    ws.give(sums, run)
 
 
 def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
-    """Statistics for the members keyed by `keys`, one tile of ideal rows at a time."""
-    inv, n = ctx.inverter, ctx.pi_L_x
+    """Statistics for the members keyed by `keys`, one tile of ideal rows at
+    a time, every tile on one workspace of the largest tile's size."""
+    inv, members = ctx.inverter, keys.size
     if inv is None:  # indicator
-        words = counter_words(np.arange(n))[:, None]
-        lo, hi = ctx.cut_lo[:, None], ctx.cut_hi[:, None]
-        buckets = [(0, n, None)]
+        rows, low, width = _range_test(ctx.cut_lo, ctx.cut_hi)
+        words = counter_words(rows)[:, None]
+        buckets = [(0, rows.size, None)]
     else:
         buckets = inv.buckets
-    total, row = np.zeros(keys.size), keys[None, :]
-    step = max(1, _TILE // (_ROWS * keys.size)) * _ROWS
+    total, row = np.zeros(members), keys[None, :]
+    step = max(1, _TILE // (_ROWS * members)) * _ROWS
+    tally = np.min_scalar_type(step)  # the narrowest count of a tile's rows
+    ws = _Workspace((step, members))
     for k0, k1, series in buckets:
         for a in range(k0, k1, step):
             s = slice(a, min(a + step, k1))
+            shape = (s.stop - s.start, members)
             if inv is None:  # whole counts, exact in float64 below 2^53
-                k = integers_at(row, words[s])
-                total += np.count_nonzero((k >= lo[s]) & (k <= hi[s]), axis=0)
+                bits, tmp = ws.take(shape, 2, np.uint64)
+                _derive(row, words[s], bits, tmp)
+                ws.give(tmp)
+                bits -= low[s]
+                [inside], [count] = ws.take(shape, 1, np.bool_), ws.take((members,), 1, tally)
+                np.less_equal(bits, width[s], out=inside)
+                total += np.add.reduce(inside.view(np.uint8), axis=0, dtype=tally, out=count)
+                ws.give(bits, inside, count)
                 continue
-            u = uniforms_at(row, np.arange(s.start, s.stop)[:, None])
-            theta = _angles(inv, s, series[a - k0 : s.stop - k0], u)
-            phi = smooth_weight(ctx.spec, ctx.big_m, theta * (1.0 / math.pi))
-            phi = np.ascontiguousarray(phi.T)  # one contiguous row per member
-            # each group sums its 16 values, then the groups add in row order
-            groups, rest = divmod(phi.shape[1], _ROWS)
-            full = groups * _ROWS
-            sums = [total[:, None], phi[:, :full].reshape(keys.size, groups, _ROWS).sum(axis=2)]
-            if rest:
-                sums.append(phi[:, full:].sum(axis=1)[:, None])
-            total = np.cumsum(np.concatenate(sums, axis=1), axis=1)[:, -1]
+            u, bits = ws.take(shape, 2)
+            uniforms_at(row, np.arange(s.start, s.stop)[:, None], u, bits.view(np.uint64))
+            ws.give(bits)
+            theta = _angles(inv, s, series[a - k0 : s.stop - k0], u, ws)
+            # t = theta/pi one contiguous row per member, for the group sums
+            [t] = ws.take(shape[::-1])
+            np.multiply(theta.T, 1.0 / math.pi, out=t)
+            ws.give(u, theta)
+            phi = smooth_weight(ctx.spec, ctx.big_m, t, ws)
+            _add_groups(total, phi, ws)
+            ws.give(t, phi)
     return total
 
 

@@ -27,9 +27,17 @@ cell and its two neighbours.  The series factors of a norm q are built
 once, from the scalar power q^{-n} (_powers): for one measure, or for a
 column of ascending norms split into runs that share a series length
 (_norm_runs).  The inverter leaves |cdf(theta) - u| <= 1e-15 for every u
-in [0, 1], and theta within 1e-12 rad of the root for u in [1e-12, 1 -
-1e-5]; nearer the ends a cdf rounding error of 1e-16 moves the root by
-more than that.
+in [0, 1], and theta within 1e-12 rad of the root for u in [1e-11, 1 -
+1e-5] (at most 7.2e-13 measured).  Nearer the ends the cdf's rounding
+moves the root by more than that: near theta = 0 about 1e-20 against a
+density of 2e-8 at u = 1e-12, up to 1.3e-12 rad below u = 3.5e-12.
+
+Every kernel of the inverter (_bracket, _hermite, _lerp, _newton,
+_density, _cdf_series) writes into the arrays of a _Workspace, flat
+buffers reused by liveness, with every arithmetic step in the order of the
+plain expression it replaces.  The sampler keeps one workspace per block,
+so a tile allocates nothing but the arrays of its tail cells; cdf, density
+and quantile call the same kernels on a workspace sized to their input.
 
 The same expansion gives local expectations: a function with the series
 sum_n c_n U_{2n}(cos theta) has E_q = sum_n c_n q^{-n}, which _expectations
@@ -90,10 +98,36 @@ class LocalMeasure:
         object.__setattr__(self, "q", q)
 
 
+class _Workspace:
+    """Scratch arrays for the inverter's kernels, on flat float64 buffers of
+    `cells` cells each, reused by liveness.
+
+    take(shape, k, dtype) hands out k arrays of `shape` (at most `cells`
+    cells, dtype at most 8 bytes), each on a buffer that give() returned or,
+    past those, on a new one; give() returns the buffers under its arrays.
+    A kernel takes its temporaries, gives them back when they die, and
+    returns its result on a buffer of the same workspace.  The sampler keeps
+    one workspace per block, so its tiles allocate nothing once the first has
+    grown it; cdf, density and quantile size one to their input.
+    """
+
+    def __init__(self, shape):
+        self.cells = math.prod(shape)
+        self._free = []
+
+    def take(self, shape, k=1, dtype=np.float64) -> list:
+        size = math.prod(shape)
+        bufs = [self._free.pop() if self._free else np.empty(self.cells) for _ in range(k)]
+        return [b[:size].view(dtype)[:size].reshape(shape) for b in bufs]
+
+    def give(self, *arrays):
+        self._free.extend(a.base for a in arrays)
+
+
 def density(measure, theta):
     """Density of the measure with respect to dtheta, vectorized."""
     t = _check_theta(theta)
-    return _density(np.sin(t), np.cos(t), _measure_series(measure))
+    return _density(np.sin(t), np.cos(t), _measure_series(measure))[()]
 
 
 def chebyshev_moment(measure, m: int) -> float:
@@ -226,14 +260,25 @@ def _norm_runs(qs: np.ndarray) -> list:
     return runs
 
 
-def _density(sin_t, cos_t, series: _Series):  # given sin theta and cos theta
-    dens = (2.0 / math.pi) * sin_t * sin_t
+def _density(sin_t, cos_t, series: _Series, ws: _Workspace = None):
+    """The density (2/pi) sin^2 theta, times the ratio fac/(qp - 4 cos^2
+    theta), given sin theta and cos theta."""
+    shape = np.broadcast_shapes(np.shape(sin_t), np.shape(series.fac))
+    ws = _Workspace(shape) if ws is None else ws
+    [dens] = ws.take(shape)
+    np.multiply(2.0 / math.pi, sin_t, out=dens)
+    dens *= sin_t
     if series.fac is not None:
-        dens = dens * series.fac / (series.qp - 4.0 * cos_t * cos_t)
+        [den] = ws.take(shape)
+        np.multiply(4.0, cos_t, out=den)
+        den *= cos_t
+        dens *= series.fac
+        dens /= np.subtract(series.qp, den, out=den)
+        ws.give(den)
     return dens
 
 
-def _cdf_series(theta, sin_t, cos_t, series: _Series):
+def _cdf_series(theta, sin_t, cos_t, series: _Series, ws: _Workspace = None):
     """The local cdf theta/pi + sin(2 theta) b_1, given sin theta and cos theta.
 
     b_1 = sum_k a_k U_{k-1}(cos 2 theta), the sum of a_k sin(2 k theta) over
@@ -241,17 +286,30 @@ def _cdf_series(theta, sin_t, cos_t, series: _Series):
     - b_{k+2} (Clenshaw, MTAC 1955): three operations a term, into three
     buffers of the output's shape that the terms reuse.
     """
-    c = 2.0 - 4.0 * sin_t * sin_t
     *rest, last = series.coeffs
-    b1 = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(last)))
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(sin_t), np.shape(last))
+    ws = _Workspace(shape) if ws is None else ws
+    [c] = ws.take(np.shape(sin_t))
+    np.multiply(4.0, sin_t, out=c)
+    c *= sin_t
+    np.subtract(2.0, c, out=c)
+    b1, b2, t = ws.take(shape, 3)
     b1[...] = last
-    b2, t = np.zeros_like(b1), np.empty_like(b1)
+    b2.fill(0.0)
     for a in reversed(rest):
         np.multiply(c, b1, out=t)
         t -= b2
         t += a
         b1, b2, t = t, b1, b2
-    return theta / math.pi + 2.0 * sin_t * cos_t * b1
+    ws.give(c)
+    [out] = ws.take(shape)
+    np.multiply(2.0, sin_t, out=t)  # 2 sin cos b_1, then theta/pi plus it
+    t *= cos_t
+    t *= b1
+    np.divide(theta, math.pi, out=out)
+    out += t
+    ws.give(b1, b2, t)
+    return out
 
 
 def cdf(measure, theta):
@@ -267,7 +325,7 @@ def cdf(measure, theta):
     cdf(0) = 0 and cdf(pi) = 1.
     """
     t = _check_theta(theta)
-    return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))
+    return _cdf_series(t, np.sin(t), np.cos(t), _measure_series(measure))[()]
 
 
 def _cdf_norms(runs: list, theta) -> np.ndarray:
@@ -281,8 +339,17 @@ def _cdf_norms(runs: list, theta) -> np.ndarray:
     )
 
 
-def _guide_map(u):  # flat in the cubic tails of every cdf
-    return 0.5 * (1.0 + np.cbrt(u) - np.cbrt(1.0 - u))
+def _guide_map(u, ws: _Workspace = None):
+    """g(u) = (1 + cbrt u - cbrt(1 - u))/2, flat in the cubic tails of every cdf."""
+    shape = np.shape(u)
+    ws = _Workspace(shape) if ws is None else ws
+    g, tmp = ws.take(shape, 2)
+    np.cbrt(u, out=g)
+    g += 1.0
+    g -= np.cbrt(np.subtract(1.0, u, out=tmp), out=tmp)
+    g *= 0.5
+    ws.give(tmp)
+    return g
 
 
 def _guide(table: np.ndarray):
@@ -310,61 +377,117 @@ def _guide(table: np.ndarray):
     return lo.astype(np.int32).reshape(table.shape[:-1] + (n,)), walk
 
 
-def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u, slopes=None):
-    """Cell index idx with table[row, idx - 1] < u <= table[row, idx], clipped
-    to [1, n - 1], and those two values; rows broadcasts against u.  Given a
-    slope table of the table's shape, its two values at the cell ends follow."""
+def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u, slopes=None, ws=None):
+    """Cell index idx (int32) with table[row, idx - 1] < u <= table[row, idx],
+    clipped to [1, n - 1], and those two values; rows broadcasts against u.
+    Given a slope table of the table's shape, its two values at the cell ends
+    follow.  Every gather takes mode="clip", which writes into its out
+    directly (mode="raise" buffers it); the indices lie in range."""
     n = table.shape[-1]
     flat = table.ravel()
     base = rows * n
-    idx = guide.ravel()[base + ((n - 1) * _guide_map(u)).astype(np.intp)]
+    shape = np.broadcast_shapes(np.shape(rows), np.shape(u))
+    ws = _Workspace(shape) if ws is None else ws
+    g = _guide_map(u, ws)
+    g *= n - 1
+    [at], [idx] = ws.take(shape, 1, np.intp), ws.take(shape, 1, np.int32)
+    np.copyto(at, g, casting="unsafe")  # truncates, as astype(np.intp)
+    at += base
+    np.take(guide.ravel(), at, mode="clip", out=idx)
+    [step] = ws.take(shape, 1, np.bool_)
     for _ in range(walk):
-        idx += flat[base + idx] < u
-    at = base + idx
-    below = at - 1
-    if slopes is None:
-        return idx, flat[below], flat[at]
-    m = slopes.ravel()
-    return idx, flat[below], flat[at], m[below], m[at]
+        np.add(base, idx, out=at)
+        np.take(flat, at, mode="clip", out=g)
+        np.less(g, u, out=step)
+        idx += step
+    sources = (flat,) if slopes is None else (flat, slopes.ravel())
+    ends = ws.take(shape, 2 * len(sources))  # r_lo, r_hi[, m_lo, m_hi]
+    np.add(base, idx, out=at)
+    for src, hi in zip(sources, ends[1::2]):
+        np.take(src, at, mode="clip", out=hi)
+    at -= 1
+    for src, lo in zip(sources, ends[::2]):
+        np.take(src, at, mode="clip", out=lo)
+    ws.give(g, at, step)
+    return (idx, *ends)
 
 
-def _grid_rows(series: _Series):
+def _grid_rows(series: _Series, ws: _Workspace = None):
     """The cdf and the slopes 1/f on _GRID, one row per norm of `series`.  The
     slopes are 0 at both ends, where f vanishes and only tail cells, which
     read no slope, begin or end."""
-    table = _cdf_series(_GRID, _GRID_SIN, _GRID_COS, series)
-    slopes = np.zeros(table.shape)
-    np.divide(1.0, _density(_GRID_SIN[1:-1], _GRID_COS[1:-1], series), out=slopes[..., 1:-1])
+    shape = np.broadcast_shapes(_GRID.shape, np.shape(series.coeffs[-1]))
+    ws = _Workspace(shape) if ws is None else ws
+    table = _cdf_series(_GRID, _GRID_SIN, _GRID_COS, series, ws)
+    dens = _density(_GRID_SIN[1:-1], _GRID_COS[1:-1], series, ws)
+    [slopes] = ws.take(shape)
+    slopes[..., [0, -1]] = 0.0
+    np.divide(1.0, dens, out=slopes[..., 1:-1])
+    ws.give(dens)
     return table, slopes
 
 
-def _lerp(v, v0, v1, a, b):
-    return a + (v - v0) / np.maximum(v1 - v0, 1e-300) * (b - a)
+def _lerp(v, v0, v1, a, b, ws: _Workspace = None):
+    """The linear start a + (v - v0)/max(v1 - v0, 1e-300) (b - a)."""
+    shape = np.shape(v)
+    ws = _Workspace(shape) if ws is None else ws
+    out, tmp = ws.take(shape, 2)
+    np.subtract(v, v0, out=out)
+    out /= np.maximum(np.subtract(v1, v0, out=tmp), 1e-300, out=tmp)
+    out *= np.subtract(b, a, out=tmp)
+    out += a
+    ws.give(tmp)
+    return out
 
 
-def _hermite(u, r_lo, r_hi, m_lo, m_hi, lo):
+def _hermite(u, r_lo, r_hi, m_lo, m_hi, lo, ws: _Workspace):
     """Cubic Hermite inverse interpolation across the _GRID cells from lo,
     with slopes dtheta/du = m_lo, m_hi at the ends (Hormann & Leydold, ACM
     TOMACS 2003): the linear start lo + t _CELL, t the cell fraction of u,
     plus t (1 - t) ((1 - t) (h m_lo - _CELL) - t (h m_hi - _CELL)), where
     h = r_hi - r_lo."""
-    h = r_hi - r_lo
-    t = (u - r_lo) / h
-    s = 1.0 - t
-    return lo + t * (_CELL + s * (s * (h * m_lo - _CELL) - t * (h * m_hi - _CELL)))
+    h, t, s, theta = ws.take(u.shape, 4)
+    np.subtract(u, r_lo, out=t)
+    t /= np.subtract(r_hi, r_lo, out=h)
+    np.subtract(1.0, t, out=s)
+    np.multiply(h, m_lo, out=theta)  # s (h m_lo - _CELL)
+    theta -= _CELL
+    theta *= s
+    np.multiply(h, m_hi, out=h)  # t (h m_hi - _CELL)
+    h -= _CELL
+    h *= t
+    theta -= h
+    theta *= s
+    theta += _CELL
+    theta *= t
+    theta += lo
+    ws.give(h, t, s)
+    return theta
 
 
-def _newton(theta, u, lo, hi, series: _Series):
-    """One Newton step on cdf(theta) = u, clipped to [lo, hi] and skipped
-    where the density is below 1e-12."""
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    dens = _density(sin_t, cos_t, series)
-    resid = _cdf_series(theta, sin_t, cos_t, series) - u
-    step = np.where(dens > 1e-12, resid / np.maximum(dens, 1e-12), 0.0)
-    return np.clip(theta - step, lo, hi)
+def _newton(theta, u, lo, hi, series: _Series, ws: _Workspace = None):
+    """One Newton step on cdf(theta) = u, in place, clipped to [lo, hi] and
+    skipped where the density is below 1e-12."""
+    shape = theta.shape
+    ws = _Workspace(shape) if ws is None else ws
+    sin_t, cos_t = ws.take(shape, 2)
+    np.sin(theta, out=sin_t)
+    np.cos(theta, out=cos_t)
+    dens = _density(sin_t, cos_t, series, ws)
+    step = _cdf_series(theta, sin_t, cos_t, series, ws)
+    step -= u
+    [skip] = ws.take(shape, 1, np.bool_)
+    np.logical_not(np.greater(dens, 1e-12, out=skip), out=skip)  # np.where's test, negated
+    np.maximum(dens, 1e-12, out=dens)
+    step /= dens
+    np.copyto(step, 0.0, where=skip)
+    theta -= step
+    np.clip(theta, lo, hi, out=theta)
+    ws.give(sin_t, cos_t, dens, step, skip)
+    return theta
 
 
-def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None):
+def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None, *, ws: _Workspace):
     """Quantiles of u bracketed in the _GRID cells [_GRID[idx - 1], _GRID[idx]]
     of a cdf row whose values at the cell ends are r_lo and r_hi.
 
@@ -376,30 +499,54 @@ def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None):
     to the endpoint, the start is linear in the cube roots of u and of the row
     values (of 1 - u and 1 - row near pi), and two steps follow either way.
     Each step is clipped to the cell and its two neighbours, inside [0, pi].
+    theta is within 1e-12 rad of the root for u in [1e-11, 1 - 1e-5].
+
+    The bracket's arrays go back to ws, the workspace of _bracket, and the
+    angles come on one of its buffers.  Only the tail cells' arrays are new.
     """
-    lo = _GRID[idx - 1]
+    shape = u.shape
+    [at], [lo] = ws.take(shape, 1, np.intp), ws.take(shape)
+    np.subtract(idx, 1, out=at)
+    np.take(_GRID, at, mode="clip", out=lo)
+    ws.give(at)
     if m_lo is None:
-        theta = _lerp(u, r_lo, r_hi, lo, _GRID[idx])
+        [top] = ws.take(shape)
+        np.take(_GRID, idx, mode="clip", out=top)
+        theta = _lerp(u, r_lo, r_hi, lo, top, ws)
+        ws.give(top)
     else:
-        theta = _hermite(u, r_lo, r_hi, m_lo, m_hi, lo)
-    ends = np.nonzero((idx <= _TAIL_CELLS) | (idx >= _GRID.size - _TAIL_CELLS))
-    v, k, v_lo, v_hi = u[ends], idx[ends], r_lo[ends], r_hi[ends]
-    a, b = lo[ends], _GRID[k]
-    theta[ends] = np.where(
-        k <= _TAIL_CELLS,
-        _lerp(np.cbrt(v), np.cbrt(v_lo), np.cbrt(v_hi), a, b),
-        _lerp(np.cbrt(1.0 - v), np.cbrt(1.0 - v_hi), np.cbrt(1.0 - v_lo), b, a),
-    )
-    lo = np.take(_GRID, idx - 2, mode="clip")  # foot of the cell below, or 0
-    hi = np.take(_GRID, idx + 1, mode="clip")  # top of the cell above, or pi
-    theta = _newton(theta, u, lo, hi, series)
+        theta = _hermite(u, r_lo, r_hi, m_lo, m_hi, lo, ws)
+        ws.give(m_lo, m_hi)
+    tail, upper = ws.take(shape, 2, np.bool_)
+    np.less_equal(idx, _TAIL_CELLS, out=tail)
+    np.greater_equal(idx, _GRID.size - _TAIL_CELLS, out=upper)
+    tail |= upper
+    ends = np.nonzero(tail)
+    ws.give(tail, upper)
+    if ends[0].size:  # most tiles hit no tail cell
+        v, k, v_lo, v_hi = u[ends], idx[ends], r_lo[ends], r_hi[ends]
+        a, b = lo[ends], _GRID[k]
+        theta[ends] = np.where(
+            k <= _TAIL_CELLS,
+            _lerp(np.cbrt(v), np.cbrt(v_lo), np.cbrt(v_hi), a, b),
+            _lerp(np.cbrt(1.0 - v), np.cbrt(1.0 - v_hi), np.cbrt(1.0 - v_lo), b, a),
+        )
+    ws.give(r_lo, r_hi)
+    [at], [hi] = ws.take(shape, 1, np.intp), ws.take(shape)
+    np.subtract(idx, 2, out=at)
+    np.take(_GRID, at, mode="clip", out=lo)  # foot of the cell below, or 0
+    np.add(idx, 1, out=at)
+    np.take(_GRID, at, mode="clip", out=hi)  # top of the cell above, or pi
+    ws.give(at, idx)
+    theta = _newton(theta, u, lo, hi, series, ws)
     if m_lo is None:
-        theta = _newton(theta, u, lo, hi, series)
+        theta = _newton(theta, u, lo, hi, series, ws)
+    if ends[0].size:  # the tail cells' second step; u = 0 and u = 1 bracket there
         last = theta[ends]
-    else:
-        last = _newton(theta[ends], v, lo[ends], hi[ends], series.cells(u.shape, ends))
-    # u = 0 and u = 1 bracket in tail cells
-    theta[ends] = np.where(v == 0.0, 0.0, np.where(v == 1.0, math.pi, last))
+        if m_lo is not None:
+            last = _newton(last, v, lo[ends], hi[ends], series.cells(shape, ends))
+        theta[ends] = np.where(v == 0.0, 0.0, np.where(v == 1.0, math.pi, last))
+    ws.give(lo, hi)
     return theta
 
 
@@ -409,7 +556,7 @@ def quantile(measure, u):
     each end.
 
     |cdf(quantile(u)) - u| <= 1e-15 for every u in [0, 1], and for u in
-    [1e-12, 1 - 1e-5] the angle is within 1e-12 rad of the root.
+    [1e-11, 1 - 1e-5] the angle is within 1e-12 rad of the root.
     quantile(0) = 0 and quantile(1) = pi exactly.
     """
     u_arr = np.asarray(u, dtype=np.float64)
@@ -418,6 +565,7 @@ def quantile(measure, u):
     u_flat = np.atleast_1d(u_arr).ravel()
     series = _measure_series(measure)
     table, slopes = _grid_rows(series)
-    bracket = _bracket(table, *_guide(table), 0, u_flat, slopes)
-    theta = _invert(u_flat, series, *bracket)
+    ws = _Workspace(u_flat.shape)
+    bracket = _bracket(table, *_guide(table), 0, u_flat, slopes, ws)
+    theta = _invert(u_flat, series, *bracket, ws=ws)
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]

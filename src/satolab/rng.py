@@ -8,11 +8,13 @@ layout.  The mixer is the splitmix64 finalizer, whose output stream passes
 standard statistical batteries.
 
 The word at (key, counter) is _mix64(key + GOLDEN * (counter + 1)), built by
-_derive alone.  integers_at is the raw entry point: it takes the counter words
+_derive alone.  _derive and integers_at take the counter words
 GOLDEN * (counter + 1) precomputed by counter_words, so a caller that visits
 the same counters many times (the indicator tiles of every block) builds them
-once, and returns the top 53 bits k of each word as int64.  uniforms_at is
-k * 2^-53 and remains the only place bits become doubles.
+once.  The indicator tiles test the raw words themselves; integers_at returns
+their top 53 bits k as int64, and uniforms_at is k * 2^-53 and remains the
+only place bits become doubles.  Each takes output and scratch arrays, so a
+sampler tile draws into its block's workspace and allocates nothing.
 """
 from __future__ import annotations
 
@@ -25,14 +27,16 @@ _ROOT_SALT = np.uint64(0x5851F42D4C957F2D)
 _U53_SCALE = float(2.0**-53)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; avalanches all 64 bits of the uint64 z, in place."""
+def _mix64(z: np.ndarray, tmp: np.ndarray = None) -> np.ndarray:
+    """splitmix64 finalizer; avalanches all 64 bits of the uint64 z, in place,
+    with the shifted words in tmp (an array of z's shape; new if None)."""
+    tmp = np.empty_like(z) if tmp is None else tmp
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= _MIX_A
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= _MIX_B
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -42,10 +46,13 @@ def counter_words(counters) -> np.ndarray:
         return _GOLDEN * (np.asarray(counters).astype(np.uint64) + np.uint64(1))
 
 
-def _derive(key: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Stream words at (key, counter) for words = counter_words(counter), broadcast."""
+def _derive(key: np.ndarray, words: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Stream words at (key, counter) for words = counter_words(counter),
+    broadcast; given uint64 arrays out and tmp of the broadcast shape, the
+    words form in out and the mixer's shifts in tmp."""
     with np.errstate(over="ignore"):
-        return _mix64(np.asarray(key, dtype=np.uint64) + words)
+        z = np.add(np.asarray(key, dtype=np.uint64), words, out=out)
+    return _mix64(z, tmp)
 
 
 def root_key(seed: int) -> np.uint64:
@@ -62,24 +69,28 @@ def member_keys(seed: int, member_indices: np.ndarray) -> np.ndarray:
     return _derive(np.asarray(root_key(seed)), counter_words(idx))
 
 
-def integers_at(keys, words) -> np.ndarray:
+def integers_at(keys, words, out=None, tmp=None) -> np.ndarray:
     """53-bit integers k at (key, counter) for words = counter_words(counters).
 
     Broadcast like uniforms_at, as int64 (every k lies in [0, 2^53)); the
-    uniform at the same place is exactly k * 2^-53.
+    uniform at the same place is exactly k * 2^-53.  out and tmp are as in
+    _derive.
     """
-    bits = _derive(keys, words)
+    bits = _derive(keys, words, out, tmp)
     bits >>= np.uint64(11)
     return bits.view(np.int64)
 
 
-def uniforms_at(keys, counters) -> np.ndarray:
+def uniforms_at(keys, counters, out=None, bits=None) -> np.ndarray:
     """Uniform [0, 1) variates at (key, counter), broadcast over both arrays.
 
     The only place bits become doubles.  keys[None, :] against
-    counters[:, None] gives one row per counter.
+    counters[:, None] gives one row per counter.  Given a float64 out and a
+    uint64 bits of the broadcast shape, the words form in bits, the mixer's
+    shifts go into out, and the uniforms then replace them there.
     """
-    return integers_at(keys, counter_words(counters)) * _U53_SCALE
+    tmp = None if out is None else out.view(np.uint64)
+    return np.multiply(integers_at(keys, counter_words(counters), bits, tmp), _U53_SCALE, out=out)
 
 
 def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:

@@ -2,6 +2,9 @@
 identities, determinism contracts, and the trace-identity closed form."""
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -208,6 +211,16 @@ def test_invert_matrix_residual_at_rounding_level():
         assert np.max(np.abs(cdf(LocalMeasure(q), row) - u)) <= 1e-15, q
 
 
+def test_sampler_own_rows_are_quantile_bit_for_bit():
+    # the sampler's own rows and quantile run one set of kernels, on
+    # workspaces of a tile's and of the input's shape: the angles agree with ==
+    qs = np.array([2.0, 3.0, 4.0, 9.0, 49.0, 9973.0])
+    up = np.random.default_rng(25).random((qs.size, 50_000))
+    theta = _invert_matrix(_unit_inverter(qs), up)
+    for q, row, u in zip(qs, theta, up):
+        assert np.array_equal(row, quantile(LocalMeasure(q), u)), q
+
+
 def test_shared_row_inversion_agrees_with_quantile():
     # norms past 1e4 bracket in the limit law's row, off by up to 2.1e-5 in
     # F; their own two Newton steps keep angles at rounding level
@@ -217,14 +230,21 @@ def test_shared_row_inversion_agrees_with_quantile():
 
 
 # Tail inputs: a geometric grid in [1e-12, 1e-3], its mirror down to
-# 1 - 1e-5, and the extreme points.  Angles are compared with the oracle only
-# on [1e-12, 1 - 1e-5]; nearer the ends a cdf rounding error of 1e-16 moves
-# the root by more than 1e-12.
+# 1 - 1e-5, 400 points in [1e-11, 1e-9], where the oracle distance is
+# largest, and the extreme points.  Angles are compared with the oracle only
+# on [1e-11, 1 - 1e-5]: near theta = 0 the cdf's rounding, about 1e-20
+# against a density of 2e-8 at u = 1e-12, moves the root by up to 1.3e-12
+# below u = 3.5e-12, and by at most 7.2e-13 from 1e-11 up.
 _GEOM = np.geomspace(1e-12, 1e-3, 37)
 TAIL_US = np.concatenate(
-    [_GEOM, 1.0 - _GEOM[_GEOM >= 1e-5], [0.0, 1e-300, 1e-17, 2.0**-53, 1.0 - 2.0**-53, 1.0]]
+    [
+        _GEOM,
+        1.0 - _GEOM[_GEOM >= 1e-5],
+        np.geomspace(1e-11, 1e-9, 400),
+        [0.0, 1e-300, 1e-17, 2.0**-53, 1.0 - 2.0**-53, 1.0],
+    ]
 )
-_ANGLE_CHECKED = (TAIL_US >= 1e-12) & (TAIL_US <= 1.0 - 1e-5)
+_ANGLE_CHECKED = (TAIL_US >= 1e-11) & (TAIL_US <= 1.0 - 1e-5)
 # Just past 1e4, where norms first read the shared limit-law row, the Newton
 # start is furthest from the root.
 TAIL_QS = (2.0, 3.0, 9.0, 10007.0, 1e5, 1e8)
@@ -395,6 +415,41 @@ def test_smooth_block_memory_does_not_depend_on_x():
     low, high = (_peak_bytes(*_block(SMOOTH, x, 256)) for x in (1e4, 1e5))
     assert abs(high - low) <= 2**20, (low / 2**20, high / 2**20)
     assert max(low, high) <= 8 * 2**20, (low / 2**20, high / 2**20)
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from satolab.ensemble import EnsembleConfig, SmoothSpec, SmoothStatistic, _context, _member_values
+from satolab.number_field import FieldSpec, LevelSpec
+from satolab.rng import member_keys
+cfg = EnsembleConfig(
+    field=FieldSpec.real_quadratic(5), level=LevelSpec.empty(), x=1e4, size=4096, seed=9,
+    statistic=SmoothStatistic(phi=SmoothSpec(kind="gaussian", lam=1.0), M=4.0),
+)
+ctx = _context(cfg)
+for block in range(2):
+    keys = member_keys(cfg.seed, np.arange(2048 * block, 2048 * (block + 1), dtype=np.uint64))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _member_values(ctx, keys)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_smooth_block_minor_page_faults(tmp_path):
+    # a fresh process runs two 2,048-member smooth blocks at x = 1e4 and
+    # counts the minor page faults of the second.  With one workspace per
+    # block it reads 616 (704 at x = 1e5); when each tile allocated its
+    # temporaries anew and glibc gave them back to the kernel, 23,088
+    # (341,604 at x = 1e5).  The bound sits about 6x from both
+    src = os.path.dirname(os.path.dirname(ensemble.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.split()[-1])
+    assert faults <= 4000, faults
 
 
 def test_indicator_block_memory_does_not_depend_on_x():
