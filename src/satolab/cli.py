@@ -36,7 +36,6 @@ from .ensemble import (
 from .errors import ConfigError, ContractViolation
 from .measures import LocalMeasure, chebyshev_moment, moment_quadrature
 from .moments_engine import (
-    _POWER_GUARD,
     WeightVector,
     growth_bookkeeping,
     main_term_report,
@@ -487,10 +486,6 @@ def _run_theory(args) -> int:
         if config["m"] < 3:
             raise ConfigError("m", f"limit-law degree {config['m']} is below 3; raise M or x")
     m = config["m"]
-    if n * m > _POWER_GUARD:
-        raise ConfigError(
-            "m", f"n * M = {n} * {m} exceeds the exact-expansion guard {_POWER_GUARD}"
-        )
     pair = to_chebyshev(ArcInterval(*config["interval"]), m)
     rep = main_term_report(n, fs, x, pair, sign=sign)
     sums = variance_sum(pair)

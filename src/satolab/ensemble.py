@@ -470,11 +470,10 @@ def _context(config: EnsembleConfig) -> _Context:
     return _context_cached(config.field, config.level, config.x, config.statistic)
 
 
-def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray, ws: _Workspace = None):
+def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray, ws: _Workspace):
     """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
     series factors are `series`; rows before inv.shared read their slopes."""
     slopes = inv.slopes if rows.start < inv.shared else None
-    ws = _Workspace(u.shape) if ws is None else ws
     bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u, slopes, ws)
     return _invert(u, series, *bracket, ws=ws)
 

@@ -377,7 +377,7 @@ def _guide(table: np.ndarray):
     return lo.astype(np.int32).reshape(table.shape[:-1] + (n,)), walk
 
 
-def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u, slopes=None, ws=None):
+def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u, slopes, ws: _Workspace):
     """Cell index idx (int32) with table[row, idx - 1] < u <= table[row, idx],
     clipped to [1, n - 1], and those two values; rows broadcasts against u.
     Given a slope table of the table's shape, its two values at the cell ends
@@ -387,7 +387,6 @@ def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u, slopes=No
     flat = table.ravel()
     base = rows * n
     shape = np.broadcast_shapes(np.shape(rows), np.shape(u))
-    ws = _Workspace(shape) if ws is None else ws
     g = _guide_map(u, ws)
     g *= n - 1
     [at], [idx] = ws.take(shape, 1, np.intp), ws.take(shape, 1, np.int32)

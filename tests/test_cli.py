@@ -253,6 +253,11 @@ def test_theory_report(tmp_path):
         + rep["case_breakdown"]["case3"],
         rel=1e-12,
     )
+    # n = 8 at the limit-law degree of x = 3e6: M = 1,258, n * M = 10,064
+    argv = ["theory", "--field", "sqrt5", "--x", "3e6", "--interval", *QUARTER, "--n", "8"]
+    assert main(argv + ["--out", out]) == 0
+    rep = _read(os.path.join(out, "theory_report.json"))
+    assert (rep["n"], rep["m_used"]) == (8, 1258)
 
 
 def test_theory_with_weights_and_odd_order(tmp_path):
@@ -375,8 +380,6 @@ def test_config_error_exit_codes(tmp_path, capsys):
           "--interval", *QUARTER], "x"),
         (["primes", "--x", "10"], "x"),
         (["smooth", "--smooth-m", "0.5"], "smooth_m"),
-        # n * M beyond the exact-expansion guard is M's fault at n = 8
-        (["theory", "--x", "2000", "--interval", *QUARTER, "--M", "1300", "--n", "8"], "m"),
         # one past each size bound; none of these runs
         (["approx", "--interval", *QUARTER, "--M", "10001"], "m"),
         (["approx", "--interval", *QUARTER, "--grid", "16386"], "grid"),

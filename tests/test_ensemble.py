@@ -39,6 +39,7 @@ from satolab.errors import ConfigError
 from satolab.measures import (
     _GRID,
     LocalMeasure,
+    _Workspace,
     _bracket,
     _guide,
     _measure_series,
@@ -164,7 +165,8 @@ def _invert_matrix(inv, up):
     """Angles of a whole ideal-major uniform matrix, one bucket at a time."""
     theta = np.empty_like(up)
     for k0, k1, series in inv.buckets:
-        theta[k0:k1] = _angles(inv, slice(k0, k1), series, up[k0:k1])
+        u = up[k0:k1]
+        theta[k0:k1] = _angles(inv, slice(k0, k1), series, u, _Workspace(u.shape))
     return theta
 
 
@@ -290,7 +292,7 @@ def test_guide_bracket_matches_binary_search():
                 [0.0, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 1.0],
             ]
         )
-        got = _bracket(inv.cdf_table, inv.guide, inv.walk, row, u)
+        got = _bracket(inv.cdf_table, inv.guide, inv.walk, row, u, None, _Workspace(u.shape))
         want = searchsorted_bracket(table, u)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), row
