@@ -8,11 +8,11 @@ smooth weight of the normalized angle t = theta/pi (smooth mode).
 
 Determinism contract: every variate is a pure function of
 (seed, member_index, ideal_position), drawn in the tile of ideal rows that
-consumes it.  The indicator never forms the uniform u = k 2^-53: it tests
-the 53-bit integer k = word >> 11 against integer cut points
-K = ceil(F(a) 2^53) and H = floor(F(b) 2^53), as one unsigned range test on
-the raw 64-bit word (_range_test), and since scaling by 2^53 is exact,
-K <= k <= H holds exactly when F(a) <= u <= F(b).
+consumes it.  The indicator counts an ideal by one test of the raw word
+against the cut points of F(a) and F(b) (rng._range_test); the smooth
+statistic inverts the uniforms through the local measures' bracket tables
+(measures._angles).  Of the sampling, this module keeps only the tile loop
+(_member_values).
 
 Both statistics keep one memory rule: a block holds one workspace
 (measures._Workspace) of buffers of at most _TILE cells and one float64
@@ -39,20 +39,18 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import (
-    _GRID,
-    _bracket,
+    _TILE,
+    _angles,
     _cdf_norms,
     _expectations,
-    _grid_rows,
-    _guide,
-    _invert,
+    _Inverter,
+    _inverter,
     _local_tail_length,
     _norm_runs,
-    _Series,
     _Workspace,
 )
 from .number_field import FieldSpec, LevelSpec, _exact_sum, ideal_norms
-from .rng import _derive, counter_words, member_keys, uniforms_at
+from .rng import _cut_points, _derive, _range_test, counter_words, member_keys, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
 __all__ = [
@@ -67,16 +65,11 @@ __all__ = [
     "smooth_weight",
 ]
 
-# Members per work item, and cells per cache-sized tile of ideal rows whose
-# uniforms are drawn and consumed together; neither moves a bit of the output.
-_BLOCK, _TILE = 2048, 2**15
+# Members per work item; it moves no bit of the output.
+_BLOCK = 2048
 # Ideal rows per group added into the member totals, from each bucket's first
 # row; it fixes the summation order, so it moves the last bits of smooth output.
 _ROWS = 16
-# Norms past this bracket in one shared row, the limit law's cdf: every local
-# cdf lies within about 0.21/q of it, so each root stays within one cell of its
-# bracket; x = 1e4 keeps every norm's own row.
-_SHARED_Q = 1e4
 _GAUSS_TAIL_LOG = 34.6  # exp(-34.6) ~ 9e-16, keeps the dropped tail < 1e-12
 # Most shifts |m| a periodization may sum: past about 52 the gaussian weight
 # is flat in double precision, as exp(-pi^2/(lam M^2)) underflows.
@@ -272,36 +265,11 @@ def gaussian_moment(r: int) -> float:
 
 
 @dataclass
-class _Inverter:
-    """Bracket tables and series buckets of the smooth sampler.
-
-    Ideals come sorted by norm, and the series length never rises with the
-    norm, so each run of norms sharing a series length is a contiguous range
-    of ideal rows.  Ideal row j reads cdf, guide and slope row rows[j] on
-    _GRID: its norm's own row up to _SHARED_Q, the last row (the limit law's)
-    past it, from ideal row `shared` on.  buckets list (k0, k1, series) per
-    run, split at `shared`: ideal rows k0..k1 - 1 with their own series
-    factors as (k, 1) columns that broadcast over members, inverted in tiles
-    of about _TILE cells.  Rows before `shared` start from the slopes 1/f of
-    their own cdf and take one Newton step, the rest two (measures._invert).
-    walk is the longest that a guide row needs.
-    """
-
-    rows: np.ndarray
-    buckets: list
-    cdf_table: np.ndarray
-    guide: np.ndarray
-    walk: int
-    slopes: np.ndarray
-    shared: int
-
-
-@dataclass
 class _Context:
     """What the sampler needs of one (field, level, x, statistic).
 
     An indicator member counts ideal j when cut_lo[j] <= k <= cut_hi[j] for
-    its 53-bit integer k at counter j (see _cut_points); a smooth member
+    its 53-bit integer k at counter j (rng._cut_points); a smooth member
     inverts through `inverter` and weighs by `spec` at scale big_m.
     """
 
@@ -370,18 +338,7 @@ def _smooth_profile(spec: SmoothSpec, big_m: float, n_max: int):
     return coef_f, coef_g, (v if v >= 1e-12 * coef_g[0] else 0.0)
 
 
-def _cut_points(lo: np.ndarray, hi: np.ndarray):
-    """Integer cut points K = ceil(lo 2^53) and H = floor(hi 2^53), as int64.
-
-    A uniform is u = k 2^-53 for a 53-bit integer k, and scaling by 2^53 is
-    exact, so u >= lo exactly when k >= K and u <= hi exactly when k <= H.
-    int64 keeps a cut point below 0 (a cdf rounding to a tiny negative value
-    near theta = 0) or at 2^53 (a cdf rounding to 1.0) exact.
-    """
-    scale = 2.0**53
-    return np.ceil(lo * scale).astype(np.int64), np.floor(hi * scale).astype(np.int64)
-
-
+@lru_cache(maxsize=4)
 def _build_context(fs, level, x, statistic) -> _Context:
     norms = ideal_norms(fs, x, level)
     if not norms.size:
@@ -425,71 +382,8 @@ def _build_context(fs, level, x, statistic) -> _Context:
     )
 
 
-def _inverter(qs, counts, runs) -> _Inverter:
-    """Inverter for the ascending distinct norms qs and their runs
-    (_norm_runs); counts[i] ideals have norm qs[i]."""
-    own = int(np.searchsorted(qs, _SHARED_Q, side="right"))
-    # cdf, guide and slope rows of the norms up to _SHARED_Q in chunks of
-    # about _TILE cells, to bound the temporaries, then the limit law's row
-    step = max(1, _TILE // _GRID.size)
-    chunks = []
-    for i0, i1, s in runs:
-        for a in range(i0, min(i1, own), step):
-            b = min(a + step, i1, own)
-            chunks.append((a, b, s[a - i0 : b - i0]))
-    chunks.append((own, own + 1, _Series()))
-    table, slopes = np.empty((own + 1, _GRID.size)), np.empty((own + 1, _GRID.size))
-    guide, walk = np.empty(table.shape, dtype=np.int32), 0
-    ws = _Workspace((step, _GRID.size))
-    for a, b, s in chunks:
-        rows = _grid_rows(s, ws)
-        table[a:b], slopes[a:b] = rows
-        ws.give(*rows)
-        guide[a:b], w = _guide(table[a:b])
-        walk = max(walk, w)
-    # every thread reads the tables
-    table.flags.writeable = guide.flags.writeable = slopes.flags.writeable = False
-    norm_of = np.repeat(np.arange(counts.size), counts)
-    first = np.concatenate([[0], np.cumsum(counts)])  # first ideal row of each norm
-    shared = int(first[own])
-    buckets = [
-        (k0, k1, s[norm_of[k0:k1] - i0])
-        for i0, i1, s in runs
-        for k0, k1 in ((first[i0], min(first[i1], shared)), (max(first[i0], shared), first[i1]))
-        if k0 < k1
-    ]
-    return _Inverter(np.minimum(norm_of, own), buckets, table, guide, walk, slopes, shared)
-
-
-@lru_cache(maxsize=4)
-def _context_cached(fs, level, x, statistic) -> _Context:
-    return _build_context(fs, level, x, statistic)
-
-
 def _context(config: EnsembleConfig) -> _Context:
-    return _context_cached(config.field, config.level, config.x, config.statistic)
-
-
-def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray, ws: _Workspace):
-    """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
-    series factors are `series`; rows before inv.shared read their slopes."""
-    slopes = inv.slopes if rows.start < inv.shared else None
-    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u, slopes, ws)
-    return _invert(u, series, *bracket, ws=ws)
-
-
-def _range_test(cut_lo: np.ndarray, cut_hi: np.ndarray):
-    """The rows whose count can be nonzero, and their range test on the raw
-    64-bit word: K <= word >> 11 <= H exactly when (word - L) mod 2^64 <= W,
-    with L = K 2^11 and W = (H - K) 2^11 + 2047.  K is clipped to [0, 2^53]
-    and H to [-1, 2^53 - 1], which moves no count, and rows with H < K are
-    dropped; the rest have 0 <= K <= H < 2^53, so L + W < 2^64."""
-    k = np.clip(cut_lo, 0, 2**53)
-    h = np.clip(cut_hi, -1, 2**53 - 1)
-    rows = np.flatnonzero(k <= h)
-    low = k[rows].astype(np.uint64) << np.uint64(11)
-    width = ((h - k)[rows].astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
-    return rows, low[:, None], width[:, None]
+    return _build_context(config.field, config.level, config.x, config.statistic)
 
 
 def _add_groups(total: np.ndarray, phi: np.ndarray, ws: _Workspace):

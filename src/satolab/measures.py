@@ -19,9 +19,10 @@ tails: one gather into the n - 1 guide cells of an n-node row, then a walk
 of at most 2 steps.  In a norm's own row the start is cubic Hermite
 inverse interpolation with slopes 1/f from a slope table of the same
 shape (_grid_rows), and one Newton step follows.  The first and last 32
-cells start from cube-root interpolation and take two steps.  The sampler
-brackets every norm past 1e4 in one shared row, the cdf of
-LocalMeasure(math.inf), starts there linearly, and the norm's own two
+cells start from cube-root interpolation and take two steps.  The
+sampler's tables (_inverter) hold the own rows of the norms up to
+_SHARED_Q = 1e4 and one shared row, the cdf of LocalMeasure(math.inf),
+for every norm past it; there the start is linear, and the norm's own two
 Newton steps close the O(1/q) gap.  Each step is clipped to the bracketed
 cell and its two neighbours.  The series factors of a norm q are built
 once, from the scalar power q^{-n} (_powers): for one measure, or for a
@@ -35,9 +36,10 @@ density of 2e-8 at u = 1e-12, up to 1.3e-12 rad below u = 3.5e-12.
 Every kernel of the inverter (_bracket, _hermite, _lerp, _newton,
 _density, _cdf_series) writes into the arrays of a _Workspace, flat
 buffers reused by liveness, with every arithmetic step in the order of the
-plain expression it replaces.  The sampler keeps one workspace per block,
-so a tile allocates nothing but the arrays of its tail cells; cdf, density
-and quantile call the same kernels on a workspace sized to their input.
+plain expression it replaces.  The sampler keeps one workspace per block
+and inverts a tile of at most _TILE cells at a time (_angles), so a tile
+allocates nothing but the arrays of its tail cells; cdf, density and
+quantile call the same kernels on a workspace sized to their input.
 
 The same expansion gives local expectations: a function with the series
 sum_n c_n U_{2n}(cos theta) has E_q = sum_n c_n q^{-n}, which _expectations
@@ -66,7 +68,6 @@ __all__ = [
 # Geometric tail: terms with q^{ -n } below this are dropped from the CDF
 # series, giving absolute truncation error under 2e-14.
 _TAIL_EPS = 1e-14
-_TWO_PI = 2.0 * math.pi
 # Bracket grid of quantile and of the sampler, and its cell width.
 _GRID = np.linspace(0.0, math.pi, 4097)
 _GRID.flags.writeable = False
@@ -78,6 +79,14 @@ _GRID_SIN, _GRID_COS = np.sin(_GRID), np.cos(_GRID)
 _TAIL_CELLS = 32
 # Slack on the guide cell edges, far above the rounding error of _guide_map.
 _GUIDE_SLACK = 2.0**-40
+# Cells per cache-sized tile of ideal rows whose uniforms the sampler draws
+# and consumes together, and about the cells per chunk of the bracket tables;
+# neither moves a bit of the output.
+_TILE = 2**15
+# Norms past this bracket in one shared row, the limit law's cdf: every local
+# cdf lies within about 0.21/q of it, so each root stays within one cell of its
+# bracket; x = 1e4 keeps every norm's own row.
+_SHARED_Q = 1e4
 # Past q^n = e^690 (about 1e300) the term c_n w^n, w = 1/q, is about 1e-300
 # of c_n and no longer moves a row's value, so the Horner step for w^n
 # skips those rows.
@@ -200,23 +209,12 @@ class _Series:
     qp = fac = None (ratio 1).
     """
 
-    coeffs: tuple = (-1.0 / _TWO_PI,)
+    coeffs: tuple = (-1.0 / math.tau,)
     qp: object = None
     fac: object = None
 
     def __getitem__(self, rows):  # the factors of some rows of a column series
         return _Series(tuple(a[rows] for a in self.coeffs), self.qp[rows], self.fac[rows])
-
-    def cells(self, shape, at):
-        """The factors at the cells `at` (an np.nonzero tuple) of an array of
-        `shape` that the series broadcasts over."""
-        if self.fac is None:
-            return self
-
-        def pick(v):
-            return np.broadcast_to(v, shape)[at]
-
-        return _Series(tuple(map(pick, self.coeffs)), pick(self.qp), pick(self.fac))
 
 
 def _powers(q: float) -> list:
@@ -232,7 +230,7 @@ def _coeffs(powers) -> np.ndarray:
     powers = np.asarray(powers, dtype=np.float64)
     one = np.ones(powers.shape[:-1] + (1,))
     p = np.concatenate([one, powers, 0.0 * one], axis=-1)
-    return np.diff(p, axis=-1) / (_TWO_PI * np.arange(1, p.shape[-1]))
+    return np.diff(p, axis=-1) / (math.tau * np.arange(1, p.shape[-1]))
 
 
 def _measure_series(measure) -> _Series:
@@ -481,14 +479,16 @@ def _newton(theta, u, lo, hi, series: _Series, ws: _Workspace = None):
     step /= dens
     np.copyto(step, 0.0, where=skip)
     theta -= step
-    np.clip(theta, lo, hi, out=theta)
+    np.maximum(theta, lo, out=theta)  # np.clip's bits but for NaN and -0.0, about 4x faster
+    np.minimum(theta, hi, out=theta)
     ws.give(sin_t, cos_t, dens, step, skip)
     return theta
 
 
 def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None, *, ws: _Workspace):
     """Quantiles of u bracketed in the _GRID cells [_GRID[idx - 1], _GRID[idx]]
-    of a cdf row whose values at the cell ends are r_lo and r_hi.
+    of a cdf row whose values at the cell ends are r_lo and r_hi.  Node i of
+    _GRID is i _CELL bit for bit, so the cell ends are products, not gathers.
 
     Given the slopes m_lo and m_hi (1/f at the cell ends, _grid_rows), the
     row is the cdf of `series` itself: the start is cubic Hermite inverse
@@ -504,13 +504,12 @@ def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None, *, ws: _W
     angles come on one of its buffers.  Only the tail cells' arrays are new.
     """
     shape = u.shape
-    [at], [lo] = ws.take(shape, 1, np.intp), ws.take(shape)
-    np.subtract(idx, 1, out=at)
-    np.take(_GRID, at, mode="clip", out=lo)
-    ws.give(at)
+    [lo] = ws.take(shape)
+    np.subtract(idx, 1.0, out=lo)
+    lo *= _CELL
     if m_lo is None:
         [top] = ws.take(shape)
-        np.take(_GRID, idx, mode="clip", out=top)
+        np.multiply(idx, _CELL, out=top)
         theta = _lerp(u, r_lo, r_hi, lo, top, ws)
         ws.give(top)
     else:
@@ -524,26 +523,29 @@ def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None, *, ws: _W
     ws.give(tail, upper)
     if ends[0].size:  # most tiles hit no tail cell
         v, k, v_lo, v_hi = u[ends], idx[ends], r_lo[ends], r_hi[ends]
-        a, b = lo[ends], _GRID[k]
+        a, b = lo[ends], k * _CELL
         theta[ends] = np.where(
             k <= _TAIL_CELLS,
             _lerp(np.cbrt(v), np.cbrt(v_lo), np.cbrt(v_hi), a, b),
             _lerp(np.cbrt(1.0 - v), np.cbrt(1.0 - v_hi), np.cbrt(1.0 - v_lo), b, a),
         )
     ws.give(r_lo, r_hi)
-    [at], [hi] = ws.take(shape, 1, np.intp), ws.take(shape)
-    np.subtract(idx, 2, out=at)
-    np.take(_GRID, at, mode="clip", out=lo)  # foot of the cell below, or 0
-    np.add(idx, 1, out=at)
-    np.take(_GRID, at, mode="clip", out=hi)  # top of the cell above, or pi
-    ws.give(at, idx)
+    [hi] = ws.take(shape)
+    np.subtract(idx, 2.0, out=lo)  # foot of the cell below, or 0
+    np.maximum(lo, 0.0, out=lo)
+    lo *= _CELL
+    np.add(idx, 1.0, out=hi)  # top of the cell above, or pi
+    np.minimum(hi, _GRID.size - 1, out=hi)
+    hi *= _CELL
+    ws.give(idx)
     theta = _newton(theta, u, lo, hi, series, ws)
     if m_lo is None:
         theta = _newton(theta, u, lo, hi, series, ws)
     if ends[0].size:  # the tail cells' second step; u = 0 and u = 1 bracket there
         last = theta[ends]
-        if m_lo is not None:
-            last = _newton(last, v, lo[ends], hi[ends], series.cells(shape, ends))
+        if m_lo is not None:  # a column series' factors are (rows, 1) columns
+            cut = series if np.ndim(series.fac) < 2 else series[ends[0], 0]
+            last = _newton(last, v, lo[ends], hi[ends], cut)
         theta[ends] = np.where(v == 0.0, 0.0, np.where(v == 1.0, math.pi, last))
     ws.give(lo, hi)
     return theta
@@ -568,3 +570,72 @@ def quantile(measure, u):
     bracket = _bracket(table, *_guide(table), 0, u_flat, slopes, ws)
     theta = _invert(u_flat, series, *bracket, ws=ws)
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]
+
+
+@dataclass
+class _Inverter:
+    """Bracket tables and series buckets of the smooth sampler.
+
+    Ideals come sorted by norm, and the series length never rises with the
+    norm, so each run of norms sharing a series length is a contiguous range
+    of ideal rows.  Ideal row j reads cdf, guide and slope row rows[j] on
+    _GRID: its norm's own row up to _SHARED_Q, the last row (the limit law's)
+    past it, from ideal row `shared` on.  buckets list (k0, k1, series) per
+    run, split at `shared`: ideal rows k0..k1 - 1 with their own series
+    factors as (k, 1) columns that broadcast over members, inverted in tiles
+    of about _TILE cells.  Rows before `shared` start from the slopes 1/f of
+    their own cdf and take one Newton step, the rest two (_invert).  walk is
+    the longest that a guide row needs.
+    """
+
+    rows: np.ndarray
+    buckets: list
+    cdf_table: np.ndarray
+    guide: np.ndarray
+    walk: int
+    slopes: np.ndarray
+    shared: int
+
+
+def _inverter(qs, counts, runs) -> _Inverter:
+    """Inverter for the ascending distinct norms qs and their runs
+    (_norm_runs); counts[i] ideals have norm qs[i]."""
+    own = int(np.searchsorted(qs, _SHARED_Q, side="right"))
+    # cdf, guide and slope rows of the norms up to _SHARED_Q in chunks of
+    # about _TILE cells, to bound the temporaries, then the limit law's row
+    step = max(1, _TILE // _GRID.size)
+    chunks = []
+    for i0, i1, s in runs:
+        for a in range(i0, min(i1, own), step):
+            b = min(a + step, i1, own)
+            chunks.append((a, b, s[a - i0 : b - i0]))
+    chunks.append((own, own + 1, _Series()))
+    table, slopes = np.empty((own + 1, _GRID.size)), np.empty((own + 1, _GRID.size))
+    guide, walk = np.empty(table.shape, dtype=np.int32), 0
+    ws = _Workspace((step, _GRID.size))
+    for a, b, s in chunks:
+        rows = _grid_rows(s, ws)
+        table[a:b], slopes[a:b] = rows
+        ws.give(*rows)
+        guide[a:b], w = _guide(table[a:b])
+        walk = max(walk, w)
+    # every thread reads the tables
+    table.flags.writeable = guide.flags.writeable = slopes.flags.writeable = False
+    norm_of = np.repeat(np.arange(counts.size), counts)
+    first = np.concatenate([[0], np.cumsum(counts)])  # first ideal row of each norm
+    shared = int(first[own])
+    buckets = [
+        (k0, k1, s[norm_of[k0:k1] - i0])
+        for i0, i1, s in runs
+        for k0, k1 in ((first[i0], min(first[i1], shared)), (max(first[i0], shared), first[i1]))
+        if k0 < k1
+    ]
+    return _Inverter(np.minimum(norm_of, own), buckets, table, guide, walk, slopes, shared)
+
+
+def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray, ws: _Workspace):
+    """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
+    series factors are `series`; rows before inv.shared read their slopes."""
+    slopes = inv.slopes if rows.start < inv.shared else None
+    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u, slopes, ws)
+    return _invert(u, series, *bracket, ws=ws)

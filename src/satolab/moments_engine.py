@@ -51,10 +51,6 @@ class ZSeries:
         if self.series.coeffs[0] != 0.0:
             raise ValueError("constant Chebyshev coefficient must vanish")
 
-    @property
-    def degree(self) -> int:
-        return self.series.degree
-
     @classmethod
     def from_extremal(cls, pair: ExtremalPair, sign: str = "plus") -> "ZSeries":
         coeffs = (pair.f_plus if sign == "plus" else pair.f_minus).coeffs.copy()
@@ -154,7 +150,7 @@ def _distinct_tuple_sum(parts: tuple, block_sum) -> float:
 
     Collapsing a block of positions onto one ideal carries the Moebius
     factor (-1)^(|B|-1) (|B|-1)!; block_sum(multiset) is the power sum of
-    one block over the ideals, as _block_summer builds it.  A set
+    one block over the ideals, as _main_term_kernel builds it.  A set
     partition's term depends only on its sequence of block multisets, so
     each sequence of _block_orders is multiplied out once, in block order,
     and enters the one fsum as many times as set partitions give it: the
@@ -170,32 +166,21 @@ def _distinct_tuple_sum(parts: tuple, block_sum) -> float:
     return math.fsum(terms)
 
 
-def _block_summer(row, counts: np.ndarray):
-    """Cached block sums sum_q counts[q] prod_{r in multiset} row(r)[q] over
-    the distinct norms, each exact and correctly rounded."""
-
-    @lru_cache(maxsize=None)
-    def block_sum(multiset: tuple) -> float:
-        prod = row(multiset[0])
-        for r in multiset[1:]:
-            prod = prod * row(r)
-        return _exact_sum(counts * prod)
-
-    return block_sum
-
-
 @lru_cache(maxsize=1)
 def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
     """(ideal count, block_sum) for the last (field, bound, level, Z
     coefficients) asked for; one entry, so a process holds at most the rows
-    of one call.  The local profile row(r) of Z^r and each block sum are
-    built once, as an order first needs them, with Z^r = Z^(r-1) Z as
-    z_power_coeffs builds it, so every order reads the bits a fresh call
-    would compute.  The caches are lru_caches, so threads may share them."""
+    of one call.  The local profile row(r) of Z^r and each block sum
+    sum_q counts[q] prod_{r in multiset} row(r)[q] over the distinct norms,
+    exact and correctly rounded, are built once, as an order first needs
+    them, with Z^r = Z^(r-1) Z as z_power_coeffs builds it, so every order
+    reads the bits a fresh call would compute.  The caches are lru_caches,
+    so threads may share them."""
     norms = ideal_norms(fs, bound, level)
     if not norms.size:
         raise ValueError("no prime ideals of norm <= x")
     qs, counts = np.unique(norms, return_counts=True)
+    counts = counts.astype(np.float64)
     z = ChebyshevSeries(np.frombuffer(z_bytes).copy())
 
     @lru_cache(maxsize=None)
@@ -206,7 +191,14 @@ def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
     def row(r: int) -> np.ndarray:
         return _expectations(power(r).coeffs[::2], 1.0 / qs)
 
-    return int(norms.size), _block_summer(row, counts.astype(np.float64))
+    @lru_cache(maxsize=None)
+    def block_sum(multiset: tuple) -> float:
+        prod = row(multiset[0])
+        for r in multiset[1:]:
+            prod = prod * row(r)
+        return _exact_sum(counts * prod)
+
+    return int(norms.size), block_sum
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,16 @@ The word at (key, counter) is _mix64(key + GOLDEN * (counter + 1)), built by
 _derive alone.  _derive and integers_at take the counter words
 GOLDEN * (counter + 1) precomputed by counter_words, so a caller that visits
 the same counters many times (the indicator tiles of every block) builds them
-once.  The indicator tiles test the raw words themselves; integers_at returns
-their top 53 bits k as int64, and uniforms_at is k * 2^-53 and remains the
-only place bits become doubles.  Each takes output and scratch arrays, so a
-sampler tile draws into its block's workspace and allocates nothing.
+once.  integers_at returns the top 53 bits k = word >> 11 as int64, and
+uniforms_at is u = k * 2^-53 and remains the only place bits become doubles.
+Each takes output and scratch arrays, so a sampler tile draws into its
+block's workspace and allocates nothing.
+
+The indicator tiles never form u: they test k against integer cut points
+K = ceil(F(a) 2^53) and H = floor(F(b) 2^53) (_cut_points), as one unsigned
+range test on the raw 64-bit word (_range_test), and since scaling by 2^53
+is exact, K <= k <= H holds exactly when F(a) <= u <= F(b).  So this module
+alone knows how a word becomes k and u.
 """
 from __future__ import annotations
 
@@ -104,3 +110,28 @@ def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)[:, None]
     return uniforms_at(keys, np.arange(count, dtype=np.uint64)[None, :])
 
+
+def _cut_points(lo: np.ndarray, hi: np.ndarray):
+    """Integer cut points K = ceil(lo 2^53) and H = floor(hi 2^53), as int64.
+
+    A uniform is u = k 2^-53 for a 53-bit integer k, and scaling by 2^53 is
+    exact, so u >= lo exactly when k >= K and u <= hi exactly when k <= H.
+    int64 keeps a cut point below 0 (a cdf rounding to a tiny negative value
+    near theta = 0) or at 2^53 (a cdf rounding to 1.0) exact.
+    """
+    scale = 2.0**53
+    return np.ceil(lo * scale).astype(np.int64), np.floor(hi * scale).astype(np.int64)
+
+
+def _range_test(cut_lo: np.ndarray, cut_hi: np.ndarray):
+    """The rows whose count can be nonzero, and their range test on the raw
+    64-bit word: K <= word >> 11 <= H exactly when (word - L) mod 2^64 <= W,
+    with L = K 2^11 and W = (H - K) 2^11 + 2047.  K is clipped to [0, 2^53]
+    and H to [-1, 2^53 - 1], which moves no count, and rows with H < K are
+    dropped; the rest have 0 <= K <= H < 2^53, so L + W < 2^64."""
+    k = np.clip(cut_lo, 0, 2**53)
+    h = np.clip(cut_hi, -1, 2**53 - 1)
+    rows = np.flatnonzero(k <= h)
+    low = k[rows].astype(np.uint64) << np.uint64(11)
+    width = ((h - k)[rows].astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
+    return rows, low[:, None], width[:, None]

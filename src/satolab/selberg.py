@@ -41,7 +41,6 @@ __all__ = [
     "variance_sum",
 ]
 
-_TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CircleInterval:
@@ -77,7 +76,7 @@ class ArcInterval:
         object.__setattr__(self, "b", b)
 
     def to_circle(self) -> CircleInterval:
-        return CircleInterval(self.a / _TWO_PI, self.b / _TWO_PI)
+        return CircleInterval(self.a / math.tau, self.b / math.tau)
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ def to_chebyshev(I: ArcInterval, M: int) -> ExtremalPair:
 
 def mu_infty_interval(I: ArcInterval) -> float:
     """Sato-Tate mass of the arc: (b-a)/pi - (sin 2b - sin 2a)/(2 pi)."""
-    return (I.b - I.a) / math.pi - (math.sin(2 * I.b) - math.sin(2 * I.a)) / _TWO_PI
+    return (I.b - I.a) / math.pi - (math.sin(2 * I.b) - math.sin(2 * I.a)) / math.tau
 
 
 class VarianceSums(NamedTuple):

@@ -1,4 +1,5 @@
 """Reference implementations that the tests compare the program against."""
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,6 +171,21 @@ def block_order_counts(parts: tuple) -> dict:
         blocks = tuple(tuple(sorted(parts[i] for i in block)) for block in sigma)
         counts[blocks] = counts.get(blocks, 0) + 1
     return counts
+
+
+def block_summer(row, counts: np.ndarray):
+    """Block sums sum_q counts[q] prod_{r in multiset} row(r)[q], by
+    math.fsum, for a row(r) and counts given as arrays: the bits of the
+    block sums of moments_engine._main_term_kernel.  Cached by multiset."""
+
+    @functools.lru_cache(maxsize=None)
+    def block_sum(multiset: tuple) -> float:
+        prod = row(multiset[0])
+        for r in multiset[1:]:
+            prod = prod * row(r)
+        return math.fsum((counts * prod).tolist())
+
+    return block_sum
 
 
 def walked_tuple_sum(parts: tuple, block_sum) -> float:

@@ -17,15 +17,11 @@ from oracles import bisection_quantile, searchsorted_bracket, trace_identity_che
 from satolab import ensemble
 from satolab.chebyshev import simpson_quadrature
 from satolab.ensemble import (
-    _SHARED_Q,
     EnsembleConfig,
     IndicatorStatistic,
     SmoothSpec,
     SmoothStatistic,
-    _angles,
     _context,
-    _cut_points,
-    _inverter,
     _jackknife_se,
     _ks_to_normal,
     _member_values,
@@ -38,10 +34,13 @@ from satolab.ensemble import (
 from satolab.errors import ConfigError
 from satolab.measures import (
     _GRID,
+    _SHARED_Q,
     LocalMeasure,
     _Workspace,
+    _angles,
     _bracket,
     _guide,
+    _inverter,
     _measure_series,
     _norm_runs,
     cdf,
@@ -55,7 +54,7 @@ from satolab.number_field import (
     ideal_norms,
     split_prime,
 )
-from satolab.rng import member_keys, uniforms_at
+from satolab.rng import _cut_points, member_keys, uniforms_at
 from satolab.selberg import ArcInterval
 
 Q5 = FieldSpec.real_quadratic(5)
@@ -215,9 +214,13 @@ def test_invert_matrix_residual_at_rounding_level():
 
 def test_sampler_own_rows_are_quantile_bit_for_bit():
     # the sampler's own rows and quantile run one set of kernels, on
-    # workspaces of a tile's and of the input's shape: the angles agree with ==
-    qs = np.array([2.0, 3.0, 4.0, 9.0, 49.0, 9973.0])
-    up = np.random.default_rng(25).random((qs.size, 50_000))
+    # workspaces of a tile's and of the input's shape: the angles agree with ==.
+    # Random u reach the 32 tail cells at about 3e-6 per end, so TAIL_US
+    # joins each row: there the second step reads a column series' factors,
+    # in buckets of two rows at 47, 49 and at 9967, 9973
+    qs = np.array([2.0, 3.0, 4.0, 9.0, 47.0, 49.0, 9967.0, 9973.0])
+    draws = np.random.default_rng(25).random((qs.size, 50_000))
+    up = np.concatenate([draws, np.tile(TAIL_US, (qs.size, 1))], axis=1)
     theta = _invert_matrix(_unit_inverter(qs), up)
     for q, row, u in zip(qs, theta, up):
         assert np.array_equal(row, quantile(LocalMeasure(q), u)), q

@@ -1,5 +1,6 @@
 """Static checks of the package source: every imported name is used, every
-private module-level name is read somewhere in the package, nothing in it
+private module-level name is read somewhere in the package and bound in
+one module only, so a constant has one home that the others import, nothing in it
 imports scipy, which only the tests and the benchmark need, nothing in it
 reads the environment, so flags and config files are the only knobs, and
 nothing in it imports threading: its caches are lru_caches, which threads
@@ -34,10 +35,34 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def private_definitions(tree) -> list:
+    """(line, name) for each private module-level function, class or
+    constant (a name with one leading underscore) that the module binds."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [(node.lineno, node.name)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [
+                (n.lineno, n.id)
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            continue
+        found += [
+            (line, name)
+            for line, name in defined
+            if name.startswith("_") and not name.startswith("__")
+        ]
+    return found
+
+
 def unread_private_names(sources: dict) -> list:
-    """(module, line, name) for each private module-level function, class or
-    constant (a name with one leading underscore) of the modules in `sources`
-    that no module reads, by name or as an attribute."""
+    """(module, line, name) for each private module-level name of the
+    modules in `sources` that no module reads, by name or as an attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -46,27 +71,22 @@ def unread_private_names(sources: dict) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    found = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [(node.lineno, node.name)]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [
-                    (n.lineno, n.id)
-                    for target in targets
-                    for n in ast.walk(target)
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
-                ]
-            else:
-                continue
-            found += [
-                (module, line, name)
-                for line, name in defined
-                if name.startswith("_") and not name.startswith("__") and name not in read
-            ]
-    return sorted(found)
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for line, name in private_definitions(tree)
+        if name not in read
+    )
+
+
+def private_names_bound_twice(sources: dict) -> dict:
+    """{name: modules} for each private module-level name that more than one
+    of the modules in `sources` binds; importing a name does not bind it."""
+    homes = {}
+    for module, source in sources.items():
+        for _, name in private_definitions(ast.parse(source)):
+            homes.setdefault(name, set()).add(module)
+    return {name: sorted(ms) for name, ms in homes.items() if len(ms) > 1}
 
 
 def test_unused_imports_oracle():
@@ -111,6 +131,21 @@ def test_unread_private_names_oracle():
 def test_package_reads_every_private_name():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_private_names_bound_twice_oracle():
+    sources = {
+        "a.py": "_A = 1\n_A = 2\n_B: int = 3\ndef _f():\n    _C = 4\n_G.flags = 0\n",
+        "b.py": "from .a import _A\n_B = 5\nclass _f:\n    pass\n_G = 6\n",
+        "c.py": "__all__ = []\n_B, _D = 7, 8\n",
+    }
+    want = {"_B": ["a.py", "b.py", "c.py"], "_f": ["a.py", "b.py"]}
+    assert private_names_bound_twice(sources) == want
+
+
+def test_package_binds_each_private_name_once():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert private_names_bound_twice(sources) == {}
 
 
 def environment_reads(source: str) -> list:

@@ -9,6 +9,8 @@ from oracles import full_horner, long_double_cdf, smooth_power_coeffs
 from satolab.chebyshev import eval_U, simpson_quadrature
 from satolab.ensemble import SmoothSpec, smooth_weight
 from satolab.measures import (
+    _CELL,
+    _GRID,
     LocalMeasure,
     _cdf_series,
     _expectations,
@@ -151,6 +153,11 @@ def test_cdf_monotone():
     for measure in [MU, LocalMeasure(2), LocalMeasure(17)]:
         vals = cdf(measure, thetas)
         assert np.all(np.diff(vals) >= 0.0)
+
+
+def test_grid_nodes_are_cell_multiples():
+    # the inverter forms its cell ends as i _CELL, not by gathers from _GRID
+    assert np.array_equal(_GRID, np.arange(4097) * _CELL)
 
 
 def test_quantile_roundtrip():

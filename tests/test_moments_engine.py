@@ -18,6 +18,7 @@ from scipy.special import expi
 
 from oracles import (
     block_order_counts,
+    block_summer,
     cumulant_main_terms,
     full_horner,
     set_partitions,
@@ -37,7 +38,7 @@ from satolab.moments_engine import (
 )
 from satolab import moments_engine
 from satolab.measures import _expectations
-from satolab.moments_engine import _block_orders, _block_summer, _distinct_tuple_sum, _ei
+from satolab.moments_engine import _block_orders, _distinct_tuple_sum, _ei
 from satolab.number_field import (
     FieldSpec,
     LevelSpec,
@@ -131,7 +132,7 @@ def test_distinct_tuple_sum_matches_brute_force():
         for r in f_rows
     }
     for parts in [(2,), (1, 1), (2, 1), (3, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:
-        got = _distinct_tuple_sum(parts, _block_summer(f_rows.__getitem__, counts))
+        got = _distinct_tuple_sum(parts, block_summer(f_rows.__getitem__, counts))
         want = 0.0
         for tup in itertools.permutations(range(len(per_site[1])), len(parts)):
             prod = 1.0
@@ -156,7 +157,7 @@ def test_grouped_tuple_sum_is_bitwise_the_walk():
     for scale in (1.0, 1e-3, 1e3):
         counts = rng.integers(1, 4, size=50).astype(np.float64)
         f_rows = {r: scale * rng.normal(size=50) for r in range(1, 9)}
-        block_sum = _block_summer(f_rows.__getitem__, counts)
+        block_sum = block_summer(f_rows.__getitem__, counts)
         for n in range(1, 9):
             for p in partitions_of(n):
                 want = walked_tuple_sum(p.parts, block_sum)
@@ -184,7 +185,7 @@ def test_shared_block_cache_matches_fresh_cache_sums():
                 p.parts,
                 classify_partition(p.parts),
                 float(p.weight)
-                * _distinct_tuple_sum(p.parts, _block_summer(f_rows.__getitem__, counts))
+                * _distinct_tuple_sum(p.parts, block_summer(f_rows.__getitem__, counts))
                 / scale,
             )
             for p in partitions_of(n)
@@ -278,9 +279,9 @@ def test_sweep_builds_each_block_sum_once():
     assert moments_engine._main_term_kernel.cache_info().misses == 1
 
 
-def test_guard_holds_with_lower_orders_cached():
-    # n * M = 8 * 1300 > 10,000: order 8, built on the cached orders 1..7,
-    # reads the cold bits
+def test_order_on_cached_lower_orders_matches_cold_call():
+    # order 8 at M = 1300, built on the cached powers, rows and block sums of
+    # orders 1..7, reads the bits of a cold call, and so does order 7
     pair = to_chebyshev(ARC, 1300)
     fs = FieldSpec.rationals()
     moments_engine._main_term_kernel.cache_clear()
@@ -342,7 +343,7 @@ def test_moebius_route_reproduces_powers():
     for n in range(1, 7):
         acc = [
             float(p.weight)
-            * _distinct_tuple_sum(p.parts, _block_summer(f_rows.__getitem__, counts))
+            * _distinct_tuple_sum(p.parts, block_summer(f_rows.__getitem__, counts))
             for p in partitions_of(n)
         ]
         assert math.fsum(acc) == pytest.approx(float(np.sum(v)) ** n, rel=1e-11)
@@ -352,7 +353,6 @@ def test_z_series_construction():
     pair = to_chebyshev(ARC, 10)
     z = ZSeries.from_extremal(pair, "plus")
     assert z.series.coeffs[0] == 0.0
-    assert z.degree == 10
     assert z.source == "plus"
     zm = ZSeries.from_extremal(pair, "minus")
     assert zm.series.coeffs[0] == 0.0
