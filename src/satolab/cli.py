@@ -62,6 +62,7 @@ from .selberg import (
 
 _SANDWICH_SLACK = 1e-9
 _CSV_BLOCK = 1 << 16
+_MAX_THREADS = 64  # each worker holds one sampler block's workspace
 
 
 def _plain(obj):
@@ -338,8 +339,8 @@ def _emit(args, config: dict, report_name: str, report: dict, table: tuple = Non
 
 
 def _threads(args) -> int:
-    if args.threads < 1:
-        raise ConfigError("threads", "thread count must be >= 1")
+    if not 1 <= args.threads <= _MAX_THREADS:
+        raise ConfigError("threads", f"thread count must lie in 1..{_MAX_THREADS}")
     return args.threads
 
 

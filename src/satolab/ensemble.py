@@ -9,10 +9,10 @@ smooth weight of the normalized angle t = theta/pi (smooth mode).
 Determinism contract: every variate is a pure function of
 (seed, member_index, ideal_position), drawn in the tile of ideal rows that
 consumes it.  The indicator counts an ideal by one test of the raw word
-against the cut points of F(a) and F(b) (rng._range_test); the smooth
-statistic inverts the uniforms through the local measures' bracket tables
-(measures._angles).  Of the sampling, this module keeps only the tile loop
-(_member_values).
+against the cut points of F(a) and F(b), built once per context
+(rng._range_test); the smooth statistic inverts the uniforms through the
+local measures' bracket tables (measures._angles).  Of the sampling, this
+module keeps only the tile loop (_member_values).
 
 Both statistics keep one memory rule: a block holds one workspace
 (measures._Workspace) of buffers of at most _TILE cells and one float64
@@ -21,12 +21,13 @@ bracket, the start, the Newton steps, the cdf series, smooth_weight and the
 group sums) writes into the workspace with out=, so a tile allocates only
 arrays the size of its tail-cell subset (and np.interp's results for a
 custom phi).  A smooth block peaks at 11 buffers, 2.75 MiB, an indicator
-block at 3, 0.75 MiB.  The workspace belongs to one _member_values call, so
-to one block on one thread.  Each group of _ROWS ideal rows from its
-bucket's first row adds its per-member count or weight sum to the totals in
-row order.  _ROWS fixes that order and _TILE only sizes tiles; member values
-go into an array indexed by member and only then into moments, so reports
-are bit-identical under any blocking, tiling or thread count.
+block at 3, 0.75 MiB (by tracemalloc 0.9 MiB for 2,048 members at x = 1e5
+and 1e6 alike).  The workspace belongs to one _member_values call, so to
+one block on one thread.  Each group of _ROWS ideal rows from its bucket's
+first row adds its per-member count or weight sum to the totals in row
+order.  _ROWS fixes that order and _TILE only sizes tiles; member values go
+into an array indexed by member and only then into moments, so reports are
+bit-identical under any blocking, tiling or thread count.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from .measures import (
     _Workspace,
 )
 from .number_field import FieldSpec, LevelSpec, _exact_sum, ideal_norms
-from .rng import _cut_points, _derive, _range_test, counter_words, member_keys, uniforms_at
+from .rng import _derive, _range_test, member_keys, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
 __all__ = [
@@ -268,9 +269,10 @@ def gaussian_moment(r: int) -> float:
 class _Context:
     """What the sampler needs of one (field, level, x, statistic).
 
-    An indicator member counts ideal j when cut_lo[j] <= k <= cut_hi[j] for
-    its 53-bit integer k at counter j (rng._cut_points); a smooth member
-    inverts through `inverter` and weighs by `spec` at scale big_m.
+    An indicator member counts the ideal at row i of words, low and width,
+    the rows that rng._range_test keeps, when (w - low[i]) mod 2^64 <=
+    width[i] for its word w there; a smooth member inverts through
+    `inverter` and weighs by `spec` at scale big_m.
     """
 
     pi_L_x: int
@@ -278,8 +280,9 @@ class _Context:
     scale: float
     mean_model: float
     variance_model: float
-    cut_lo: np.ndarray = None
-    cut_hi: np.ndarray = None
+    words: np.ndarray = None
+    low: np.ndarray = None
+    width: np.ndarray = None
     inverter: _Inverter = None
     spec: SmoothSpec = None
     big_m: float = 0.0
@@ -353,15 +356,16 @@ def _build_context(fs, level, x, statistic) -> _Context:
         mu = mu_infty_interval(interval)
         a_u, b_u = _cdf_norms(runs, [interval.a, interval.b]).T
         mass = b_u - a_u
-        cut_lo, cut_hi = _cut_points(a_u, b_u)
+        words, low, width = _range_test(np.repeat(a_u, counts), np.repeat(b_u, counts))
         return _Context(
             pi_L_x=count,
             center=count * mu,
             scale=math.sqrt(count * max(mu * (1.0 - mu), 0.0)),
             mean_model=_exact_sum(counts * mass),
             variance_model=_exact_sum(counts * mass * (1.0 - mass)),
-            cut_lo=np.repeat(cut_lo, counts),
-            cut_hi=np.repeat(cut_hi, counts),
+            words=words,
+            low=low,
+            width=width,
         )
 
     spec = statistic.phi
@@ -407,12 +411,7 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
     """Statistics for the members keyed by `keys`, one tile of ideal rows at
     a time, every tile on one workspace of the largest tile's size."""
     inv, members = ctx.inverter, keys.size
-    if inv is None:  # indicator
-        rows, low, width = _range_test(ctx.cut_lo, ctx.cut_hi)
-        words = counter_words(rows)[:, None]
-        buckets = [(0, rows.size, None)]
-    else:
-        buckets = inv.buckets
+    buckets = [(0, ctx.words.size, None)] if inv is None else inv.buckets
     total, row = np.zeros(members), keys[None, :]
     step = max(1, _TILE // (_ROWS * members)) * _ROWS
     tally = np.min_scalar_type(step)  # the narrowest count of a tile's rows
@@ -423,11 +422,11 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
             shape = (s.stop - s.start, members)
             if inv is None:  # whole counts, exact in float64 below 2^53
                 bits, tmp = ws.take(shape, 2, np.uint64)
-                _derive(row, words[s], bits, tmp)
+                _derive(row, ctx.words[s], bits, tmp)
                 ws.give(tmp)
-                bits -= low[s]
+                bits -= ctx.low[s]
                 [inside], [count] = ws.take(shape, 1, np.bool_), ws.take((members,), 1, tally)
-                np.less_equal(bits, width[s], out=inside)
+                np.less_equal(bits, ctx.width[s], out=inside)
                 total += np.add.reduce(inside.view(np.uint8), axis=0, dtype=tally, out=count)
                 ws.give(bits, inside, count)
                 continue

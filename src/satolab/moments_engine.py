@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -69,19 +68,19 @@ class Partition:
     """
 
     parts: tuple
-    weight: Fraction
+    weight: int
 
 
-def _partition_weight(parts: tuple) -> Fraction:
+def _partition_weight(parts: tuple) -> int:
     n = sum(parts)
-    w = Fraction(math.factorial(n))
+    w = math.factorial(n)
     for r in parts:
-        w /= math.factorial(r)
+        w //= math.factorial(r)
     mult = {}
     for r in parts:
         mult[r] = mult.get(r, 0) + 1
     for m in mult.values():
-        w /= math.factorial(m)
+        w //= math.factorial(m)
     return w
 
 

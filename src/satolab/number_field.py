@@ -266,9 +266,11 @@ class _IdealTable(NamedTuple):
 @lru_cache(maxsize=8)
 def _ideal_table(fs: FieldSpec, bound: int) -> _IdealTable:
     norm, p, label, f, code = _split_columns(fs, primes_up_to(bound))
-    keep = norm <= bound
-    order = np.lexsort((label[keep], p[keep], norm[keep]))
-    columns = [c[keep][order] for c in (norm, p, label, f, code)]
+    # equal norms have equal p (a norm is p or p^2), and _split_columns emits
+    # each split pair in label order, so a stable sort by norm keeps (p, label)
+    at = np.flatnonzero(norm <= bound)
+    at = at[np.argsort(norm[at], kind="stable")]
+    columns = [c[at] for c in (norm, p, label, f, code)]
     columns.append(columns[0].astype(np.float64))
     for c in columns:
         c.flags.writeable = False

@@ -16,11 +16,10 @@ uniforms_at is u = k * 2^-53 and remains the only place bits become doubles.
 Each takes output and scratch arrays, so a sampler tile draws into its
 block's workspace and allocates nothing.
 
-The indicator tiles never form u: they test k against integer cut points
-K = ceil(F(a) 2^53) and H = floor(F(b) 2^53) (_cut_points), as one unsigned
-range test on the raw 64-bit word (_range_test), and since scaling by 2^53
-is exact, K <= k <= H holds exactly when F(a) <= u <= F(b).  So this module
-alone knows how a word becomes k and u.
+The indicator tiles never form u: _range_test turns each pair F(a), F(b)
+into integer cut points on k (exact, as scaling by 2^53 is) and those into
+one unsigned range test on the raw 64-bit word, with the counter words of
+the rows it keeps.  So this module alone knows how a word becomes k and u.
 """
 from __future__ import annotations
 
@@ -111,27 +110,25 @@ def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:
     return uniforms_at(keys, np.arange(count, dtype=np.uint64)[None, :])
 
 
-def _cut_points(lo: np.ndarray, hi: np.ndarray):
-    """Integer cut points K = ceil(lo 2^53) and H = floor(hi 2^53), as int64.
+def _range_test(lo: np.ndarray, hi: np.ndarray):
+    """The test lo <= u <= hi on the raw 64-bit word, one (lo, hi) pair per
+    counter row: the counter words, L and W of the rows whose count can be
+    nonzero, each as one column.
 
-    A uniform is u = k 2^-53 for a 53-bit integer k, and scaling by 2^53 is
-    exact, so u >= lo exactly when k >= K and u <= hi exactly when k <= H.
-    int64 keeps a cut point below 0 (a cdf rounding to a tiny negative value
-    near theta = 0) or at 2^53 (a cdf rounding to 1.0) exact.
+    A uniform is u = k 2^-53 for the 53-bit integer k = word >> 11, and
+    scaling by 2^53 is exact, so u >= lo exactly when k >= K = ceil(lo 2^53)
+    and u <= hi exactly when k <= H = floor(hi 2^53).  int64 keeps a cut
+    point below 0 (a cdf rounding to a tiny negative value near theta = 0)
+    or at 2^53 (a cdf rounding to 1.0) exact.  K is clipped to [0, 2^53]
+    and H to [-1, 2^53 - 1], which moves no count, and rows with H < K are
+    dropped; the rest have 0 <= K <= H < 2^53.  Then K <= word >> 11 <= H
+    exactly when (word - L) mod 2^64 <= W, with L = K 2^11 and
+    W = (H - K) 2^11 + 2047, and L + W < 2^64.
     """
     scale = 2.0**53
-    return np.ceil(lo * scale).astype(np.int64), np.floor(hi * scale).astype(np.int64)
-
-
-def _range_test(cut_lo: np.ndarray, cut_hi: np.ndarray):
-    """The rows whose count can be nonzero, and their range test on the raw
-    64-bit word: K <= word >> 11 <= H exactly when (word - L) mod 2^64 <= W,
-    with L = K 2^11 and W = (H - K) 2^11 + 2047.  K is clipped to [0, 2^53]
-    and H to [-1, 2^53 - 1], which moves no count, and rows with H < K are
-    dropped; the rest have 0 <= K <= H < 2^53, so L + W < 2^64."""
-    k = np.clip(cut_lo, 0, 2**53)
-    h = np.clip(cut_hi, -1, 2**53 - 1)
+    k = np.ceil(lo * scale).astype(np.int64).clip(0, 2**53)
+    h = np.floor(hi * scale).astype(np.int64).clip(-1, 2**53 - 1)
     rows = np.flatnonzero(k <= h)
     low = k[rows].astype(np.uint64) << np.uint64(11)
     width = ((h - k)[rows].astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
-    return rows, low[:, None], width[:, None]
+    return counter_words(rows)[:, None], low[:, None], width[:, None]

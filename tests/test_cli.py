@@ -644,9 +644,10 @@ def test_docs_list_the_schema():
                 assert key.check is not None and key.check(value) == inside, (where, value)
 
 
-def test_threads_below_one_name_threads(tmp_path, monkeypatch, capsys):
+def test_threads_outside_bounds_name_threads(tmp_path, monkeypatch, capsys):
+    # 1,500 members are one block, so --threads 65 would start one worker
     out = str(tmp_path)
-    for bad in ("0", "-1"):
+    for bad in ("0", "-1", "65"):
         assert _run_clt(out, ["--threads", bad]) == 2
         assert "'threads'" in capsys.readouterr().err
     # only --threads sets the worker count, so the environment changes nothing

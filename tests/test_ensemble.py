@@ -54,7 +54,7 @@ from satolab.number_field import (
     ideal_norms,
     split_prime,
 )
-from satolab.rng import _cut_points, member_keys, uniforms_at
+from satolab.rng import _range_test, counter_words, member_keys, uniforms_at
 from satolab.selberg import ArcInterval
 
 Q5 = FieldSpec.real_quadratic(5)
@@ -458,17 +458,23 @@ def test_smooth_block_minor_page_faults(tmp_path):
 
 
 def test_indicator_block_memory_does_not_depend_on_x():
-    # one 2,048-member block at x = 1e5 (9,590 ideals) holds tile-sized
-    # uniforms and one count per member; the whole uniform matrix peaked at 450 MB
-    peak = _peak_bytes(*_block(IndicatorStatistic(QUARTER_ARC), 1e5, 2048))
-    assert peak <= 16 * 2**20, peak / 2**20
+    # 2,048-member blocks at x = 1e5 (9,590 ideals) and 1e6 (78,510 ideals)
+    # hold tile-sized words and one count per member.  When each block built
+    # its own range test they peaked at 1.19 and 3.59 MiB, and the whole
+    # uniform matrix at 1e5 at 450 MB
+    statistic = IndicatorStatistic(QUARTER_ARC)
+    low, high = (_peak_bytes(*_block(statistic, x, 2048)) for x in (1e5, 1e6))
+    assert abs(high - low) <= 2**20, (low / 2**20, high / 2**20)
+    assert max(low, high) <= 16 * 2**20, (low / 2**20, high / 2**20)
 
 
 def test_indicator_thresholds_match_scalar_cdf():
-    # the context's cut points, built by one series call per series length,
-    # are ceil/floor of the scalar cdf times 2^53 for every ideal.  The arcs
-    # reach the ends of [0, pi]: cdf(0) = 0, cdf(pi) = 1, a cdf below 0 near
-    # theta = 0 (cut point -1), and cdf(pi - 1e-6) rounding to 1.0 (2^53)
+    # the context's range test, built by one series call per series length,
+    # holds the rows with K <= H for K = ceil and H = floor of the scalar cdf
+    # times 2^53 at every ideal, clipped to [0, 2^53] and [-1, 2^53 - 1],
+    # with L >> 11 = K and (L + W) >> 11 = H.  The arcs reach the ends of
+    # [0, pi]: cdf(0) = 0, cdf(pi) = 1, a cdf below 0 near theta = 0 (cut
+    # point -1), and cdf(pi - 1e-6) rounding to 1.0 (cut point 2^53)
     norms = np.array([p.norm for p in enumerate_prime_ideals(Q5, 1e5)], dtype=np.float64)
     qs, at = np.unique(norms, return_inverse=True)
     scalar = {}
@@ -480,34 +486,45 @@ def test_indicator_thresholds_match_scalar_cdf():
                 scalar[t] = [float(cdf(LocalMeasure(q), t)) for q in qs]
         want_lo = np.array([math.ceil(f * 2**53) for f in scalar[a]])[at]
         want_hi = np.array([math.floor(f * 2**53) for f in scalar[b]])[at]
-        assert np.array_equal(ctx.cut_lo, want_lo), (a, b)
-        assert np.array_equal(ctx.cut_hi, want_hi), (a, b)
+        big_k, big_h = want_lo.clip(0, 2**53), want_hi.clip(-1, 2**53 - 1)
+        kept = np.flatnonzero(big_k <= big_h)
+        low, width = ctx.low[:, 0], ctx.width[:, 0]
+        assert np.array_equal(ctx.words[:, 0], counter_words(kept)), (a, b)
+        assert np.array_equal((low >> np.uint64(11)).astype(np.int64), big_k[kept]), (a, b)
+        top = ((low + width) >> np.uint64(11)).astype(np.int64)
+        assert np.array_equal(top, big_h[kept]), (a, b)
         if b == 1e-9:
-            assert ctx.cut_hi.min() == -1
+            assert want_hi.min() == -1 and kept.size < at.size
         if a == math.pi - 1e-6:
-            assert np.all(ctx.cut_lo == 2**53)
+            assert np.all(want_lo == 2**53) and ctx.words.size == 0
             assert not np.any(_member_values(ctx, keys))
 
 
 def test_integer_cut_points_decide_as_float_comparison():
-    # u = k 2^-53 lies in [lo, hi] exactly when K <= k <= H, for thresholds
-    # on the 2^-53 grid, between grid points, below 0 and above 1, and for k
-    # at and next to both cut points, at the ends of [0, 2^53) and at random
+    # on a raw 64-bit word with random low 11 bits, the range test holds
+    # exactly when u = (word >> 11) 2^-53 lies in [lo, hi], for thresholds
+    # on the 2^-53 grid, between grid points, below 0 and above 1, and for
+    # u at and next to both thresholds, at the ends of [0, 1) and at random;
+    # a row the test drops holds no u at all
     rng = np.random.default_rng(53)
     special = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0, -1e-26, 1.0 + 2.0**-52])
     grid = np.concatenate([special, rng.random(30), rng.random(30) * (1.0 - 2.0**-40)])
     thresholds = np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)])
     lo, hi = (t.ravel() for t in np.meshgrid(thresholds, thresholds))
-    big_k, big_h = _cut_points(lo, hi)
-    near = [c + d for c in (big_k, big_h) for d in (-1, 0, 1)]
-    ends = [np.zeros_like(big_k), np.ones_like(big_k), np.full_like(big_k, 2**53 - 1)]
+    words, low, width = _range_test(lo, hi)
+    kept = np.flatnonzero(np.isin(counter_words(np.arange(lo.size)), words))
+    assert np.array_equal(counter_words(kept), words[:, 0])
+    near = [np.floor(t * 2.0**53).astype(np.int64) + d for t in (lo, hi) for d in (-1, 0, 1, 2)]
+    ends = [np.zeros(lo.size, np.int64), np.ones(lo.size, np.int64), np.full(lo.size, 2**53 - 1)]
     k = np.column_stack([*near, *ends, rng.integers(0, 2**53, size=(lo.size, 8))])
     k = k.clip(0, 2**53 - 1)
+    raw = (k.astype(np.uint64) << np.uint64(11)) | rng.integers(0, 2048, k.shape, np.uint64)
+    by_word = np.zeros(k.shape, dtype=bool)
+    by_word[kept] = raw[kept] - low <= width
     u = k * 2.0**-53
-    by_int = (k >= big_k[:, None]) & (k <= big_h[:, None])
     by_float = (u >= lo[:, None]) & (u <= hi[:, None])
-    assert np.array_equal(by_int, by_float)
-    assert by_int.any() and not by_int.all()
+    assert np.array_equal(by_word, by_float)
+    assert by_word.any() and not by_word.all()
 
 
 def test_exact_mean_and_variance_oracle():
