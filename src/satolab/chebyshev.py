@@ -84,10 +84,7 @@ def eval_U(n: int, theta) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    out = _eval_u_at(n, _u_nodes(_check_theta(theta)))
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return out[()] if out.ndim == 0 else float(out)
-    return out
+    return _eval_u_at(n, _u_nodes(_check_theta(theta)))[()]
 
 
 def _u_nodes(t: np.ndarray) -> tuple:

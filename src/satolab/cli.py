@@ -347,8 +347,7 @@ def _threads(args) -> int:
 # ---------------------------------------------------------------- approx
 
 
-def _run_approx(args) -> int:
-    config = _resolve("approx", args)
+def _run_approx(args, config: dict) -> int:
     interval = ArcInterval(*config["interval"])
     m, grid = config["m"], config["grid"]
     pair = to_chebyshev(interval, m)
@@ -396,8 +395,7 @@ def _run_approx(args) -> int:
 # --------------------------------------------------------------- measures
 
 
-def _run_measures(args) -> int:
-    config = _resolve("measures", args)
+def _run_measures(args, config: dict) -> int:
     q, max_m, points = config["q"], config["max_m"], config["points"]
     measure = LocalMeasure(q)
     rows = []
@@ -417,8 +415,7 @@ def _run_measures(args) -> int:
 # ----------------------------------------------------------------- primes
 
 
-def _run_primes(args) -> int:
-    config = _resolve("primes", args)
+def _run_primes(args, config: dict) -> int:
     fs = FieldSpec.from_name(config["field"])
     x = config["x"]
     table = _outside(fs, x, LevelSpec.above_primes(fs, config["exclude_primes"]))
@@ -440,8 +437,7 @@ def _run_primes(args) -> int:
 # -------------------------------------------------------------------- clt
 
 
-def _run_clt(args) -> int:
-    echo = _resolve("clt", args)
+def _run_clt(args, echo: dict) -> int:
     fs = FieldSpec.from_name(echo["field"])
     stat = echo["statistic"]
     if stat["kind"] == "indicator":
@@ -478,8 +474,7 @@ def _run_clt(args) -> int:
 # ------------------------------------------------------------------ theory
 
 
-def _run_theory(args) -> int:
-    config = _resolve("theory", args)
+def _run_theory(args, config: dict) -> int:
     fs = FieldSpec.from_name(config["field"])
     x, n, sign, weights = config["x"], config["n"], config["sign"], config["weights"]
     if config["m"] == 0:
@@ -524,8 +519,7 @@ def _run_theory(args) -> int:
 # ------------------------------------------------------------------ smooth
 
 
-def _run_smooth(args) -> int:
-    config = _resolve("smooth", args)
+def _run_smooth(args, config: dict) -> int:
     statistic = _smooth_statistic(config, "smooth_m")
     spec, big_m = statistic.phi, statistic.M
     ts = np.linspace(0.0, 1.0, config["points"])
@@ -565,7 +559,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _RUNNERS[args.subcommand](args)
+        return _RUNNERS[args.subcommand](args, _resolve(args.subcommand, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

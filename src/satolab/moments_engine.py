@@ -9,6 +9,7 @@ hypothesis under which the sampled trace terms are negligible.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,10 +77,7 @@ def _partition_weight(parts: tuple) -> int:
     w = math.factorial(n)
     for r in parts:
         w //= math.factorial(r)
-    mult = {}
-    for r in parts:
-        mult[r] = mult.get(r, 0) + 1
-    for m in mult.values():
+    for m in Counter(parts).values():
         w //= math.factorial(m)
     return w
 
@@ -230,17 +228,11 @@ def main_term_report(
     z = ZSeries.from_extremal(pair, sign)
     size, block_sum = _main_term_kernel(fs, _bound(x), level, z.series.coeffs.tobytes())
     scale = float(size) ** (n / 2.0)
-    case_totals = {1: 0.0, 2: 0.0, 3: 0.0}
-    case_parts = {1: [], 2: [], 3: []}
-    detail = []
-    for partition in partitions_of(int(n)):
-        tuple_sum = _distinct_tuple_sum(partition.parts, block_sum)
-        value = float(partition.weight) * tuple_sum / scale
-        label = classify_partition(partition.parts)
-        case_parts[label].append(value)
-        detail.append((partition.parts, label, value))
-    for label, vals in case_parts.items():
-        case_totals[label] = math.fsum(vals)
+    terms = []
+    for p in partitions_of(int(n)):
+        value = float(p.weight) * _distinct_tuple_sum(p.parts, block_sum) / scale
+        terms.append((p.parts, classify_partition(p.parts), value))
+    case_totals = {c: math.fsum(v for _, case, v in terms if case == c) for c in (1, 2, 3)}
     total = math.fsum(case_totals.values())
     return MainTermReport(
         n=int(n),
@@ -249,7 +241,7 @@ def main_term_report(
         pi_L_x=size,
         total=total,
         case_totals=case_totals,
-        partition_terms=tuple(detail),
+        partition_terms=tuple(terms),
     )
 
 
@@ -305,23 +297,20 @@ def _ei(x: float) -> float:
     return math.fsum([_EULER_GAMMA, math.log(x), *terms])
 
 
-def _pi_L_value(fs: FieldSpec, x, level: LevelSpec = None) -> float:
+def _pi_L_value(fs: FieldSpec, x) -> float:
     """pi_L by enumeration in exact range, prime-ideal-theorem li(x) beyond."""
     xf = float(x)
     if xf <= _EXACT_PI_L_CUTOFF:
-        return float(pi_L(fs, xf, level))
-    est = _ei(math.log(xf))
-    if level is not None:
-        est -= sum(1 for ideal in level.excluded if ideal.norm <= xf)
-    return est
+        return float(pi_L(fs, xf))
+    return _ei(math.log(xf))
 
 
-def limit_law_m(fs: FieldSpec, x, level: LevelSpec = None) -> int:
+def limit_law_m(fs: FieldSpec, x) -> int:
     """Expansion degree floor(sqrt(pi_L(x)) loglog x) used in the limit law."""
     xf = float(x)
     if xf < 16.0:
         raise ValueError("x must be at least 16")
-    count = _pi_L_value(fs, xf, level)
+    count = _pi_L_value(fs, xf)
     return int(math.floor(math.sqrt(count) * math.log(math.log(xf))))
 
 
@@ -343,7 +332,6 @@ class GrowthReport:
 def growth_bookkeeping(
     x,
     weights: WeightVector,
-    level: LevelSpec = None,
     fs: FieldSpec = None,
     n: int = 2,
 ) -> GrowthReport:
@@ -369,8 +357,8 @@ def growth_bookkeeping(
     short_sum = math.fsum(weights.log_ks[: d - 1]) if d > 1 else 0.0
     m_short = int(math.floor(2.0 * d * short_sum / (3.0 * log_x)))
     m_full = int(math.floor(2.0 * d * weights.sum_log / (3.0 * log_x)))
-    count = _pi_L_value(fs, xf, level)
-    m_thm = limit_law_m(fs, xf, level)
+    count = _pi_L_value(fs, xf)
+    m_thm = limit_law_m(fs, xf)
     ln10 = math.log(10.0)
     log10_budget = (
         2.0 * n * math.log10(max(m_thm, 1))

@@ -10,12 +10,12 @@ bound feeds the ideal-counting function pi_L(x) and the partial sums
 the second being the closed form of sum_{r >= 2} N^{-r}.
 
 The ideals of norm <= x are held as one column table per (field, bound):
-int64 columns norm, p, label and f and a split-type code, sorted by
-(norm, p, label) and built in array passes from the sieve and one
+int64 columns norm and p, int8 columns label and f and a split-type code,
+sorted by (norm, p, label) and built in array passes from the sieve and one
 vectorized Kronecker symbol (Euler's criterion by square-and-multiply on
 int64 arrays for odd p, the disc mod 8 rule for p = 2).  _outside(fs, x,
 level) is the one place a level applies: it removes the excluded ideals by
-matching (norm, p, label, f) and returns the table's read-only rows.
+matching (norm, label) and returns the table's read-only rows.
 ideal_norms reads its float64 norm column, which pi_L, the moment main
 terms and the sampler use; the primes subcommand writes its columns; and
 enumerate_prime_ideals builds PrimeIdeal tuples from them on each call.
@@ -98,7 +98,7 @@ def _kronecker(disc: int, primes: np.ndarray) -> np.ndarray:
     all primes at once.
     """
     disc = int(disc)
-    small = primes.size == 0 or (int(np.max(primes)) <= _INT64_ROOT and abs(disc) < 2**62)
+    small = primes.size == 0 or int(np.max(primes)) <= _INT64_ROOT
     p = primes.astype(np.int64 if small else object)
     r = np.remainder(disc, p)
     e = (p - 1) // 2
@@ -232,16 +232,16 @@ def _split_columns(fs: FieldSpec, primes: np.ndarray) -> tuple:
     """Columns (norm, p, label, f, split-type code) of the ideals above the
     ascending primes, in (p, label) order."""
     if fs.degree == 1:
-        ones = np.ones(primes.size, dtype=np.int64)
+        ones = np.ones(primes.size, dtype=np.int8)
         return primes, primes, ones - 1, ones, np.full(primes.size, _RATIONAL, np.int8)
     sym = _kronecker(fs.discriminant, primes)
     copies = np.where(sym == 1, 2, 1)
     p, sym = np.repeat(primes, copies), np.repeat(sym, copies)
-    label = np.zeros(p.size, dtype=np.int64)
+    label = np.zeros(p.size, dtype=np.int8)
     label[1:] = p[1:] == p[:-1]  # the second conjugate of a split prime
     inert = sym == -1
     code = np.select([sym == 1, inert], [_SPLIT, _INERT], _RAMIFIED).astype(np.int8)
-    return np.where(inert, p * p, p), p, label, np.where(inert, 2, 1), code
+    return np.where(inert, p * p, p), p, label, np.where(inert, 2, 1).astype(np.int8), code
 
 
 def _prime_ideals(columns) -> list:
@@ -286,23 +286,19 @@ def _bound(x) -> int:
 
 def _outside(fs: FieldSpec, x, level: LevelSpec = None) -> _IdealTable:
     """The table of the prime ideals of norm <= x without the level's
-    excluded ideals, matched on (norm, p, label, f); its columns are
-    read-only."""
+    excluded ideals; its columns are read-only.
+
+    An excluded ideal is matched on the one key 2 norm + label.  A norm is
+    either a prime or the square of a prime, never both, so (norm, label)
+    names one ideal; for a PrimeIdeal from split_prime, norm = p^f, so p and
+    f follow from the norm.  Excluded ideals of norm past the table are
+    skipped (their norm may be past int64)."""
     table = _ideal_table(fs, _bound(x))
     if level is None or not level.excluded:
         return table
-    keep = np.ones(table.norm.size, dtype=bool)
     top = int(table.norm[-1]) if table.norm.size else 0
-    for ideal in level.excluded:
-        if ideal.norm > top:  # past the table, and perhaps past int64
-            continue
-        lo, hi = np.searchsorted(table.norm, [ideal.norm, ideal.norm + 1])
-        same = (
-            (table.p[lo:hi] == ideal.p)
-            & (table.label[lo:hi] == ideal.label)
-            & (table.f[lo:hi] == ideal.f)
-        )
-        keep[lo + np.flatnonzero(same)] = False
+    keys = [2 * ideal.norm + ideal.label for ideal in level.excluded if ideal.norm <= top]
+    keep = ~np.isin(2 * table.norm + table.label, keys)
     columns = [c[keep] for c in table]
     for c in columns:
         c.flags.writeable = False

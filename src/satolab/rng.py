@@ -8,13 +8,12 @@ layout.  The mixer is the splitmix64 finalizer, whose output stream passes
 standard statistical batteries.
 
 The word at (key, counter) is _mix64(key + GOLDEN * (counter + 1)), built by
-_derive alone.  _derive and integers_at take the counter words
-GOLDEN * (counter + 1) precomputed by counter_words, so a caller that visits
-the same counters many times (the indicator tiles of every block) builds them
-once.  integers_at returns the top 53 bits k = word >> 11 as int64, and
-uniforms_at is u = k * 2^-53 and remains the only place bits become doubles.
-Each takes output and scratch arrays, so a sampler tile draws into its
-block's workspace and allocates nothing.
+_derive alone.  _derive takes the counter words GOLDEN * (counter + 1)
+precomputed by counter_words, so a caller that visits the same counters many
+times (the indicator tiles of every block) builds them once.  uniforms_at is
+the one place a word becomes the top 53 bits k = word >> 11 and the uniform
+u = k * 2^-53; it takes output and scratch arrays, so a sampler tile draws
+into its block's workspace and allocates nothing.
 
 The indicator tiles never form u: _range_test turns each pair F(a), F(b)
 into integer cut points on k (exact, as scaling by 2^53 is) and those into
@@ -74,18 +73,6 @@ def member_keys(seed: int, member_indices: np.ndarray) -> np.ndarray:
     return _derive(np.asarray(root_key(seed)), counter_words(idx))
 
 
-def integers_at(keys, words, out=None, tmp=None) -> np.ndarray:
-    """53-bit integers k at (key, counter) for words = counter_words(counters).
-
-    Broadcast like uniforms_at, as int64 (every k lies in [0, 2^53)); the
-    uniform at the same place is exactly k * 2^-53.  out and tmp are as in
-    _derive.
-    """
-    bits = _derive(keys, words, out, tmp)
-    bits >>= np.uint64(11)
-    return bits.view(np.int64)
-
-
 def uniforms_at(keys, counters, out=None, bits=None) -> np.ndarray:
     """Uniform [0, 1) variates at (key, counter), broadcast over both arrays.
 
@@ -95,7 +82,9 @@ def uniforms_at(keys, counters, out=None, bits=None) -> np.ndarray:
     shifts go into out, and the uniforms then replace them there.
     """
     tmp = None if out is None else out.view(np.uint64)
-    return np.multiply(integers_at(keys, counter_words(counters), bits, tmp), _U53_SCALE, out=out)
+    bits = _derive(keys, counter_words(counters), bits, tmp)
+    bits >>= np.uint64(11)
+    return np.multiply(bits.view(np.int64), _U53_SCALE, out=out)
 
 
 def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:

@@ -14,7 +14,9 @@ from satolab.measures import (
     LocalMeasure,
     _cdf_series,
     _expectations,
+    _invert,
     _measure_series,
+    _Workspace,
     cdf,
     chebyshev_moment,
     density,
@@ -180,6 +182,25 @@ def test_quantile_residual_at_rounding_level(q):
 def test_quantile_median_symmetry():
     assert quantile(MU, 0.5) == pytest.approx(math.pi / 2, abs=1e-12)
     assert quantile(LocalMeasure(3), 0.5) == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def test_invert_clamps_the_last_cell_steps_to_pi():
+    # u near 1 in the last cell, with a bracket that does not hold it: the
+    # cube-root start extrapolates to theta near 0, far below the root near
+    # pi, and the first Newton step on the q = 2 series overshoots.  Each
+    # step is clipped to the cell and its neighbours, the top one at pi.
+    u = 1.0 - 2.0 ** -np.arange(30.0, 38.0)
+    c_hi = 0.5 * np.cbrt(1.0 - u)
+    ws = _Workspace(u.shape)
+    [idx], (r_lo, r_hi) = ws.take(u.shape, 1, np.int32), ws.take(u.shape, 2)
+    idx[:] = last = _GRID.size - 1
+    # cube roots c_hi / 4096 apart, so the start lies 4096 cells below pi
+    r_lo[:] = 1.0 - (c_hi * (1.0 + 1.0 / last)) ** 3
+    r_hi[:] = 1.0 - c_hi**3
+    theta = _invert(u, _measure_series(LocalMeasure(2)), idx, r_lo, r_hi, ws=ws)
+    # the foot of the cell below, and the top of the cell above or pi
+    assert np.all((theta >= (last - 2) * _CELL) & (theta <= min(last + 1, 4096) * _CELL))
+    assert np.all(theta <= math.pi)
 
 
 def test_sample_consumes_one_uniform_per_angle():

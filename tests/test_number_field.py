@@ -16,6 +16,7 @@ from satolab.number_field import (
     _exact_sum,
     _ideal_table,
     _kronecker,
+    _outside,
     enumerate_prime_ideals,
     higher_power_sum,
     ideal_norms,
@@ -339,6 +340,33 @@ def test_level_exclusions_match_on_compared_fields(name):
             assert not norms.flags.writeable
             assert pi_L(fs, x, level) == len(want)
     assert any(i.norm > 10**4 for i in above)
+
+
+@pytest.mark.parametrize("name", ["rationals", "sqrt2", "sqrt5", "sqrt13"])
+def test_outside_matches_a_four_column_filter(name):
+    # _outside matches on 2 norm + label alone; a filter on (norm, p, label,
+    # f) over the whole table removes the same rows.  Excluded: one
+    # conjugate of a split prime, the other of a second, both of a third,
+    # inert, ramified and rational ideals, and the ideals above primes past
+    # the table (100003 and 2^61 - 1, and inert primes whose norm passes x)
+    fs, x = FieldSpec.from_name(name), 10**5
+    by_type = {}
+    for q in primes_up_to(1000).tolist():
+        by_type.setdefault(split_prime(fs, q)[0].split_type, []).append(q)
+    excluded = [split_prime(fs, q)[i] for q, i in zip(by_type.get("split", []), (1, 0))]
+    whole = [q for ps in by_type.values() for q in {*ps[2:4], *ps[-2:]}]
+    for q in [*whole, 100003, 2**61 - 1]:
+        excluded += split_prime(fs, q)
+    table = _ideal_table(fs, x)
+    keys = {(i.norm, i.p, i.label, i.f) for i in excluded}
+    rows = zip(*(c.tolist() for c in table[:4]))
+    keep = np.array([row not in keys for row in rows])
+    got = _outside(fs, x, LevelSpec(excluded=tuple(excluded)))
+    assert 0 < np.count_nonzero(~keep) < len(excluded)
+    for got_col, col in zip(got, table):
+        assert got_col.dtype == col.dtype and not got_col.flags.writeable
+        assert got_col.tolist() == col[keep].tolist(), name
+    assert {i.split_type for i in excluded if i.norm <= x} == set(by_type)
 
 
 def test_ideal_norms_read_only_and_built_without_objects(monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 from satolab.rng import (
     _derive,
     counter_words,
-    integers_at,
     member_keys,
     root_key,
     uniform_matrix,
@@ -79,21 +78,19 @@ def test_uniforms_at_broadcasts_to_permuted_transpose():
     assert np.array_equal(got, want)
 
 
-def test_integers_at_scale_to_uniforms_and_match_oracle():
-    # k = top 53 bits of the stream word; k 2^-53 is uniforms_at bit for bit
+def test_uniforms_at_are_top_53_bits_of_oracle_words():
+    # u 2^53 = word >> 11 exactly: the top 53 bits of the stream word
     keys = member_keys(5, np.arange(6))
     counters = np.array([0, 1, 2, 9, 1000, 2**40, 2**63 - 1], dtype=np.uint64)
-    k = integers_at(keys[None, :], counter_words(counters)[:, None])
-    assert k.dtype == np.int64 and k.shape == (7, 6)
     u = uniforms_at(keys[None, :], counters[:, None])
-    assert np.array_equal((k * 2.0**-53).view(np.int64), u.view(np.int64))
+    assert u.dtype == np.float64 and u.shape == (7, 6)
     for i, c in enumerate(counters):
         for m, key in enumerate(keys):
             word = _mix_oracle(int(key) + 0x9E3779B97F4A7C15 * (int(c) + 1))
-            assert int(k[i, m]) == word >> 11
+            assert u[i, m] * 2**53 == word >> 11
     for key in (0, 0xDEADBEEF, _MASK):
-        got = integers_at(np.uint64(key), counter_words(np.arange(6)))
-        assert [int(g) for g in got] == [w >> 11 for w in _stream_oracle(key, 6)]
+        got = uniforms_at(np.uint64(key), np.arange(6))
+        assert [g * 2**53 for g in got] == [w >> 11 for w in _stream_oracle(key, 6)]
 
 
 def test_streams_are_reproducible_and_distinct():
