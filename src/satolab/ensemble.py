@@ -7,27 +7,32 @@ a count of angles inside an arc (indicator mode) or a sum of a periodized
 smooth weight of the normalized angle t = theta/pi (smooth mode).
 
 Determinism contract: every variate is a pure function of
-(seed, member_index, ideal_position), drawn in the tile of ideal rows that
-consumes it.  The indicator counts an ideal by one test of the raw word
-against the cut points of F(a) and F(b), built once per context
-(rng._range_test); the smooth statistic inverts the uniforms through the
-local measures' bracket tables (measures._angles).  Of the sampling, this
-module keeps only the tile loop (_member_values).
+(seed, member_index, ideal_position), whatever tile draws it.  The indicator
+counts an ideal by one test of the raw word against the cut points of F(a)
+and F(b), built once per context (rng._range_test); the smooth statistic
+inverts the uniforms through the local measures' bracket tables
+(measures._angles).  Of the sampling, this module keeps only the tile loops
+(_indicator_values, _member_values).
 
-Both statistics keep one memory rule: a block holds one workspace
-(measures._Workspace) of buffers of at most _TILE cells and one float64
-total per member at any x.  Every stage of a tile (the RNG words, the
-bracket, the start, the Newton steps, the cdf series, smooth_weight and the
-group sums) writes into the workspace with out=, so a tile allocates only
-arrays the size of its tail-cell subset (and np.interp's results for a
-custom phi).  A smooth block peaks at 11 buffers, 2.75 MiB, an indicator
-block at 3, 0.75 MiB (by tracemalloc 0.9 MiB for 2,048 members at x = 1e5
-and 1e6 alike).  The workspace belongs to one _member_values call, so to
-one block on one thread.  Each group of _ROWS ideal rows from its bucket's
-first row adds its per-member count or weight sum to the totals in row
-order.  _ROWS fixes that order and _TILE only sizes tiles; member values go
-into an array indexed by member and only then into moments, so reports are
-bit-identical under any blocking, tiling or thread count.
+Both statistics keep one memory rule: a block holds tile buffers of at most
+_TILE cells and one float64 total per member at any x.  A smooth tile is
+ideal rows x members, and every stage of it (the RNG words, the bracket, the
+start, the Newton steps, the cdf series, smooth_weight and the group sums)
+writes into one workspace (measures._Workspace) with out=, so a tile
+allocates only arrays the size of its tail-cell subset (and np.interp's
+results for a custom phi).  A smooth block peaks at 11 buffers, 2.75 MiB.
+The workspace belongs to one _member_values call, so to one block on one
+thread.  Each group of _ROWS ideal rows from its bucket's first row adds its
+per-member weight sum to the totals in row order; _ROWS fixes that order.
+An indicator tile is members x ideal rows, so only the member keys
+broadcast, as one column, against contiguous rows of counter words and cut
+points.  Its block allocates two uint64 buffers and one bool buffer of one
+tile once, 0.53 MiB at most (by tracemalloc, with numpy's own buffers, 0.50
+MiB for 2,048 members at x = 1e5 and 0.57 MiB at 1e6).  Its counts are whole
+numbers, exact in float64 below 2^53, so they add in any order.  _TILE only
+sizes tiles; member values go into an array indexed by member and only then
+into moments, so reports are bit-identical under any blocking, tiling or
+thread count.
 """
 from __future__ import annotations
 
@@ -271,8 +276,9 @@ class _Context:
 
     An indicator member counts the ideal at row i of words, low and width,
     the rows that rng._range_test keeps, when (w - low[i]) mod 2^64 <=
-    width[i] for its word w there; a smooth member inverts through
-    `inverter` and weighs by `spec` at scale big_m.
+    width[i] for its word w there; the three are (rows, 1) columns, whose
+    [:, 0] views the tiles read as contiguous rows.  A smooth member inverts
+    through `inverter` and weighs by `spec` at scale big_m.
     """
 
     pi_L_x: int
@@ -407,29 +413,48 @@ def _add_groups(total: np.ndarray, phi: np.ndarray, ws: _Workspace):
     ws.give(sums, run)
 
 
+def _indicator_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
+    """Indicator counts for the members keyed by `keys`, in tiles of members
+    x ideal rows: each tile adds its rows' counts, whole and exact in
+    float64 below 2^53, to the totals.  Only the keys broadcast, as one
+    column, against contiguous rows of counter words, L and W; a tile has
+    at most _TILE cells, on three buffers allocated once."""
+    words, low, width = ctx.words[:, 0], ctx.low[:, 0], ctx.width[:, 0]
+    members, rows = keys.size, words.size
+    total = np.zeros(members)
+    if not rows:
+        return total
+    m, r = max(1, min(members, _TILE // rows)), min(rows, _TILE)
+    bits, tmp = np.empty((2, m, r), dtype=np.uint64)
+    inside, count = np.empty((m, r), dtype=np.bool_), np.empty(m, np.min_scalar_type(r))
+    for i in range(0, members, m):
+        key = keys[i : i + m, None]
+        n = key.shape[0]
+        for a in range(0, rows, r):
+            s = slice(a, min(a + r, rows))
+            w = s.stop - s.start
+            word, hit = _derive(key, words[s], bits[:n, :w], tmp[:n, :w]), inside[:n, :w]
+            word -= low[s]
+            np.less_equal(word, width[s], out=hit)
+            total[i : i + n] += np.add.reduce(hit.view(np.uint8), axis=1, out=count[:n])
+    return total
+
+
 def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
-    """Statistics for the members keyed by `keys`, one tile of ideal rows at
-    a time, every tile on one workspace of the largest tile's size."""
+    """Statistics for the members keyed by `keys`.  The indicator counts by
+    _indicator_values; the smooth statistic goes one tile of ideal rows x
+    members at a time, every tile on one workspace of the largest tile's
+    size."""
     inv, members = ctx.inverter, keys.size
-    buckets = [(0, ctx.words.size, None)] if inv is None else inv.buckets
+    if inv is None:
+        return _indicator_values(ctx, keys)
     total, row = np.zeros(members), keys[None, :]
     step = max(1, _TILE // (_ROWS * members)) * _ROWS
-    tally = np.min_scalar_type(step)  # the narrowest count of a tile's rows
     ws = _Workspace((step, members))
-    for k0, k1, series in buckets:
+    for k0, k1, series in inv.buckets:
         for a in range(k0, k1, step):
             s = slice(a, min(a + step, k1))
             shape = (s.stop - s.start, members)
-            if inv is None:  # whole counts, exact in float64 below 2^53
-                bits, tmp = ws.take(shape, 2, np.uint64)
-                _derive(row, ctx.words[s], bits, tmp)
-                ws.give(tmp)
-                bits -= ctx.low[s]
-                [inside], [count] = ws.take(shape, 1, np.bool_), ws.take((members,), 1, tally)
-                np.less_equal(bits, ctx.width[s], out=inside)
-                total += np.add.reduce(inside.view(np.uint8), axis=0, dtype=tally, out=count)
-                ws.give(bits, inside, count)
-                continue
             u, bits = ws.take(shape, 2)
             uniforms_at(row, np.arange(s.start, s.stop)[:, None], u, bits.view(np.uint64))
             ws.give(bits)

@@ -36,8 +36,8 @@ density of 2e-8 at u = 1e-12, up to 1.3e-12 rad below u = 3.5e-12.
 Every kernel of the inverter (_bracket, _hermite, _lerp, _newton,
 _density, _cdf_series) writes into the arrays of a _Workspace, flat
 buffers reused by liveness, with every arithmetic step in the order of the
-plain expression it replaces.  The sampler keeps one workspace per block
-and inverts a tile of at most _TILE cells at a time (_angles), so a tile
+plain expression it replaces.  The smooth sampler keeps one workspace per
+block and inverts a tile of at most _TILE cells at a time (_angles), so a tile
 allocates nothing but the arrays of its tail cells; cdf, density and
 quantile call the same kernels on a workspace sized to their input.
 
@@ -48,7 +48,9 @@ smooth model mean and variance.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,23 +115,32 @@ class _Workspace:
 
     take(shape, k, dtype) hands out k arrays of `shape` (at most `cells`
     cells, dtype at most 8 bytes), each on a buffer that give() returned or,
-    past those, on a new one; give() returns the buffers under its arrays.
+    past those, on a new one; give() returns the buffers under its arrays,
+    and raises ValueError for an array that take() did not hand out.
     A kernel takes its temporaries, gives them back when they die, and
-    returns its result on a buffer of the same workspace.  The sampler keeps
-    one workspace per block, so its tiles allocate nothing once the first has
-    grown it; cdf, density and quantile size one to their input.
+    returns its result on a buffer of the same workspace.  The smooth sampler
+    keeps one workspace per block, so its tiles allocate nothing once the
+    first has grown it; cdf, density and quantile size one to their input.
     """
 
     def __init__(self, shape):
         self.cells = math.prod(shape)
         self._free = []
+        self._own = {}  # every buffer made, by id; held, so no id is reused
 
     def take(self, shape, k=1, dtype=np.float64) -> list:
         size = math.prod(shape)
-        bufs = [self._free.pop() if self._free else np.empty(self.cells) for _ in range(k)]
+        bufs = [self._free.pop() if self._free else self._buffer() for _ in range(k)]
         return [b[:size].view(dtype)[:size].reshape(shape) for b in bufs]
 
+    def _buffer(self) -> np.ndarray:
+        b = np.empty(self.cells)
+        self._own[id(b)] = b
+        return b
+
     def give(self, *arrays):
+        if any(id(a.base) not in self._own for a in arrays):
+            raise ValueError("give(): an array that this workspace's take() did not hand out")
         self._free.extend(a.base for a in arrays)
 
 
@@ -244,17 +255,25 @@ def _norm_runs(qs: np.ndarray) -> list:
     """(i0, i1, series) for each run qs[i0:i1] of the ascending norms qs that
     shares a series length, with the factors as (i1 - i0, 1) columns.
 
-    The length never rises with q, so a run is one slice; row k of a run's
-    series equals _measure_series(LocalMeasure(qs[i0 + k])) bit for bit.
+    The length never rises with q, so a run is one slice, and its end is
+    found by bisection on the scalar length.  Its powers q^{-n} come from
+    math.pow, the libm call of the scalar w**n (_powers), so row k of a
+    run's series equals _measure_series(LocalMeasure(qs[i0 + k])) bit for bit.
     """
-    per_norm = [_powers(q) for q in qs.tolist()]
-    lengths = np.array([len(p) for p in per_norm])
-    edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1), qs.size]
-    runs = []
-    for i0, i1 in zip(edges, edges[1:]):
+    runs, i0 = [], 0
+    while i0 < qs.size:
+        n = _local_tail_length(qs[i0])
+        i1 = bisect.bisect_left(
+            range(qs.size), True, lo=i0 + 1, key=lambda i: _local_tail_length(qs[i]) < n
+        )
         q = qs[i0:i1, None]
-        coeffs = _coeffs(per_norm[i0:i1]).T[:, :, None]
+        w = (1.0 / q[:, 0]).tolist()
+        powers = np.empty((i1 - i0, n))
+        for k in range(n):
+            powers[:, k] = list(map(math.pow, w, itertools.repeat(k + 1.0)))
+        coeffs = _coeffs(powers).T[:, :, None]
         runs.append((i0, i1, _Series(tuple(coeffs), q + 2.0 + 1.0 / q, q + 1.0)))
+        i0 = i1
     return runs
 
 

@@ -13,7 +13,8 @@ The ideals of norm <= x are held as one column table per (field, bound):
 int64 columns norm and p, int8 columns label and f and a split-type code,
 sorted by (norm, p, label) and built in array passes from the sieve and one
 vectorized Kronecker symbol (Euler's criterion by square-and-multiply on
-int64 arrays for odd p, the disc mod 8 rule for p = 2).  _outside(fs, x,
+int64 arrays for odd p, the disc mod 8 rule for p = 2), taken once per
+residue class mod |disc| and gathered.  _outside(fs, x,
 level) is the one place a level applies: it removes the excluded ideals by
 matching (norm, label) and returns the table's read-only rows.
 ideal_norms reads its float64 norm column, which pi_L, the moment main
@@ -93,10 +94,31 @@ def is_prime(n: int) -> bool:
 def _kronecker(disc: int, primes: np.ndarray) -> np.ndarray:
     """Kronecker symbols (disc/p) for an array of primes, as int64.
 
-    p = 2 by disc mod 8; odd p by Euler's criterion, r^((p - 1)/2) mod p
-    with r = disc mod p, by square-and-multiply over the exponent bits of
-    all primes at once.
+    For disc = 0 or 1 mod 4, every field discriminant among them, (disc/p)
+    depends only on p mod |disc|.  So when |disc| is at most the number of
+    primes, and the primes are an integer array within the int64 kernel's
+    range, the symbol is taken on one prime of each residue class present
+    and gathered through a table of |disc| entries.  Past that cutoff, and
+    for object-dtype primes, _euler_symbols takes it on every prime.
     """
+    disc, m = int(disc), abs(int(disc))
+    by_class = disc % 4 < 2 and 0 < m <= primes.size and primes.dtype != object
+    if not by_class or int(np.max(primes)) > _INT64_ROOT:
+        return _euler_symbols(disc, primes)
+    r = primes % m
+    rep = np.zeros(m, dtype=np.int64)
+    rep[r] = primes  # one prime of each class present
+    classes = np.flatnonzero(rep)
+    table = np.zeros(m, dtype=np.int64)
+    table[classes] = _euler_symbols(disc, rep[classes])
+    return table[r]
+
+
+def _euler_symbols(disc: int, primes: np.ndarray) -> np.ndarray:
+    """(disc/p) on every prime: p = 2 by disc mod 8; odd p by Euler's
+    criterion, r^((p - 1)/2) mod p with r = disc mod p, by square-and-multiply
+    over the exponent bits of all primes at once, on int64 arrays while the
+    products fit and on Python ints past that."""
     disc = int(disc)
     small = primes.size == 0 or int(np.max(primes)) <= _INT64_ROOT
     p = primes.astype(np.int64 if small else object)

@@ -39,6 +39,7 @@ from satolab.measures import (
     _Workspace,
     _angles,
     _bracket,
+    _cdf_norms,
     _guide,
     _inverter,
     _measure_series,
@@ -54,7 +55,7 @@ from satolab.number_field import (
     ideal_norms,
     split_prime,
 )
-from satolab.rng import _range_test, counter_words, member_keys, uniforms_at
+from satolab.rng import _range_test, counter_words, member_keys, uniform_matrix, uniforms_at
 from satolab.selberg import ArcInterval
 
 Q5 = FieldSpec.real_quadratic(5)
@@ -395,6 +396,25 @@ def test_member_values_do_not_depend_on_tile_size(monkeypatch):
             monkeypatch.setattr(ensemble, "_TILE", tile)
             assert np.array_equal(_member_values(ctx, keys), want), (statistic, tile)
         monkeypatch.undo()
+
+
+def test_indicator_tiles_count_as_untiled_uniforms():
+    # tiles of members x ideal rows count what the uniforms at every
+    # (member, ideal) count against F(a) and F(b) as floats.  At x = 1e4 a
+    # tile holds 26 of 2,048 members, so the last member chunk is partial;
+    # at 1e6 it holds one member and 32,768 of 78,510 rows, so the last row
+    # chunk is partial
+    for x, sizes in ((1e4, (1, 7, 2048)), (1e6, (1, 7))):
+        qs, counts = np.unique(ideal_norms(Q5, x, NO_LEVEL), return_counts=True)
+        for a, b in ((math.pi / 4, math.pi / 2), (0.0, 1.0)):
+            ctx, keys = _block(IndicatorStatistic(ArcInterval(a, b)), x, max(sizes))
+            lo, hi = (np.repeat(f, counts) for f in _cdf_norms(_norm_runs(qs), [a, b]).T)
+            # 64 members at a time, each over every ideal
+            u_rows = (uniform_matrix(keys[i : i + 64], lo.size) for i in range(0, keys.size, 64))
+            want = np.concatenate([np.count_nonzero((u >= lo) & (u <= hi), axis=1) for u in u_rows])
+            for size in sizes:
+                got = _member_values(ctx, keys[:size])
+                assert np.array_equal(got, want[:size]), (x, a, b, size)
 
 
 def _peak_bytes(ctx, keys):

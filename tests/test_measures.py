@@ -16,6 +16,7 @@ from satolab.measures import (
     _expectations,
     _invert,
     _measure_series,
+    _norm_runs,
     _Workspace,
     cdf,
     chebyshev_moment,
@@ -201,6 +202,51 @@ def test_invert_clamps_the_last_cell_steps_to_pi():
     # the foot of the cell below, and the top of the cell above or pi
     assert np.all((theta >= (last - 2) * _CELL) & (theta <= min(last + 1, 4096) * _CELL))
     assert np.all(theta <= math.pi)
+
+
+def test_workspace_give_takes_back_only_its_own_arrays():
+    # every array that take() hands out, of any dtype, shape or size within
+    # the cells, goes back and is handed out again on the same buffer; an
+    # array that take() did not hand out is refused where it is given, with
+    # the workspace's free list unchanged
+    ws = _Workspace((4, 8))
+    shapes = [((4, 8), np.float64), ((32,), np.uint64), ((3, 5), np.bool_), ((), np.int32),
+              ((0,), np.float64), ((2, 16), np.uint8), ((8, 4), np.int64)]
+    first = [ws.take(shape, 1, dtype)[0] for shape, dtype in shapes]
+    bases = {id(a.base) for a in first}
+    assert len(bases) == len(shapes)
+    ws.give(*first)
+    again = [ws.take(shape, 1, dtype)[0] for shape, dtype in shapes]
+    assert {id(a.base) for a in again} == bases
+    ws.give(*again)
+    strangers = [np.empty((4, 8)), np.empty(32)[:8], _Workspace((4, 8)).take((4, 8))[0]]
+    for a in [*strangers, again[0].base]:
+        with pytest.raises(ValueError, match="take"):
+            ws.give(a)
+    # a refused call gives nothing back
+    [mine] = ws.take((2,))
+    with pytest.raises(ValueError, match="take"):
+        ws.give(mine, strangers[0])
+    assert len(ws._free) == len(shapes) - 1
+
+
+def test_norm_runs_match_the_scalar_series_of_every_norm():
+    # runs of one series length each, in order, whose rows are the scalar
+    # series of their norms bit for bit: every norm up to 2e5 over Q and sqrt5
+    for fs in (FieldSpec.rationals(), Q5):
+        qs = np.unique(ideal_norms(fs, 2e5, LevelSpec.empty()))
+        runs = _norm_runs(qs)
+        assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
+        assert runs[-1][1] == qs.size
+        lengths = [len(s.coeffs) for _, _, s in runs]
+        assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
+        for i0, i1, s in runs:
+            got = np.column_stack([*(c[:, 0] for c in s.coeffs), s.qp[:, 0], s.fac[:, 0]])
+            assert got.shape == (i1 - i0, len(s.coeffs) + 2)
+            for k, q in enumerate(qs[i0:i1].tolist()):
+                one = _measure_series(LocalMeasure(q))
+                want = np.array([*one.coeffs, one.qp, one.fac])
+                assert got[k].tobytes() == want.tobytes(), q
 
 
 def test_sample_consumes_one_uniform_per_angle():

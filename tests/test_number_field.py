@@ -13,6 +13,7 @@ from satolab.number_field import (
     LevelSpec,
     PrimeIdeal,
     _SUM_CHUNK,
+    _euler_symbols,
     _exact_sum,
     _ideal_table,
     _kronecker,
@@ -400,6 +401,40 @@ def test_vectorized_kronecker_matches_oracle():
         assert _kronecker(disc, primes).tolist() == want, disc
         one_at_a_time = [_kronecker(disc, np.array([p]))[0] for p in primes[:40]]
         assert one_at_a_time == want[:40]
+
+
+def _euler_oracle(disc: int, p: int) -> int:
+    # Euler's criterion by Python's pow, p = 2 by disc mod 8
+    if p == 2:
+        return 0 if disc % 2 == 0 else (1 if disc % 8 in (1, 7) else -1)
+    r = disc % p
+    return 0 if r == 0 else (1 if pow(r, (p - 1) // 2, p) == 1 else -1)
+
+
+def test_kronecker_by_residue_class_matches_euler_on_every_prime(monkeypatch):
+    # one symbol per residue class mod |disc|, gathered, agrees with Euler's
+    # criterion on every one of the 17,984 primes to 2e5.  A disc past the
+    # cutoff (more classes than primes) and object-dtype primes take Euler's
+    # criterion on every prime
+    primes = primes_up_to(200_000)
+    euler, calls = _euler_symbols, []
+
+    def counted(disc, p):
+        calls.append(p.size)
+        return euler(disc, p)
+
+    monkeypatch.setattr(number_field, "_euler_symbols", counted)
+    past = 4 * 1_000_003  # a field discriminant with more classes than primes
+    for disc in (5, 8, 12, 13, 4004, -3, -4, past):
+        want = [_euler_oracle(disc, p) for p in primes.tolist()]
+        calls.clear()
+        assert _kronecker(disc, primes).tolist() == want, disc
+        classes = np.unique(primes % abs(disc)).size
+        assert calls == [primes.size if disc == past else classes], disc
+        assert euler(disc, primes).tolist() == want, disc
+    calls.clear()
+    assert _kronecker(5, primes.astype(object)).tolist() == euler(5, primes).tolist()
+    assert calls == [primes.size]
 
 
 def test_split_prime_beyond_int64_products():
