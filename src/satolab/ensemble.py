@@ -55,7 +55,7 @@ from .measures import (
     _norm_runs,
     _Workspace,
 )
-from .number_field import FieldSpec, LevelSpec, _exact_sum, ideal_norms
+from .number_field import FieldSpec, LevelSpec, _exact_sum, norm_counts
 from .rng import _derive, _range_test, member_keys, uniforms_at
 from .selberg import ArcInterval, mu_infty_interval
 
@@ -276,9 +276,8 @@ class _Context:
 
     An indicator member counts the ideal at row i of words, low and width,
     the rows that rng._range_test keeps, when (w - low[i]) mod 2^64 <=
-    width[i] for its word w there; the three are (rows, 1) columns, whose
-    [:, 0] views the tiles read as contiguous rows.  A smooth member inverts
-    through `inverter` and weighs by `spec` at scale big_m.
+    width[i] for its word w there.  A smooth member inverts through
+    `inverter` and weighs by `spec` at scale big_m.
     """
 
     pi_L_x: int
@@ -349,12 +348,10 @@ def _smooth_profile(spec: SmoothSpec, big_m: float, n_max: int):
 
 @lru_cache(maxsize=4)
 def _build_context(fs, level, x, statistic) -> _Context:
-    norms = ideal_norms(fs, x, level)
-    if not norms.size:
+    qs, counts = norm_counts(fs, x, level)
+    if not qs.size:
         raise ConfigError("x", "no prime ideals of norm <= x; increase x")
-    count = int(norms.size)
-    # ideals come sorted by norm, so each norm is one run of counts[i] ideals
-    qs, counts = np.unique(norms, return_counts=True)
+    count = int(counts.sum())
     runs = _norm_runs(qs)
 
     if isinstance(statistic, IndicatorStatistic):
@@ -419,7 +416,7 @@ def _indicator_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
     float64 below 2^53, to the totals.  Only the keys broadcast, as one
     column, against contiguous rows of counter words, L and W; a tile has
     at most _TILE cells, on three buffers allocated once."""
-    words, low, width = ctx.words[:, 0], ctx.low[:, 0], ctx.width[:, 0]
+    words, low, width = ctx.words, ctx.low, ctx.width
     members, rows = keys.size, words.size
     total = np.zeros(members)
     if not rows:

@@ -351,9 +351,7 @@ def _cdf_norms(runs: list, theta) -> np.ndarray:
     call per run."""
     t = _check_theta(theta)
     sin_t, cos_t = np.sin(t), np.cos(t)
-    return np.concatenate(
-        [_cdf_series(np.broadcast_to(t, (i1 - i0, t.size)), sin_t, cos_t, s) for i0, i1, s in runs]
-    )
+    return np.concatenate([_cdf_series(t, sin_t, cos_t, s) for _, _, s in runs])
 
 
 def _guide_map(u, ws: _Workspace = None):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chebyshev import ChebyshevSeries, series_product
 from .measures import _expectations
-from .number_field import FieldSpec, LevelSpec, _bound, _exact_sum, ideal_norms, pi_L
+from .number_field import FieldSpec, LevelSpec, _bound, _exact_sum, norm_counts, pi_L
 from .selberg import ExtremalPair
 
 __all__ = [
@@ -173,11 +173,11 @@ def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
     them, with Z^r = Z^(r-1) Z as z_power_coeffs builds it, so every order
     reads the bits a fresh call would compute.  The caches are lru_caches,
     so threads may share them."""
-    norms = ideal_norms(fs, bound, level)
-    if not norms.size:
+    qs, counts = norm_counts(fs, bound, level)
+    if not qs.size:
         raise ValueError("no prime ideals of norm <= x")
-    qs, counts = np.unique(norms, return_counts=True)
-    counts = counts.astype(np.float64)
+    count = int(counts.sum())
+    counts = counts.astype(np.float64)  # float64 products take half the time of int64 x float64
     z = ChebyshevSeries(np.frombuffer(z_bytes).copy())
 
     @lru_cache(maxsize=None)
@@ -195,7 +195,7 @@ def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
             prod = prod * row(r)
         return _exact_sum(counts * prod)
 
-    return int(norms.size), block_sum
+    return count, block_sum
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ int64 columns norm and p, int8 columns label and f and a split-type code,
 sorted by (norm, p, label) and built in array passes from the sieve and one
 vectorized Kronecker symbol (Euler's criterion by square-and-multiply on
 int64 arrays for odd p, the disc mod 8 rule for p = 2), taken once per
-residue class mod |disc| and gathered.  _outside(fs, x,
-level) is the one place a level applies: it removes the excluded ideals by
-matching (norm, label) and returns the table's read-only rows.
-ideal_norms reads its float64 norm column, which pi_L, the moment main
-terms and the sampler use; the primes subcommand writes its columns; and
-enumerate_prime_ideals builds PrimeIdeal tuples from them on each call.
+residue class mod |disc| and gathered.  _outside(fs, x, level) is the one
+place a level applies: it removes the excluded ideals by matching (norm,
+label) and returns the table's read-only rows.  norm_counts groups those
+rows by norm into the distinct norms and their counts, which the moment
+main terms, the sampler and the sums above read; pi_L counts the rows; the
+primes subcommand writes the columns; and enumerate_prime_ideals builds
+PrimeIdeal tuples from them on each call.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ __all__ = [
     "primes_up_to",
     "split_prime",
     "enumerate_prime_ideals",
-    "ideal_norms",
+    "norm_counts",
     "pi_L",
     "mertens_sum",
     "higher_power_sum",
@@ -275,14 +276,13 @@ def _prime_ideals(columns) -> list:
 
 class _IdealTable(NamedTuple):
     """The prime ideals of norm <= bound as read-only columns, sorted by
-    (norm, p, label); norm_float is the norm column as float64."""
+    (norm, p, label)."""
 
     norm: np.ndarray
     p: np.ndarray
     label: np.ndarray
     f: np.ndarray
     code: np.ndarray
-    norm_float: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -293,7 +293,6 @@ def _ideal_table(fs: FieldSpec, bound: int) -> _IdealTable:
     at = np.flatnonzero(norm <= bound)
     at = at[np.argsort(norm[at], kind="stable")]
     columns = [c[at] for c in (norm, p, label, f, code)]
-    columns.append(columns[0].astype(np.float64))
     for c in columns:
         c.flags.writeable = False
     return _IdealTable(*columns)
@@ -332,21 +331,20 @@ def enumerate_prime_ideals(fs: FieldSpec, x, level: LevelSpec = None) -> list:
     return _prime_ideals(_outside(fs, x, level))
 
 
-def ideal_norms(fs: FieldSpec, x, level: LevelSpec = None) -> np.ndarray:
-    """Norms of the prime ideals of norm <= x outside the level, ascending,
-    as a read-only float64 array; builds no PrimeIdeal object."""
-    return _outside(fs, x, level).norm_float
+def norm_counts(fs: FieldSpec, x, level: LevelSpec = None) -> tuple:
+    """(qs, counts): the ascending distinct norms of _outside(fs, x, level)
+    as float64 and how many ideals have each, as int64, from the run starts
+    of its sorted norm column; nothing is sorted and no PrimeIdeal built.
+    The ideals of norm qs[i] are the rows counts[:i].sum() onward, so
+    np.repeat(v, counts) puts per-norm values v in row order."""
+    norm = _outside(fs, x, level).norm
+    first = np.flatnonzero(np.diff(norm, prepend=0))  # norms are >= 2
+    return norm[first].astype(np.float64), np.diff(first, append=norm.size)
 
 
 def pi_L(fs: FieldSpec, x, level: LevelSpec = None) -> int:
     """Number of prime ideals of norm <= x outside the level."""
-    return int(ideal_norms(fs, x, level).size)
-
-
-def _level_free_norms(fs: FieldSpec, x) -> np.ndarray:
-    if float(x) < 16.0:
-        raise ValueError("x must be at least 16")
-    return _ideal_table(fs, _bound(x)).norm
+    return int(_outside(fs, x, level).norm.size)
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -383,15 +381,20 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def mertens_sum(fs: FieldSpec, x) -> float:
-    """sum of 1/N(p) over all prime ideals of norm <= x (level-free)."""
-    return _exact_sum(1.0 / _level_free_norms(fs, x))
+    """sum of 1/N(p) over all prime ideals of norm <= x (level-free), as
+    count/q over the distinct norms: a norm has one or two ideals, and
+    2/q = 2 (1/q) exactly, so the exact sum is the same."""
+    if float(x) < 16.0:
+        raise ValueError("x must be at least 16")
+    qs, counts = norm_counts(fs, x)
+    return _exact_sum(counts / qs)
 
 
 def higher_power_sum(fs: FieldSpec, x) -> float:
-    """sum over norms N <= x of 1/(N (N-1)), the full r >= 2 power tail.
-
-    N (N - 1) < 1e16 is exact in int64 at the sieve capacity, so each term
-    is 1.0 over the correctly rounded exact product.
-    """
-    norms = _level_free_norms(fs, x)
-    return _exact_sum(1.0 / (norms * (norms - 1)))
+    """sum over norms N <= x of 1/(N (N-1)), the full r >= 2 power tail;
+    q and q - 1 are exact in float64 at the sieve capacity, so q (q - 1.0)
+    is the correctly rounded exact product, as in int64 and converted."""
+    if float(x) < 16.0:
+        raise ValueError("x must be at least 16")
+    qs, counts = norm_counts(fs, x)
+    return _exact_sum(counts / (qs * (qs - 1.0)))

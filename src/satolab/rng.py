@@ -102,7 +102,7 @@ def uniform_matrix(keys: np.ndarray, count: int) -> np.ndarray:
 def _range_test(lo: np.ndarray, hi: np.ndarray):
     """The test lo <= u <= hi on the raw 64-bit word, one (lo, hi) pair per
     counter row: the counter words, L and W of the rows whose count can be
-    nonzero, each as one column.
+    nonzero, each as one 1-D array.
 
     A uniform is u = k 2^-53 for the 53-bit integer k = word >> 11, and
     scaling by 2^53 is exact, so u >= lo exactly when k >= K = ceil(lo 2^53)
@@ -120,4 +120,4 @@ def _range_test(lo: np.ndarray, hi: np.ndarray):
     rows = np.flatnonzero(k <= h)
     low = k[rows].astype(np.uint64) << np.uint64(11)
     width = ((h - k)[rows].astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
-    return counter_words(rows)[:, None], low[:, None], width[:, None]
+    return counter_words(rows), low, width

@@ -52,7 +52,7 @@ from satolab.number_field import (
     FieldSpec,
     LevelSpec,
     enumerate_prime_ideals,
-    ideal_norms,
+    norm_counts,
     split_prime,
 )
 from satolab.rng import _range_test, counter_words, member_keys, uniform_matrix, uniforms_at
@@ -311,8 +311,8 @@ def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
     # law's cdf.  The Newton series of every ideal row, shared row or not,
     # equals that of its scalar measure bit for bit: one power path, not
     # numpy's array power, which can differ by an ulp
-    norms = ideal_norms(Q5, 2e4)
-    qs, counts = np.unique(norms, return_counts=True)
+    qs, counts = norm_counts(Q5, 2e4)
+    norms = np.repeat(qs, counts)
     inv = _inverter(qs, counts, _norm_runs(qs))
     own = qs[qs <= _SHARED_Q]
     assert inv.cdf_table.shape == (own.size + 1, _GRID.size)
@@ -340,8 +340,7 @@ def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
 def test_slope_rows_are_inverse_densities():
     # own rows and the shared row hold 1/f at every interior node, bit for
     # bit, and 0 at both ends, where f vanishes
-    norms = ideal_norms(Q5, 2e4)
-    qs, counts = np.unique(norms, return_counts=True)
+    qs, counts = norm_counts(Q5, 2e4)
     inv = _inverter(qs, counts, _norm_runs(qs))
     own = qs[qs <= _SHARED_Q]
     assert inv.slopes.shape == inv.cdf_table.shape
@@ -352,7 +351,7 @@ def test_slope_rows_are_inverse_densities():
 
 @pytest.mark.parametrize("fs", [FieldSpec.rationals(), Q5])
 def test_own_table_rows_monotone_with_exact_ends(fs):
-    qs, counts = np.unique(ideal_norms(fs, 1e4), return_counts=True)
+    qs, counts = norm_counts(fs, 1e4)
     inv = _inverter(qs, counts, _norm_runs(qs))
     table = inv.cdf_table
     assert np.all(table[:, 0] == 0.0) and np.all(table[:, -1] == 1.0)
@@ -364,7 +363,7 @@ def test_bracket_table_does_not_grow_past_the_shared_norm():
     # guide took 231 MB; now every norm past 1e4 reads one shared row, in the
     # cdf, guide and slope tables alike
     def table_bytes(x):
-        qs, counts = np.unique(ideal_norms(Q5, x), return_counts=True)
+        qs, counts = norm_counts(Q5, x)
         inv = _inverter(qs, counts, _norm_runs(qs))
         return inv.cdf_table.nbytes + inv.guide.nbytes + inv.slopes.nbytes
 
@@ -405,7 +404,7 @@ def test_indicator_tiles_count_as_untiled_uniforms():
     # at 1e6 it holds one member and 32,768 of 78,510 rows, so the last row
     # chunk is partial
     for x, sizes in ((1e4, (1, 7, 2048)), (1e6, (1, 7))):
-        qs, counts = np.unique(ideal_norms(Q5, x, NO_LEVEL), return_counts=True)
+        qs, counts = norm_counts(Q5, x, NO_LEVEL)
         for a, b in ((math.pi / 4, math.pi / 2), (0.0, 1.0)):
             ctx, keys = _block(IndicatorStatistic(ArcInterval(a, b)), x, max(sizes))
             lo, hi = (np.repeat(f, counts) for f in _cdf_norms(_norm_runs(qs), [a, b]).T)
@@ -508,10 +507,9 @@ def test_indicator_thresholds_match_scalar_cdf():
         want_hi = np.array([math.floor(f * 2**53) for f in scalar[b]])[at]
         big_k, big_h = want_lo.clip(0, 2**53), want_hi.clip(-1, 2**53 - 1)
         kept = np.flatnonzero(big_k <= big_h)
-        low, width = ctx.low[:, 0], ctx.width[:, 0]
-        assert np.array_equal(ctx.words[:, 0], counter_words(kept)), (a, b)
-        assert np.array_equal((low >> np.uint64(11)).astype(np.int64), big_k[kept]), (a, b)
-        top = ((low + width) >> np.uint64(11)).astype(np.int64)
+        assert np.array_equal(ctx.words, counter_words(kept)), (a, b)
+        assert np.array_equal((ctx.low >> np.uint64(11)).astype(np.int64), big_k[kept]), (a, b)
+        top = ((ctx.low + ctx.width) >> np.uint64(11)).astype(np.int64)
         assert np.array_equal(top, big_h[kept]), (a, b)
         if b == 1e-9:
             assert want_hi.min() == -1 and kept.size < at.size
@@ -533,14 +531,14 @@ def test_integer_cut_points_decide_as_float_comparison():
     lo, hi = (t.ravel() for t in np.meshgrid(thresholds, thresholds))
     words, low, width = _range_test(lo, hi)
     kept = np.flatnonzero(np.isin(counter_words(np.arange(lo.size)), words))
-    assert np.array_equal(counter_words(kept), words[:, 0])
+    assert np.array_equal(counter_words(kept), words)
     near = [np.floor(t * 2.0**53).astype(np.int64) + d for t in (lo, hi) for d in (-1, 0, 1, 2)]
     ends = [np.zeros(lo.size, np.int64), np.ones(lo.size, np.int64), np.full(lo.size, 2**53 - 1)]
     k = np.column_stack([*near, *ends, rng.integers(0, 2**53, size=(lo.size, 8))])
     k = k.clip(0, 2**53 - 1)
     raw = (k.astype(np.uint64) << np.uint64(11)) | rng.integers(0, 2048, k.shape, np.uint64)
     by_word = np.zeros(k.shape, dtype=bool)
-    by_word[kept] = raw[kept] - low <= width
+    by_word[kept] = raw[kept] - low[:, None] <= width[:, None]
     u = k * 2.0**-53
     by_float = (u >= lo[:, None]) & (u <= hi[:, None])
     assert np.array_equal(by_word, by_float)
@@ -767,7 +765,7 @@ def test_smooth_model_moments_match_exact_sums(fs, x, spec, big_m):
     # mean_model and variance_model against exact rational sums over the
     # distinct norms of the same double coefficients, at exact 1/q
     ctx = ensemble._build_context(fs, NO_LEVEL, x, SmoothStatistic(spec, big_m))
-    qs, counts = np.unique(ideal_norms(fs, x, NO_LEVEL), return_counts=True)
+    qs, counts = norm_counts(fs, x, NO_LEVEL)
     n_max = len(_measure_series(LocalMeasure(qs[0])).coeffs) - 1  # N powers, N + 1 sines
     coef_f, coef_g, _ = _smooth_profile(spec, big_m, n_max)
 

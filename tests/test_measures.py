@@ -25,7 +25,7 @@ from satolab.measures import (
     quantile,
 )
 from satolab.moments_engine import ZSeries, z_power_coeffs
-from satolab.number_field import FieldSpec, LevelSpec, ideal_norms
+from satolab.number_field import FieldSpec, LevelSpec, norm_counts
 from satolab.rng import root_key, uniforms_at
 from satolab.selberg import ArcInterval, to_chebyshev
 
@@ -234,7 +234,7 @@ def test_norm_runs_match_the_scalar_series_of_every_norm():
     # runs of one series length each, in order, whose rows are the scalar
     # series of their norms bit for bit: every norm up to 2e5 over Q and sqrt5
     for fs in (FieldSpec.rationals(), Q5):
-        qs = np.unique(ideal_norms(fs, 2e5, LevelSpec.empty()))
+        qs, _ = norm_counts(fs, 2e5, LevelSpec.empty())
         runs = _norm_runs(qs)
         assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
         assert runs[-1][1] == qs.size
@@ -289,7 +289,7 @@ def test_sample_interval_mass_within_four_se():
 
 def _distinct_w(fs, x):
     """w = 1/q of the distinct norms up to x, ascending norms."""
-    return 1.0 / np.unique(ideal_norms(fs, x, LevelSpec.empty()))
+    return 1.0 / norm_counts(fs, x, LevelSpec.empty())[0]
 
 
 def test_expectations_prefix_horner_is_bitwise_full_horner():

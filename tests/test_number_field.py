@@ -20,9 +20,9 @@ from satolab.number_field import (
     _outside,
     enumerate_prime_ideals,
     higher_power_sum,
-    ideal_norms,
     is_prime,
     mertens_sum,
+    norm_counts,
     pi_L,
     primes_up_to,
     split_prime,
@@ -275,6 +275,26 @@ def test_norm_power_sums_keep_their_fsum_bits():
     assert higher_power_sum(Q5, 10**5) == math.fsum((1.0 / (norms * (norms - 1))).tolist())
 
 
+@pytest.mark.parametrize("fs", [QQ, Q5])
+@pytest.mark.parametrize("x", [10**5, 10**7])
+def test_norm_power_sums_over_distinct_norms_equal_the_per_ideal_sums(fs, x):
+    # count/q over the distinct norms against 1/N per ideal over the int64
+    # norm column, the product N (N - 1) taken in int64
+    norms = _ideal_table(fs, x).norm
+    assert mertens_sum(fs, x) == _exact_sum(1.0 / norms)
+    assert higher_power_sum(fs, x) == _exact_sum(1.0 / (norms * (norms - 1)))
+
+
+def test_float_product_of_consecutive_norms_rounds_as_the_int64_product():
+    # q (q - 1.0) in float64 against the exact int64 product converted, where
+    # the product passes 2^53 and so rounds
+    q = np.random.default_rng(8).integers(9 * 10**7, 10**8, size=10**5, endpoint=True)
+    exact = q * (q - 1)
+    assert exact.max() > 2**53
+    qf = q.astype(np.float64)
+    assert np.array_equal(qf * (qf - 1.0), exact.astype(np.float64))
+
+
 def test_higher_power_sum_bounded():
     lo = higher_power_sum(QQ, 10**4)
     hi = higher_power_sum(QQ, 10**6)
@@ -320,7 +340,7 @@ def test_ideal_table_matches_one_prime_at_a_time(x):
         assert list(zip(*columns, codes)) == want, (name, x)
         got = enumerate_prime_ideals(fs, x)
         assert _rows(got) == want and {type(i) for i in got} == {PrimeIdeal}, (name, x)
-        assert ideal_norms(fs, x).tolist() == [float(row[0]) for row in want]
+        assert np.repeat(*norm_counts(fs, x)).tolist() == [float(row[0]) for row in want]
         assert pi_L(fs, x) == len(want)
 
 
@@ -336,9 +356,9 @@ def test_level_exclusions_match_on_compared_fields(name):
             keys = {row[:4] for row in _rows(excluded)}
             want = [row for row in enumerate_one_prime_at_a_time(fs, x) if row[:4] not in keys]
             assert _rows(enumerate_prime_ideals(fs, x, level)) == want, (name, x, excluded)
-            norms = ideal_norms(fs, x, level)
-            assert norms.tolist() == [float(row[0]) for row in want]
-            assert not norms.flags.writeable
+            qs, counts = norm_counts(fs, x, level)
+            assert np.repeat(qs, counts).tolist() == [float(row[0]) for row in want]
+            assert not any(c.flags.writeable for c in _outside(fs, x, level))
             assert pi_L(fs, x, level) == len(want)
     assert any(i.norm > 10**4 for i in above)
 
@@ -370,23 +390,64 @@ def test_outside_matches_a_four_column_filter(name):
     assert {i.split_type for i in excluded if i.norm <= x} == set(by_type)
 
 
-def test_ideal_norms_read_only_and_built_without_objects(monkeypatch):
+def test_outside_and_norm_counts_read_only_and_built_without_objects(monkeypatch):
     def no_objects(*fields):
-        raise AssertionError("ideal_norms built PrimeIdeal objects")
+        raise AssertionError("built PrimeIdeal objects")
 
     level = LevelSpec.above_primes(Q5, [11])
     monkeypatch.setattr(number_field, "PrimeIdeal", no_objects)
     with pytest.raises(AssertionError):  # the patch reaches the object path
         enumerate_prime_ideals(Q5, 100)
     _ideal_table.cache_clear()
-    norms = ideal_norms(Q5, 1e6)
-    assert norms.dtype == np.float64 and norms.size == 78510
-    assert np.all(np.diff(norms) >= 0.0)
-    with pytest.raises(ValueError):
-        norms[0] = 1.0
-    assert ideal_norms(Q5, 1e6) is norms
-    pruned = ideal_norms(Q5, 1e6, level)
-    assert pruned.size == 78508 and not pruned.flags.writeable
+    table = _outside(Q5, 1e6)
+    assert table.norm.dtype == np.int64 and table.norm.size == 78510
+    assert np.all(np.diff(table.norm) >= 0)
+    for column in table:
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert _outside(Q5, 1e6).norm is table.norm
+    qs, counts = norm_counts(Q5, 1e6)
+    assert qs.dtype == np.float64 and counts.dtype == np.int64
+    assert np.all(np.diff(qs) > 0.0) and counts.sum() == 78510
+    pruned = _outside(Q5, 1e6, level)
+    assert pruned.norm.size == 78508 and not any(c.flags.writeable for c in pruned)
+    assert norm_counts(Q5, 1e6, level)[1].sum() == 78508
+
+
+@pytest.mark.parametrize("name", ["rationals", "sqrt2", "sqrt5", "sqrt13"])
+def test_norm_counts_equal_unique_over_the_norm_column(name):
+    # with no level, and with levels that exclude one conjugate of a split
+    # prime, an inert ideal, a ramified ideal (a rational one over Q) and an
+    # ideal past the table; values and dtypes both
+    fs, x = FieldSpec.from_name(name), 10**5
+    first = {}
+    for q in primes_up_to(1000).tolist():
+        first.setdefault(split_prime(fs, q)[0].split_type, q)
+    single = [split_prime(fs, q)[-1:] for q in first.values()]
+    levels = [None, *(LevelSpec(excluded=tuple(e)) for e in single)]
+    levels.append(LevelSpec(excluded=tuple(split_prime(fs, 100003))))
+    levels.append(LevelSpec(excluded=tuple(i for e in single for i in e)))
+    assert len(first) == (1 if fs.degree == 1 else 3)
+    for level in levels:
+        got = norm_counts(fs, x, level)
+        want = np.unique(_outside(fs, x, level).norm.astype(np.float64), return_counts=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (name, level)
+
+
+def test_norm_counts_of_an_empty_table(tmp_path, capsys):
+    # sqrt5 has no prime ideal of norm <= 3 (2 is inert and 3 too, 5 is
+    # ramified), so both columns are empty, and clt still names x
+    from satolab.cli import main
+
+    got = norm_counts(Q5, 3)
+    want = np.unique(_outside(Q5, 3).norm.astype(np.float64), return_counts=True)
+    assert got[0].size == got[1].size == 0
+    assert [g.dtype for g in got] == [w.dtype for w in want]
+    argv = ["clt", "--field", "sqrt5", "--x", "3", "--size", "100", "--seed", "1",
+            "--statistic", "smooth", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "'x'" in capsys.readouterr().err
 
 
 def test_pi_l_at_one_million():
