@@ -24,6 +24,7 @@ PrimeIdeal tuples from them on each call.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -51,9 +52,6 @@ _SIEVE_BLOCK = 1 << 20
 # Products of two residues mod p stay in int64 while p <= isqrt(2^63 - 1);
 # beyond it the Kronecker kernel works on Python integers.
 _INT64_ROOT = math.isqrt(2**63 - 1)
-# Values per bincount in _exact_sum: 2^23 pieces below 2^30 sum below 2^53,
-# and 2^23 covers the 5.76M norms at the sieve capacity in one pass.
-_SUM_CHUNK = 1 << 23
 
 # Deterministic Miller-Rabin witness set for n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -347,37 +345,51 @@ def pi_L(fs: FieldSpec, x, level: LevelSpec = None) -> int:
     return int(_outside(fs, x, level).norm.size)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """The correctly rounded sum of a finite float64 array: the float
-    math.fsum returns, wherever fsum returns one (fsum raises on some
-    intermediate overflows, such as [1e308, 1e308, -1e308]).
+def _rounded(total: int, low: int) -> float:
+    """total 2^low, correctly rounded; OverflowError past the float range."""
+    return float(total << low) if low >= 0 else total / (1 << -low)
 
-    Each value is M 2^(e-53) with e from np.frexp and M a 53-bit integer,
-    cut as M = hi 2^23 + lo with |hi| < 2^30 and |lo| < 2^23.  np.bincount
-    adds the pieces of each exponent in float64, exactly while every partial
-    sum is an integer below 2^53, so at most _SUM_CHUNK values at a time.
-    Each exponent has four bins, taken in turn along the array, so a run of
-    values of one exponent does not wait on one accumulator.  The bins join
-    as Python ints, and one int true division, correctly rounded, gives the
-    float.
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 array, the float math.fsum
+    returns wherever fsum returns one (it raises on some intermediate
+    overflows, such as [1e308, 1e308, -1e308]); ValueError on a NaN or an
+    infinity, OverflowError on a sum past the float range.
+
+    Error-free extraction (Rump, Ogita & Oishi, 2008) on a copy v of the n
+    values, 2^k >= n + 2.  While |v| <= 2^(low+53-k), a level takes the bits
+    q of v at and above 2^low as fl((sigma + v) - sigma), sigma = 2^(low+53),
+    or by truncation where sigma would overflow; np.sum adds them exactly in
+    any order, v <- v - q is exact and leaves |v| <= 2^low for the next
+    level, and an int total joins the level sums in units of 2^low.  As
+    |sum v| <= n 2^low, the sum is final once (total - n) 2^low and (total +
+    n) 2^low round alike, or once a level adds 0 and leaves v 0.
     """
-    mant, exp = np.frexp(values)
-    low = int(exp.min(initial=0))
-    span = int(exp.max(initial=0)) - low + 1
-    bins = (exp - low) * 4 + (np.arange(exp.size) & 3)
-    mant *= 2.0**30
-    hi = np.trunc(mant)
-    lo = (mant - hi) * 2.0**23
+    v = np.array(values, dtype=np.float64)
+    q = np.empty_like(v)
+    top = float(np.abs(v, out=q).max(initial=0.0))
+    if not math.isfinite(top):  # the max propagates NaN, so one test covers NaN and inf
+        raise ValueError("an exact sum needs finite values, not NaN or infinity")
+    n = v.size
+    k = (n + 1).bit_length()
+    low = math.frexp(top)[1] + k - 53
     total = 0
-    for i in range(0, bins.size, _SUM_CHUNK):
-        at = slice(i, i + _SUM_CHUNK)
-        for piece, shift in ((hi, 23), (lo, 0)):
-            sums = np.bincount(bins[at], weights=piece[at], minlength=4 * span)
-            sums = sums.reshape(span, 4).sum(axis=1)
-            for k in np.flatnonzero(sums).tolist():
-                total += int(sums[k]) << (k + shift)
-    shift = low - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    while True:
+        if low > 970:  # sigma = 2^(low+53) would pass the float range
+            np.trunc(np.ldexp(v, -low, out=q), out=q)
+            part = int(q.sum())
+            np.ldexp(q, low, out=q)
+        else:
+            sigma = math.ldexp(1.0, low + 53)
+            np.subtract(np.add(v, sigma, out=q), sigma, out=q)
+            part = int(math.ldexp(q.sum(), -low))
+        v -= q
+        total = (total << (53 - k)) + part
+        with contextlib.suppress(OverflowError):  # an end past the float range: undecided
+            if not (part or v.any()) or _rounded(total - n, low) == _rounded(total + n, low):
+                break
+        low += k - 53
+    return _rounded(total, low)
 
 
 def mertens_sum(fs: FieldSpec, x) -> float:

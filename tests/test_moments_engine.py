@@ -164,21 +164,26 @@ def test_grouped_tuple_sum_is_bitwise_the_walk():
                 assert _distinct_tuple_sum(p.parts, block_sum) == want, (scale, p.parts)
 
 
-def _distinct_norm_weights(fs, x):
-    norms = np.array([ideal.norm for ideal in enumerate_prime_ideals(fs, x)], dtype=np.float64)
+def _distinct_norm_weights(fs, x, level=None):
+    norms = np.array([ideal.norm for ideal in enumerate_prime_ideals(fs, x, level)], dtype=np.float64)
     qs, counts = np.unique(norms, return_counts=True)
     return 1.0 / qs, counts.astype(np.float64)
 
 
-def test_shared_block_cache_matches_fresh_cache_sums():
+@pytest.mark.parametrize(
+    "sign, level",
+    [("plus", None), ("minus", None), ("plus", LevelSpec(excluded=tuple(split_prime(Q5, 11)[:1])))],
+    ids=["plus", "minus", "plus-level"],
+)
+def test_shared_block_cache_matches_fresh_cache_sums(sign, level):
     x = 20_000
     pair = to_chebyshev(ARC, limit_law_m(Q5, x))
-    z = ZSeries.from_extremal(pair, "plus")
-    w, counts = _distinct_norm_weights(Q5, x)
+    z = ZSeries.from_extremal(pair, sign)
+    w, counts = _distinct_norm_weights(Q5, x, level)
     pi_count = float(counts.sum())
     f_rows = {r: full_horner(z_power_coeffs(z, r).coeffs, w) for r in range(1, 9)}
     for n in range(1, 9):
-        rep = main_term_report(n, Q5, x, pair, sign="plus")
+        rep = main_term_report(n, Q5, x, pair, sign=sign, level=level)
         scale = pi_count ** (n / 2.0)
         want = tuple(
             (

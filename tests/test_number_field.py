@@ -1,5 +1,6 @@
 """Prime splitting, ideal enumeration, norm-power sums and the exact sum
 of a float array."""
+import functools
 import itertools
 import math
 
@@ -8,11 +9,12 @@ import pytest
 
 from oracles import enumerate_one_prime_at_a_time, split_one_prime
 from satolab import number_field
+from satolab.measures import _expectations
+from satolab.moments_engine import ZSeries, limit_law_m, z_power_coeffs
 from satolab.number_field import (
     FieldSpec,
     LevelSpec,
     PrimeIdeal,
-    _SUM_CHUNK,
     _euler_symbols,
     _exact_sum,
     _ideal_table,
@@ -27,6 +29,7 @@ from satolab.number_field import (
     primes_up_to,
     split_prime,
 )
+from satolab.selberg import ArcInterval, to_chebyshev
 
 Q5 = FieldSpec.real_quadratic(5)
 QQ = FieldSpec.rationals()
@@ -230,21 +233,52 @@ def test_mertens_minus_loglog_stabilizes():
     assert max(vals) - min(vals) <= 0.05
 
 
+def _minus_row_product(x):
+    """counts * row(1)^3 over the distinct norms of sqrt5 at x for the
+    minorant, the product _main_term_kernel sums for the block (1, 1, 1)."""
+    pair = to_chebyshev(ArcInterval(math.pi / 4, math.pi / 2), limit_law_m(Q5, x))
+    z = ZSeries.from_extremal(pair, "minus")
+    qs, counts = norm_counts(Q5, x)
+    row = _expectations(z_power_coeffs(z, 1).coeffs[::2], 1.0 / qs)
+    return counts.astype(np.float64) * row * row * row
+
+
+@functools.lru_cache(maxsize=1)
 def _fsum_cases():
     rng = np.random.default_rng(41)
     pair = rng.normal(size=400) * 10.0 ** rng.integers(-30, 30, size=400)
     cancelling = np.concatenate([pair, -pair, [3e-40]])
     rng.shuffle(cancelling)
+    top = np.finfo(np.float64).max
     return {
         "random": [rng.normal(size=int(n)) for n in rng.integers(1, 5000, size=20)],
         "10^-250..10^250": [rng.normal(size=3000) * 10.0 ** rng.integers(-250, 251, size=3000)],
         "cancelling pairs": [cancelling, np.concatenate([pair, -pair])],
         "ties to even": [np.array([1.0, 2.0**-53]), np.array([1.0, 2.0**-53, 2.0**-106]),
                          np.array([1.0 + 2.0**-52, 2.0**-53]), np.array([-1.0, -(2.0**-53)])],
+        # a tie at the first levels that a bit far below breaks, three or
+        # more levels down
+        "near ties": [np.array([1.0, 2.0**-53, 2.0**-160]), np.array([1.0, 2.0**-53, -(2.0**-160)]),
+                      np.array([-1.0, -(2.0**-53), -(2.0**-1074)]),
+                      np.array([1.0, 2.0**-160, 1.0, 1.0, 2.0**-52])],
         "subnormals": [rng.normal(size=1000) * 1e-310, np.array([5e-324] * 7 + [-1e-323]),
                        np.array([2.0**-1022, -(2.0**-1074), 1e-300])],
         "zeros": [np.zeros(17), np.array([0.0, -0.0]), np.zeros(0)],
         "extremes": [np.array([1.7e308, -1.7e308, 4.9e-324]), np.array([1e308, -1e-308, 1e200])],
+        # n = 2^k - 2, 2^k - 1 and 2^k, where the least k with 2^k >= n + 2
+        # steps up
+        "sizes at a step of k": [
+            sign * rng.uniform(0.5, 1.0, size=(1 << k) + d)
+            for k in (2, 3, 10, 16)
+            for d in (-2, -1, 0)
+            for sign in (1.0, rng.choice([-1.0, 1.0], size=(1 << k) + d))
+        ],
+        # at or above 2^1000, where the first level truncates instead of adding sigma
+        "past 2^1000": [rng.normal(size=3000) * 2.0 ** rng.integers(1000, 1016, size=3000),
+                        np.array([top]), np.array([top, -top / 2, 1.0, 2.0**-1074]),
+                        np.array([2.0**1021, 1.0, -(2.0**1021), 2.0**-1074]),
+                        np.concatenate([rng.normal(size=100) * 2.0**1015, rng.normal(size=100) * 1e-300])],
+        "kernel row product, minus": [_minus_row_product(1e6)],
     }
 
 
@@ -255,10 +289,10 @@ def test_exact_sum_is_fsum(case):
 
 
 def test_exact_sum_past_one_bincount():
-    # every value's high piece is 2^30 - 1, so their sum over the whole
-    # array would pass 2^53 and round
+    # 2^23 + 1 values just below 1, whose exact sum needs more than 53 bits
+    # and so rounds
     value = 1.0 - 2.0**-53
-    values = np.full(_SUM_CHUNK + 1, value)
+    values = np.full(2**23 + 1, value)
     assert _exact_sum(values) == math.fsum(itertools.repeat(value, values.size))
 
 
@@ -267,6 +301,13 @@ def test_exact_sum_survives_an_intermediate_overflow():
     with pytest.raises(OverflowError):
         math.fsum(values.tolist())
     assert _exact_sum(values) == 1e308
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("finite", [[], [1.0, -2.5e300, 3e-310]])
+def test_exact_sum_refuses_non_finite_values(bad, finite):
+    with pytest.raises(ValueError, match="finite"):
+        _exact_sum(np.array([*finite, bad, *finite]))
 
 
 def test_norm_power_sums_keep_their_fsum_bits():

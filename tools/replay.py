@@ -8,7 +8,8 @@ PARENT_SRC and CHANGE_SRC are directories that hold the satolab package
 PYTHONPATH set to that tree and OUT/parent or OUT/change as its working
 directory, and writes into a directory named after the call, where its
 stdout, stderr and exit code are kept too.  The calls cover theory (moment
-orders 1..8, fixed degree and weights, the Ei branch of pi_L), clt
+orders 1..8, the minorant, fixed degree and weights, the Ei branch of
+pi_L, and Q at x = 1e7, whose block sums run over 664,579 norms), clt
 (indicator with a level on one and two threads, over Q, a refused arc, and
 smooth) and primes with levels over four fields, so they read every
 report that mertens_sum, higher_power_sum, the ideal table and the sampler
@@ -35,6 +36,10 @@ CALLS = {
         "theory", "--field", "Q", "--x", "1e5", *QUARTER, "--M", "40", "--weights", "6", "8", "10",
     ],
     "theory_sqrt5_3e6_ei": ["theory", "--field", "sqrt5", "--x", "3e6", *QUARTER, "--weights", "4", "4"],
+    "theory_sqrt5_1e6_n8_minus": [
+        "theory", "--field", "sqrt5", "--x", "1e6", *QUARTER, "--n", "8", "--sign", "minus",
+    ],
+    "theory_Q_1e7_n8": ["theory", "--field", "Q", "--x", "1e7", *QUARTER, "--n", "8"],
     **{
         f"clt_indicator_sqrt5_1e5_level_threads{t}": [
             *CLT, "--field", "sqrt5", "--x", "1e5", *QUARTER, "--exclude-primes", "5", "11",
