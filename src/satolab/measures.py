@@ -44,7 +44,10 @@ quantile call the same kernels on a workspace sized to their input.
 The same expansion gives local expectations: a function with the series
 sum_n c_n U_{2n}(cos theta) has E_q = sum_n c_n q^{-n}, which _expectations
 forms at every distinct norm for the theory's Z^r profiles and for the
-smooth model mean and variance.
+smooth model mean and variance.  Each norm's Horner sum stops once the rest
+of the series is at most 2^-60 of sum_n |c_n| q^{-n} (and at q^n = e^690 at
+the latest), so a value lies within a few 2^-53 sum_n |c_n| q^{-n} of the
+full-length sum, but not always on its bits.
 """
 from __future__ import annotations
 
@@ -90,8 +93,7 @@ _TILE = 2**15
 # bracket; x = 1e4 keeps every norm's own row.
 _SHARED_Q = 1e4
 # Past q^n = e^690 (about 1e300) the term c_n w^n, w = 1/q, is about 1e-300
-# of c_n and no longer moves a row's value, so the Horner step for w^n
-# skips those rows.
+# of c_n, so _expectations stops every norm there at the latest.
 _LOG_UNDERFLOW = 690.0
 
 
@@ -180,22 +182,37 @@ def _weighted_grid(measure, quadrature_points: int) -> tuple:
 def _expectations(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """E_q of the series sum_n coeffs[n] U_{2n}(cos theta) at every w = 1/q:
     U_{2n} integrates to q^{-n}, so each is the polynomial sum_n coeffs[n]
-    w^n, by Horner.
+    w^n, by Horner, stopped at each norm's own precision.
 
-    w must be non-increasing (norms ascending): the Horner step for w^n
-    then updates only the prefix of rows with q^n <= e^690, and a row
-    outside it starts from zero exactly when it enters.  The prefixes shrink
-    as n grows, so the loop starts at the last n whose prefix is non-empty.
-    Each step multiplies and adds in place on a view of the prefix: the
-    bits of total[:k] * w[:k] + coeffs[n], with no temporary per step.
+    With j the first nonzero coefficient and S_n = max_{k>=n} |coeffs[k]|,
+    a norm takes term n > j only while S_n w^{n-j} > 2^-60 (1 - w[0])
+    |coeffs[j]|, and no term with q^n > e^690.  The rest it drops is then at
+    most S_n w^n / (1 - w[0]) <= 2^-60 |coeffs[j]| w^j, within 2^-60 of
+    sum_kept |coeffs[n]| w^n and well inside Horner's own rounding bound (or,
+    at the cap, under S_n e^-690 / (1 - w[0])).  Each condition is one limit
+    on log q per n; taken non-increasing in n, the limits make the norms that
+    take term n a prefix of w, which must be non-increasing (norms
+    ascending).  The loop starts at the last n whose prefix is non-empty, and
+    a row outside a prefix starts from zero exactly when it enters.  Each
+    step multiplies and adds in place on a view of the prefix: the bits of
+    total[:k] * w[:k] + coeffs[n], with no temporary per step.  All-zero
+    coefficients give zero rows.
     """
     if np.any(np.diff(w) > 0.0):
         raise ValueError("w must be non-increasing")
-    log_q = -np.log(w)
-    limits = np.full(coeffs.size, np.inf)
-    limits[1:] = _LOG_UNDERFLOW / np.arange(1, coeffs.size)
-    rows = np.searchsorted(log_q, limits, side="right")
     total = np.zeros_like(w)
+    mag = np.abs(coeffs)
+    nonzero = np.flatnonzero(mag)
+    if not (w.size and nonzero.size):
+        return total
+    j = nonzero[0]
+    log_floor = math.log(mag[j]) + math.log1p(-w[0]) - 60.0 * math.log(2.0)
+    tail = np.maximum.accumulate(mag[::-1])[::-1]
+    limits = np.full(coeffs.size, np.inf)
+    with np.errstate(divide="ignore"):
+        limits[j + 1 :] = (np.log(tail[j + 1 :]) - log_floor) / np.arange(1, coeffs.size - j)
+    limits[1:] = np.minimum(limits[1:], _LOG_UNDERFLOW / np.arange(1, coeffs.size))
+    rows = np.searchsorted(-np.log(w), np.minimum.accumulate(limits), side="right")
     for n in range(np.count_nonzero(rows) - 1, -1, -1):
         head = total[: rows[n]]
         head *= w[: rows[n]]

@@ -190,10 +190,12 @@ def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
 
     @lru_cache(maxsize=None)
     def block_sum(multiset: tuple) -> float:
-        prod = row(multiset[0])
-        for r in multiset[1:]:
-            prod = prod * row(r)
-        return _exact_sum(counts * prod)
+        # counts * (row * row * ...) in left-to-right order, on one new buffer
+        factors = [row(r) for r in multiset[1:]] + [counts]
+        prod = row(multiset[0]) * factors[0]
+        for f in factors[1:]:
+            prod *= f
+        return _exact_sum(prod)
 
     return count, block_sum
 

@@ -1,5 +1,6 @@
 """Reference implementations that the tests compare the program against."""
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,48 @@ def full_horner(coeffs, w):
     for c in coeffs[::2][::-1]:
         total = total * w + c
     return total
+
+
+def horner_stops(c, w) -> list:
+    """The last term K(q) that each norm q = 1/w takes of the series with
+    U_{2n} coefficients c (not all zero), w non-increasing: with j the first
+    nonzero coefficient and S_n = max_{k>=n} |c_k|, a norm takes term n
+    while q^n <= e^690 and, past j, S_n q^{-(n-j)} > 2^-60 (1 - w[0]) |c_j|
+    (both in logs, by math.log), and none after the first it does not take.
+    Plain Python, one norm at a time."""
+    mag = [abs(float(v)) for v in c]
+    tails = list(itertools.accumulate(reversed(mag), max))[::-1]
+    j = next(n for n, v in enumerate(mag) if v)
+    log_floor = math.log(mag[j]) + math.log1p(-float(w[0])) - 60.0 * math.log(2.0)
+    stops = []
+    for wq in w:
+        log_q = -math.log(float(wq))
+        k = 0
+        while k + 1 < len(mag):
+            n = k + 1
+            if log_q > 690.0 / n:
+                break
+            if n > j and (tails[n] == 0.0 or log_q > (math.log(tails[n]) - log_floor) / (n - j)):
+                break
+            k = n
+        stops.append(k)
+    return stops
+
+
+def truncated_horner(c, w) -> list:
+    """sum_{n <= K(q)} c_n w^n at every w = 1/q (w non-increasing), by a
+    per-norm Horner over c_0..c_K(q) in Python floats, K(q) by horner_stops;
+    all zeros for all-zero c."""
+    c = [float(v) for v in c]
+    if not any(c):
+        return [0.0] * len(w)
+    out = []
+    for wq, stop in zip(map(float, w), horner_stops(c, w)):
+        total = 0.0
+        for n in range(stop, -1, -1):
+            total = total * wq + c[n]
+        out.append(total)
+    return out
 
 
 def set_partitions(u: int) -> list:

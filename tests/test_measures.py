@@ -1,13 +1,14 @@
 """Sato-Tate and local measures: densities, moments, CDFs, sampling."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import full_horner, long_double_cdf, smooth_power_coeffs
+from oracles import full_horner, horner_stops, long_double_cdf, smooth_power_coeffs, truncated_horner
 from satolab.chebyshev import eval_U, simpson_quadrature
-from satolab.ensemble import SmoothSpec, smooth_weight
+from satolab.ensemble import SmoothSpec, _smooth_profile, smooth_weight
 from satolab.measures import (
     _CELL,
     _GRID,
@@ -15,6 +16,7 @@ from satolab.measures import (
     _cdf_series,
     _expectations,
     _invert,
+    _local_tail_length,
     _measure_series,
     _norm_runs,
     _Workspace,
@@ -292,14 +294,35 @@ def _distinct_w(fs, x):
     return 1.0 / norm_counts(fs, x, LevelSpec.empty())[0]
 
 
+def _u_coeffs(c):
+    """The U_m coefficients of the series with U_{2n} coefficients c."""
+    full = np.zeros(2 * len(c) - 1)
+    full[::2] = c
+    return full
+
+
+def _sum_bound(coeffs, w):
+    """2^-50 sum_n |c_n| w^n at every w, from the U_m coefficients: the rest
+    that the stop drops is at most 2^-60 of that sum, and Horner's own
+    rounding moves each value by a few 2^-53 of it."""
+    return 2.0**-50 * full_horner(np.abs(coeffs), w)
+
+
+def _near_full_horner(got, coeffs, w):
+    return np.all(np.abs(got - full_horner(coeffs, w)) <= _sum_bound(coeffs, w))
+
+
 def test_expectations_prefix_horner_is_bitwise_full_horner():
-    # Skipping rows where c_n w^n has underflowed past every digit must not
-    # move a single bit of the profile.
+    # Re-specified with the stop at each norm's own precision: full-length
+    # Horner stays the reference within 2^-50 sum_n |c_n| w^n, and the bits
+    # are those of a per-norm Horner over c_0..c_K(q).
     z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "plus")
     w = _distinct_w(Q5, 1e5)
     for r in range(1, 9):
         coeffs = z_power_coeffs(z, r).coeffs
-        assert np.array_equal(_expectations(coeffs[::2], w), full_horner(coeffs, w))
+        got = _expectations(coeffs[::2], w)
+        assert _near_full_horner(got, coeffs, w), r
+        assert got.tolist() == truncated_horner(coeffs[::2], w), r
 
 
 def test_expectations_skip_only_coefficients_that_reach_no_row():
@@ -320,6 +343,65 @@ def test_expectations_reject_unsorted_weights():
     shuffled = np.random.default_rng(5).permutation(w)
     with pytest.raises(ValueError):
         _expectations(coeffs[::2], shuffled)
+
+
+def _mp_expectations(c, qs):
+    """sum_n c_n q^-n over every coefficient, at 40 digits, rounded once."""
+    with mpmath.workdps(40):
+        cs = [mpmath.mpf(float(v)) for v in c]
+        return [float(mpmath.fsum(v * mpmath.mpf(q) ** -n for n, v in enumerate(cs))) for q in qs]
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_expectations_match_mpmath_on_z_powers(sign):
+    qs = [2, 3, 4, 5, 101, 10007, 999983]
+    w = 1.0 / np.array(qs, dtype=np.float64)
+    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), sign)
+    for r in range(1, 9):
+        coeffs = z_power_coeffs(z, r).coeffs
+        got = _expectations(coeffs[::2], w)
+        assert np.all(np.abs(got - _mp_expectations(coeffs[::2], qs)) <= _sum_bound(coeffs, w)), r
+        assert got.tolist() == truncated_horner(coeffs[::2], w), r
+
+
+def test_expectations_match_mpmath_on_smooth_profile():
+    qs = [2, 3, 4, 5, 101, 10007, 999983]
+    w = 1.0 / np.array(qs, dtype=np.float64)
+    for spec, big_m in [(SmoothSpec(), 2.0), (SmoothSpec(lam=0.3), 4.0)]:
+        for c in _smooth_profile(spec, big_m, _local_tail_length(2.0))[:2]:
+            got = _expectations(c, w)
+            assert np.all(np.abs(got - _mp_expectations(c, qs)) <= _sum_bound(_u_coeffs(c), w))
+            assert got.tolist() == truncated_horner(c, w)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [[0.0, 0.0, 3.0, -1.0, 0.5, 1e-3, 2.0, 0.0], [0.0] * 9, [0.75], [1e-300, 1.0, 1.0]],
+    ids=["j=2", "zero", "one", "tiny-c0"],
+)
+def test_expectations_edge_coefficients(c):
+    # w[0] = 1/2 over Q, 1/4 over sqrt5; all-zero c gives rows of exact
+    # zeros and one coefficient rows of exactly c_0, as the oracle does
+    c = np.array(c)
+    for w in (_distinct_w(FieldSpec.rationals(), 2000), _distinct_w(Q5, 2000)):
+        got = _expectations(c, w)
+        assert got.tolist() == truncated_horner(c, w)
+        assert _near_full_horner(got, _u_coeffs(c), w)
+    assert _expectations(c, np.empty(0)).shape == (0,)
+
+
+def test_expectations_norms_taking_term_n_never_rise_with_n():
+    # the stop at each norm's precision is a limit on log q, so the norms
+    # that take term n are a prefix of the ascending norms, and the largest
+    # norms stop within a few terms of the first nonzero one
+    z = ZSeries.from_extremal(to_chebyshev(ARC, 735), "minus")
+    w = _distinct_w(Q5, 1e5)
+    for r in (1, 4, 8):
+        stops = np.array(horner_stops(z_power_coeffs(z, r).coeffs[::2], w))
+        assert np.all(np.diff(stops) <= 0), r
+        takers = [np.count_nonzero(stops >= n) for n in range(stops[0] + 1)]
+        assert all(a >= b for a, b in zip(takers, takers[1:])), r
+        assert stops[-1] <= 8 < 690 / math.log(1.0 / w[-1]), r
 
 
 @pytest.mark.parametrize("lam, big_m", [(0.3, 2.0), (1.0, 4.0)])

@@ -9,11 +9,13 @@ PYTHONPATH set to that tree and OUT/parent or OUT/change as its working
 directory, and writes into a directory named after the call, where its
 stdout, stderr and exit code are kept too.  The calls cover theory (moment
 orders 1..8, the minorant, fixed degree and weights, the Ei branch of
-pi_L, and Q at x = 1e7, whose block sums run over 664,579 norms), clt
-(indicator with a level on one and two threads, over Q, a refused arc, and
-smooth) and primes with levels over four fields, so they read every
-report that mertens_sum, higher_power_sum, the ideal table and the sampler
-reach.  OUT must be new or empty.  Exits 0 when both trees wrote the same
+pi_L, Q at x = 1e7, whose block sums run over 664,579 norms, sqrt13 on the
+arc [0, 1], and Q at M = 10000, whose Z^2 has 10,001 U_2n coefficients),
+clt (indicator with a level on one and two threads, over Q, a refused arc,
+and smooth, over Q at x = 1e6 with 78,498 norms in its model sums) and
+primes with levels over four fields, so they read every report that
+mertens_sum, higher_power_sum, the ideal table, the local expectations
+and the sampler reach.  OUT must be new or empty.  Exits 0 when both trees wrote the same
 files with the same bytes; otherwise lists every path that differs or is
 on one side only and exits 1.
 """
@@ -40,6 +42,10 @@ CALLS = {
         "theory", "--field", "sqrt5", "--x", "1e6", *QUARTER, "--n", "8", "--sign", "minus",
     ],
     "theory_Q_1e7_n8": ["theory", "--field", "Q", "--x", "1e7", *QUARTER, "--n", "8"],
+    "theory_sqrt13_1e6_n8_arc01": [
+        "theory", "--field", "sqrt13", "--x", "1e6", "--interval", "0", "1", "--n", "8",
+    ],
+    "theory_Q_1e5_M10000_n2": ["theory", "--field", "Q", "--x", "1e5", *QUARTER, "--M", "10000", "--n", "2"],
     **{
         f"clt_indicator_sqrt5_1e5_level_threads{t}": [
             *CLT, "--field", "sqrt5", "--x", "1e5", *QUARTER, "--exclude-primes", "5", "11",
@@ -55,6 +61,9 @@ CALLS = {
     ],
     "clt_smooth_Q_2e5": [
         "clt", "--size", "1024", "--seed", "31", "--field", "Q", "--x", "2e5", "--statistic", "smooth",
+    ],
+    "clt_smooth_Q_1e6": [
+        "clt", "--statistic", "smooth", "--field", "Q", "--x", "1e6", "--size", "100", "--seed", "31",
     ],
     "primes_sqrt5_1e6": ["primes", "--field", "sqrt5", "--x", "1e6", "--exclude-primes", "3", "5", "11"],
     "primes_sqrt2_1e5": [
