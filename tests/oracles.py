@@ -260,6 +260,33 @@ def smooth_power_coeffs(spec, big_m: float, r: int, n_max: int) -> np.ndarray:
     return (np.cos(2 * n * theta) - np.cos((2 * n + 2) * theta)) @ weight / 4096
 
 
+def cumulants_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Cumulants k_1..k_R from raw moments m_1..m_R along the last axis (one
+    row per norm, say): k_n = m_n - sum_{j<n} C(n-1, j-1) k_j m_{n-j}."""
+    mom = np.concatenate([np.ones(raw.shape[:-1] + (1,)), raw], axis=-1)
+    k = np.zeros_like(mom)
+    for n in range(1, mom.shape[-1]):
+        k[..., n] = mom[..., n] - sum(
+            math.comb(n - 1, j - 1) * k[..., j] * mom[..., n - j] for j in range(1, n)
+        )
+    return k[..., 1:]
+
+
+def standardized_sum_moments(raw: np.ndarray, counts, center: float, scale: float) -> list:
+    """E[((S - center)/scale)^r], r = 1..R, where S sums independent terms,
+    counts[i] of them with the raw moments raw[i, :R].  Cumulants add over
+    the terms, by math.fsum; center shifts the first; the moments of the
+    shifted sum follow by m_n = sum_j C(n-1, j-1) k_j m_{n-j}."""
+    per_norm = cumulants_from_raw(np.asarray(raw, dtype=np.float64))
+    counts = np.asarray(counts, dtype=np.float64)
+    k = [math.fsum((counts * col).tolist()) for col in per_norm.T]
+    k[0] -= center
+    mom = [1.0]
+    for n in range(1, len(k) + 1):
+        mom.append(math.fsum(math.comb(n - 1, j - 1) * k[j - 1] * mom[n - j] for j in range(1, n + 1)))
+    return [m / scale**n for n, m in enumerate(mom[1:], start=1)]
+
+
 def cumulant_main_terms(z_coeffs, norms, orders: int) -> list:
     """E[(sum_i Z(theta_i))^n] / pi_L^{n/2} for n = 1..orders under the
     independence model, with Z = sum_k z_coeffs[k] U_k(cos theta) and one

@@ -1,4 +1,5 @@
-"""Acceptance gate: the ten binding checks, one pass/fail line each.
+"""Acceptance gate: the ten binding checks, one pass/fail line each, and
+the criterion-09 sample's moments against the exact law of its model.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines. The two
 Monte Carlo checks standardize in two ways: with the limit-law center
@@ -14,7 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import linearize_product, trace_identity_check
+from oracles import (
+    linearize_product,
+    smooth_power_coeffs,
+    standardized_sum_moments,
+    trace_identity_check,
+)
 from satolab.chebyshev import (
     eval_U,
     simpson_quadrature,
@@ -29,13 +35,14 @@ from satolab.ensemble import (
     smooth_weight,
 )
 from satolab.chebyshev import fourier_coefficient
-from satolab.measures import LocalMeasure, chebyshev_moment, moment_quadrature
+from satolab.measures import LocalMeasure, _expectations, chebyshev_moment, moment_quadrature
 from satolab.moments_engine import limit_law_m, main_term_report, partitions_of
 from satolab.number_field import (
     FieldSpec,
     LevelSpec,
     higher_power_sum,
     mertens_sum,
+    norm_counts,
     split_prime,
 )
 from satolab.selberg import (
@@ -328,6 +335,34 @@ def test_criterion_09_smooth_clt(smooth_run):
         f"z=({', '.join(f'{z:+.2f}' for z in z_limit)}) carries the center "
         f"drift), runtime={took:.1f}s",
     )
+
+
+def test_smooth_moments_match_exact_model_law(smooth_run):
+    """The criterion-09 sample against the exact law of its own model: the
+    U_2n coefficients of phi_M^r (r = 1..8) give E_q[phi_M^r] at every
+    distinct norm, their cumulants add over the ideals, and the moments of
+    (S - mean_model)/scale follow.  z uses the larger of the report's
+    jackknife error and the exact one, as perfbench/check.py does."""
+    report, _ = smooth_run
+    spec = SmoothSpec(kind="gaussian", lam=1.0)
+    qs, counts = norm_counts(Q5, 1e4)
+    raw = np.stack(
+        [_expectations(smooth_power_coeffs(spec, 4.0, r, 64), 1.0 / qs) for r in range(1, 9)], axis=1
+    )
+    exact = standardized_sum_moments(raw, counts, report.mean_model, report.scale)
+    z = []
+    for r, (got, se) in enumerate(
+        zip(report.model_centered_moments, report.model_centered_standard_errors), start=1
+    ):
+        se_exact = math.sqrt(max(exact[2 * r - 1] - exact[r - 1] ** 2, 0.0) / report.size)
+        z.append((got - exact[r - 1]) / max(se, se_exact))
+    ok = max(abs(v) for v in z) <= 5.0
+    print(
+        f"[exact smooth law] {'PASS' if ok else 'FAIL'}: z=({', '.join(f'{v:+.2f}' for v in z)}) "
+        f"(|z|<=5) against exact moments ({', '.join(f'{v:.4f}' for v in exact[:4])})"
+    )
+    assert int(counts.sum()) == report.pi_L_x
+    assert ok, z
 
 
 def test_criterion_10_thread_determinism(tmp_path):
