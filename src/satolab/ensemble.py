@@ -14,13 +14,14 @@ inverts the uniforms through the local measures' bracket tables
 (measures._angles).  Of the sampling, this module keeps only the tile loops
 (_indicator_values, _member_values).
 
-Both statistics keep one memory rule: a block holds tile buffers of at most
-_TILE cells and one float64 total per member at any x.  A smooth tile is
-ideal rows x members, and every stage of it (the RNG words, the bracket, the
-start, the Newton steps, the cdf series, smooth_weight and the group sums)
-writes into one workspace (measures._Workspace) with out=, so a tile
-allocates only arrays the size of its tail-cell subset (and np.interp's
-results for a custom phi).  A smooth block peaks at 11 buffers, 2.75 MiB.
+Both statistics keep one memory rule: a block holds tile buffers of a fixed
+number of cells and one float64 total per member at any x.  A smooth tile
+is ideal rows x members, 2 _TILE cells (32 rows of a 2,048-member block),
+and every stage of it (the RNG words, the bracket, the start, the Newton
+steps, the cdf series, smooth_weight and the group sums) writes into one
+workspace (measures._Workspace) with out=, so a tile allocates only arrays
+the size of its tail-cell subset (and np.interp's results for a custom
+phi).  A smooth block peaks at 11 buffers of 512 KiB, 5.5 MiB.
 The workspace belongs to one _member_values call, so to one block on one
 thread.  Each group of _ROWS ideal rows from its bucket's first row adds its
 per-member weight sum to the totals in row order; _ROWS fixes that order.
@@ -446,7 +447,9 @@ def _member_values(ctx: _Context, keys: np.ndarray) -> np.ndarray:
     if inv is None:
         return _indicator_values(ctx, keys)
     total, row = np.zeros(members), keys[None, :]
-    step = max(1, _TILE // (_ROWS * members)) * _ROWS
+    # 2 _TILE cells a tile: half the numpy calls of a block, each of which
+    # hands the interpreter lock across when blocks run on two threads
+    step = max(1, 2 * _TILE // (_ROWS * members)) * _ROWS
     ws = _Workspace((step, members))
     for k0, k1, series in inv.buckets:
         for a in range(k0, k1, step):

@@ -19,8 +19,12 @@ tails: one gather into the n - 1 guide cells of an n-node row, then a walk
 of at most 2 steps.  In a norm's own row the start is cubic Hermite
 inverse interpolation with slopes 1/f from a slope table of the same
 shape (_grid_rows), and one Newton step follows.  The first and last 32
-cells start from cube-root interpolation and take two steps.  The
-sampler's tables (_inverter) hold the own rows of the norms up to
+cells start from cube-root interpolation instead.  A Newton step takes
+sin theta and cos theta by angle addition from the tabled sine and cosine
+of the _GRID node at the foot of its clip range, at most 3 cells below
+theta, with the sine and cosine of the rest as short polynomials
+(_sin_cos_near), not from libm; cdf, density and the bracket tables keep
+libm's.  The sampler's tables (_inverter) hold the own rows of the norms up to
 _SHARED_Q = 1e4 and one shared row, the cdf of LocalMeasure(math.inf),
 for every norm past it; there the start is linear, and the norm's own two
 Newton steps close the O(1/q) gap.  Each step is clipped to the bracketed
@@ -34,10 +38,10 @@ moves the root by more than that: near theta = 0 about 1e-20 against a
 density of 2e-8 at u = 1e-12, up to 1.3e-12 rad below u = 3.5e-12.
 
 Every kernel of the inverter (_bracket, _hermite, _lerp, _newton,
-_density, _cdf_series) writes into the arrays of a _Workspace, flat
+_sin_cos_near, _density, _cdf_series) writes into the arrays of a _Workspace, flat
 buffers reused by liveness, with every arithmetic step in the order of the
 plain expression it replaces.  The smooth sampler keeps one workspace per
-block and inverts a tile of at most _TILE cells at a time (_angles), so a tile
+block and inverts one tile of ideal rows at a time (_angles), so a tile
 allocates nothing but the arrays of its tail cells; cdf, density and
 quantile call the same kernels on a workspace sized to their input.
 
@@ -79,8 +83,7 @@ _GRID.flags.writeable = False
 _CELL = math.pi / (_GRID.size - 1)
 _GRID_SIN, _GRID_COS = np.sin(_GRID), np.cos(_GRID)
 # Cells at each end of a bracket grid where the inverter starts from cube-root
-# interpolation and takes two Newton steps: there the cdf is cubic in the
-# distance to the endpoint.
+# interpolation: there the cdf is cubic in the distance to the endpoint.
 _TAIL_CELLS = 32
 # Slack on the guide cell edges, far above the rounding error of _guide_map.
 _GUIDE_SLACK = 2.0**-40
@@ -496,14 +499,48 @@ def _hermite(u, r_lo, r_hi, m_lo, m_hi, lo, ws: _Workspace):
     return theta
 
 
-def _newton(theta, u, lo, hi, series: _Series, ws: _Workspace = None):
-    """One Newton step on cdf(theta) = u, in place, clipped to [lo, hi] and
-    skipped where the density is below 1e-12."""
+def _sin_cos_near(theta, node, ws: _Workspace):
+    """sin theta and cos theta for theta within 3 _CELL of the _GRID nodes
+    `node` (intp indices), by angle addition from the nodes' tabled sine S
+    and cosine C: with d = theta - node _CELL, sin theta = S cos d + C sin d
+    and cos theta = C cos d - S sin d, where sin d = d (1 - d^2/6 + d^4/120)
+    and cos d = 1 - d^2/2 + d^4/24.  For |d| <= 3 _CELL the first dropped
+    term is below 2^-60 of the kept one, so both lie within 2.2e-16 of libm's
+    values.  Both come on buffers of ws."""
+    d, d2, p, s_j, c_j = ws.take(theta.shape, 5)
+    np.multiply(node, _CELL, out=d)  # node i of _GRID is i _CELL bit for bit
+    np.subtract(theta, d, out=d)
+    np.multiply(d, d, out=d2)
+    np.multiply(d2, 1.0 / 120.0, out=p)  # sin d
+    p -= 1.0 / 6.0
+    p *= d2
+    p += 1.0
+    p *= d
+    np.multiply(d2, 1.0 / 24.0, out=d)  # cos d
+    d -= 0.5
+    d *= d2
+    d += 1.0
+    np.take(_GRID_SIN, node, mode="clip", out=s_j)
+    np.take(_GRID_COS, node, mode="clip", out=c_j)
+    sin_t, cos_t = d2, d
+    np.multiply(s_j, d, out=sin_t)
+    cos_t *= c_j
+    c_j *= p
+    sin_t += c_j
+    s_j *= p
+    cos_t -= s_j
+    ws.give(p, s_j, c_j)
+    return sin_t, cos_t
+
+
+def _newton(theta, u, node, hi, series: _Series, ws: _Workspace = None):
+    """One Newton step on cdf(theta) = u, in place, clipped to [node _CELL,
+    hi] and skipped where the density is below 1e-12.  theta lies within 3
+    _CELL above the _GRID nodes `node`, whose tabled sine and cosine give
+    its own (_sin_cos_near)."""
     shape = theta.shape
     ws = _Workspace(shape) if ws is None else ws
-    sin_t, cos_t = ws.take(shape, 2)
-    np.sin(theta, out=sin_t)
-    np.cos(theta, out=cos_t)
+    sin_t, cos_t = _sin_cos_near(theta, node, ws)
     dens = _density(sin_t, cos_t, series, ws)
     step = _cdf_series(theta, sin_t, cos_t, series, ws)
     step -= u
@@ -513,7 +550,8 @@ def _newton(theta, u, lo, hi, series: _Series, ws: _Workspace = None):
     step /= dens
     np.copyto(step, 0.0, where=skip)
     theta -= step
-    np.maximum(theta, lo, out=theta)  # np.clip's bits but for NaN and -0.0, about 4x faster
+    np.multiply(node, _CELL, out=dens)  # the lower bound
+    np.maximum(theta, dens, out=theta)  # np.clip's bits but for NaN and -0.0, about 4x faster
     np.minimum(theta, hi, out=theta)
     ws.give(sin_t, cos_t, dens, step, skip)
     return theta
@@ -530,8 +568,9 @@ def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None, *, ws: _W
     is another measure's: the start is linear and two steps follow.  In the
     first and last _TAIL_CELLS cells, where the cdf is cubic in the distance
     to the endpoint, the start is linear in the cube roots of u and of the row
-    values (of 1 - u and 1 - row near pi), and two steps follow either way.
-    Each step is clipped to the cell and its two neighbours, inside [0, pi].
+    values (of 1 - u and 1 - row near pi), and the row's steps follow.
+    Each step is clipped to the cell and its two neighbours, inside [0, pi],
+    and reads the sine and cosine of the lowest of their nodes.
     theta is within 1e-12 rad of the root for u in [1e-11, 1 - 1e-5].
 
     The bracket's arrays go back to ws, the workspace of _bracket, and the
@@ -563,32 +602,26 @@ def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None, *, ws: _W
             _lerp(np.cbrt(v), np.cbrt(v_lo), np.cbrt(v_hi), a, b),
             _lerp(np.cbrt(1.0 - v), np.cbrt(1.0 - v_hi), np.cbrt(1.0 - v_lo), b, a),
         )
-    ws.give(r_lo, r_hi)
-    [hi] = ws.take(shape)
-    np.subtract(idx, 2.0, out=lo)  # foot of the cell below, or 0
-    np.maximum(lo, 0.0, out=lo)
-    lo *= _CELL
+    ws.give(r_lo, r_hi, lo)
+    [node], [hi] = ws.take(shape, 1, np.intp), ws.take(shape)
+    np.subtract(idx, 2, out=node)  # foot of the cell below, or node 0
+    np.maximum(node, 0, out=node)
     np.add(idx, 1.0, out=hi)  # top of the cell above, or pi
     np.minimum(hi, _GRID.size - 1, out=hi)
     hi *= _CELL
     ws.give(idx)
-    theta = _newton(theta, u, lo, hi, series, ws)
+    theta = _newton(theta, u, node, hi, series, ws)
     if m_lo is None:
-        theta = _newton(theta, u, lo, hi, series, ws)
-    if ends[0].size:  # the tail cells' second step; u = 0 and u = 1 bracket there
-        last = theta[ends]
-        if m_lo is not None:  # a column series' factors are (rows, 1) columns
-            cut = series if np.ndim(series.fac) < 2 else series[ends[0], 0]
-            last = _newton(last, v, lo[ends], hi[ends], cut)
-        theta[ends] = np.where(v == 0.0, 0.0, np.where(v == 1.0, math.pi, last))
-    ws.give(lo, hi)
+        theta = _newton(theta, u, node, hi, series, ws)
+    if ends[0].size:  # u = 0 and u = 1 bracket in the tail cells
+        theta[ends] = np.where(v == 0.0, 0.0, np.where(v == 1.0, math.pi, theta[ends]))
+    ws.give(node, hi)
     return theta
 
 
 def quantile(measure, u):
     """Inverse of cdf: a 4097-point guide-table bracket, a cubic Hermite start
-    and one Newton step; a cube-root start and two steps in the 32 cells at
-    each end.
+    (a cube-root start in the 32 cells at each end) and one Newton step.
 
     |cdf(quantile(u)) - u| <= 1e-15 for every u in [0, 1], and for u in
     [1e-11, 1 - 1e-5] the angle is within 1e-12 rad of the root.

@@ -203,7 +203,7 @@ def test_fast_inversion_agrees_with_quantile():
 
 
 def test_invert_matrix_residual_at_rounding_level():
-    # own rows: a Hermite start and one Newton step, two steps in tail cells
+    # own rows: a Hermite start (a cube-root one in tail cells), one Newton step
     qs = np.array([2.0, 4.0, 9973.0])
     inv = _unit_inverter(qs)
     assert inv.shared == qs.size
@@ -217,8 +217,7 @@ def test_sampler_own_rows_are_quantile_bit_for_bit():
     # the sampler's own rows and quantile run one set of kernels, on
     # workspaces of a tile's and of the input's shape: the angles agree with ==.
     # Random u reach the 32 tail cells at about 3e-6 per end, so TAIL_US
-    # joins each row: there the second step reads a column series' factors,
-    # in buckets of two rows at 47, 49 and at 9967, 9973
+    # joins each row; the rows at 47, 49 and at 9967, 9973 share buckets
     qs = np.array([2.0, 3.0, 4.0, 9.0, 47.0, 49.0, 9967.0, 9973.0])
     draws = np.random.default_rng(25).random((qs.size, 50_000))
     up = np.concatenate([draws, np.tile(TAIL_US, (qs.size, 1))], axis=1)
@@ -397,6 +396,16 @@ def test_member_values_do_not_depend_on_tile_size(monkeypatch):
         monkeypatch.undo()
 
 
+def test_smooth_member_values_same_at_both_tile_sizes(monkeypatch):
+    # a 2,048-member smooth block at x = 1e4 in tiles of 2^16 cells (32 rows,
+    # the default) and of 2^15 (16 rows): _ROWS fixes the group order, so
+    # the member values agree bit for bit
+    ctx, keys = _block(SMOOTH, 1e4, 2048)
+    want = _member_values(ctx, keys)
+    monkeypatch.setattr(ensemble, "_TILE", ensemble._TILE // 2)
+    assert np.array_equal(_member_values(ctx, keys), want)
+
+
 def test_indicator_tiles_count_as_untiled_uniforms():
     # tiles of members x ideal rows count what the uniforms at every
     # (member, ideal) count against F(a) and F(b) as floats.  At x = 1e4 a
@@ -463,9 +472,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_smooth_block_minor_page_faults(tmp_path):
     # a fresh process runs two 2,048-member smooth blocks at x = 1e4 and
     # counts the minor page faults of the second.  With one workspace per
-    # block it reads 616 (704 at x = 1e5); when each tile allocated its
-    # temporaries anew and glibc gave them back to the kernel, 23,088
-    # (341,604 at x = 1e5).  The bound sits about 6x from both
+    # block it reads 1,376, about the 1,408 pages of its 11 buffers of
+    # 2^16 cells (616 on 2^15-cell tiles, 704 at x = 1e5); when each tile
+    # allocated its temporaries anew and glibc gave them back to the
+    # kernel, 23,088 (341,604 at x = 1e5).  The bound sits 3-6x from both
     src = os.path.dirname(os.path.dirname(ensemble.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(

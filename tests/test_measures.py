@@ -175,7 +175,7 @@ def test_quantile_roundtrip():
 
 @pytest.mark.parametrize("q", [2.0, 4.0, 9973.0])
 def test_quantile_residual_at_rounding_level(q):
-    # one Newton step from the Hermite start in the interior cells, two from
+    # one Newton step, from the Hermite start in the interior cells and from
     # the cube-root start in the tail cells
     measure = LocalMeasure(q)
     u = np.random.default_rng(29).random(200_000)
