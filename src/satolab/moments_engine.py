@@ -190,12 +190,13 @@ def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
 
     @lru_cache(maxsize=None)
     def block_sum(multiset: tuple) -> float:
-        # counts * (row * row * ...) in left-to-right order, on one new buffer
+        # counts * (row * row * ...) in left-to-right order, on one new
+        # buffer, which the exact sum then works in
         factors = [row(r) for r in multiset[1:]] + [counts]
         prod = row(multiset[0]) * factors[0]
         for f in factors[1:]:
             prod *= f
-        return _exact_sum(prod)
+        return _exact_sum(prod, overwrite=True)
 
     return count, block_sum
 

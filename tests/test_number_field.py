@@ -288,6 +288,17 @@ def test_exact_sum_is_fsum(case):
         assert _exact_sum(values) == math.fsum(values.tolist()), values[:4]
 
 
+@pytest.mark.parametrize("case", sorted(_fsum_cases()))
+def test_exact_sum_in_place_is_the_copying_sum(case):
+    # overwrite works in the caller's buffer, with the bits of the copying
+    # sum; without it the input is left as it was
+    for values in _fsum_cases()[case]:
+        kept = values.copy()
+        want = _exact_sum(values)
+        assert np.array_equal(values, kept)
+        assert _exact_sum(kept.copy(), overwrite=True) == want, values[:4]
+
+
 def test_exact_sum_past_one_bincount():
     # 2^23 + 1 values just below 1, whose exact sum needs more than 53 bits
     # and so rounds
