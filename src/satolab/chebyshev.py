@@ -28,6 +28,10 @@ __all__ = [
 # Below this, sin((n+1)t)/sin(t) loses too many digits and the three-term
 # recurrence in cos(t) is used instead.
 _SINE_QUOTIENT_CUTOFF = 1e-6
+# Longest dot product _convolve takes.  np.convolve forms each output by the
+# BLAS dot, and OpenBLAS splits a dot past 10,000 terms across its threads,
+# whose partial sums then add in an order that depends on the thread count.
+_DOT = 8192
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,8 @@ def series_product(a: ChebyshevSeries, b: ChebyshevSeries) -> ChebyshevSeries:
     sa = a.coeffs  # coefficient of sin((m+1) theta)
     sb = b.coeffs
     deg = a.degree + b.degree
-    conv = np.convolve(sa, sb)  # index i+j, frequency i+j+2
-    corr = np.convolve(sa, sb[::-1])  # corr[d + b.degree] pairs i - j = d
+    conv = _convolve(sa, sb)  # index i+j, frequency i+j+2
+    corr = _convolve(sa, sb[::-1])  # corr[d + b.degree] pairs i - j = d
     # p[k] = (corr(k) + corr(-k) - conv[k-2]) / 2, with corr(0) taken once.
     first = np.zeros(deg + 3)
     first[: a.degree + 1] = corr[b.degree :]
@@ -151,15 +155,33 @@ def series_product(a: ChebyshevSeries, b: ChebyshevSeries) -> ChebyshevSeries:
     return ChebyshevSeries(c)
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.convolve(a, b) with no dot product longer than _DOT terms, so its
+    bits do not depend on the BLAS thread count.  Past _DOT coefficients in
+    both factors the shorter splits into pieces of _DOT, whose convolutions
+    with the longer add in piece order; otherwise it is np.convolve itself."""
+    if min(a.size, b.size) <= _DOT:
+        return np.convolve(a, b)
+    long, short = (a, b) if a.size >= b.size else (b, a)
+    out = np.zeros(a.size + b.size - 1)
+    for i in range(0, short.size, _DOT):
+        part = np.convolve(long, short[i : i + _DOT])
+        out[i : i + part.size] += part
+    return out
+
+
 def simpson_quadrature(values: np.ndarray, step: float) -> float:
-    """Composite Simpson rule on an odd-length uniform grid."""
+    """Composite Simpson rule on an odd-length uniform grid.  The weighted
+    values add by numpy's pairwise sum, not by the BLAS dot, so the result
+    does not depend on the BLAS thread count."""
     v = np.asarray(values, dtype=np.float64)
     if v.size < 3 or v.size % 2 == 0:
         raise ValueError("need an odd number of nodes (even panel count)")
     weights = np.ones(v.size)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(step / 3.0 * np.dot(weights, v))
+    weights *= v
+    return float(step / 3.0 * np.sum(weights))
 
 
 def fourier_coefficient(f, n: int, quadrature_points: int = 2**14) -> float:

@@ -1,14 +1,19 @@
 """Chebyshev-of-the-second-kind evaluation, products, and coefficients."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import linearize_product
+from satolab import chebyshev
 from satolab.chebyshev import (
     ChebyshevSeries,
+    _convolve,
     eval_U,
     fourier_coefficient,
     series_product,
@@ -254,3 +259,62 @@ def test_simpson_matches_known_integral():
     grid = np.linspace(0.0, math.pi, 2**10 + 1)
     val = simpson_quadrature(np.sin(grid), grid[1] - grid[0])
     assert val == pytest.approx(2.0, abs=1e-10)
+
+
+def test_simpson_weighted_sum_within_pairwise_bound():
+    # numpy's pairwise sum: 8 running sums over blocks of 128 values, then
+    # halving, so the error stays within (16 + log2 n) 2^-53 sum |w v|
+    rng = np.random.default_rng(12)
+    for n in (3, 10_001, 131_073):
+        v = rng.standard_normal(n)
+        w = np.ones(n)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        exact = math.fsum((w * v).tolist())
+        bound = (16 + math.log2(n)) * 2.0**-53 * math.fsum(np.abs(w * v).tolist())
+        assert abs(simpson_quadrature(v, 3.0) - exact) <= bound, n
+
+
+def test_split_convolution_matches_long_double():
+    # past _DOT coefficients in both factors the shorter splits into pieces;
+    # below that _convolve is np.convolve bit for bit
+    rng = np.random.default_rng(13)
+    for m, n in ((5, 9), (chebyshev._DOT, 20_001), (chebyshev._DOT + 1, 20_001), (20_001, 10_001)):
+        a, b = rng.standard_normal(m), rng.standard_normal(n)
+        got = _convolve(a, b)
+        if min(m, n) <= chebyshev._DOT:
+            assert np.array_equal(got, np.convolve(a, b)), (m, n)
+        # within the worst-case bound of a dot of min(m, n) terms plus the
+        # adds of the pieces, in units of sum |a_i b_j|
+        want = np.convolve(a.astype(np.longdouble), b.astype(np.longdouble))
+        bound = (min(m, n) + 3) * 2.0**-53 * np.convolve(np.abs(a), np.abs(b))
+        assert np.all(np.abs(got - want) <= bound), (m, n)
+
+
+_BLAS_PROBE = """
+import numpy as np
+from satolab.chebyshev import ChebyshevSeries, series_product, simpson_quadrature
+rng = np.random.default_rng(5)
+print(simpson_quadrature(rng.standard_normal(2**17 + 1), 0.5).hex())
+a, b = (ChebyshevSeries(rng.standard_normal(n)) for n in (10_001, 20_001))
+print(series_product(a, b).coeffs.tobytes().hex())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot past 10,000 terms across its threads; np.dot in
+    # the Simpson sum and np.convolve in series_product then gave other bits
+    # on 2 threads than on 1
+    src = os.path.dirname(os.path.dirname(chebyshev.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
