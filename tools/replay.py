@@ -12,9 +12,12 @@ orders 1..8, the minorant, fixed degree and weights, the Ei branch of
 pi_L, Q at x = 1e7, whose block sums run over 664,579 norms, sqrt13 on the
 arc [0, 1], and Q at M = 10000, whose Z^2 has 10,001 U_2n coefficients),
 clt (indicator with a level on one and two threads, over Q, a refused arc,
-and smooth, over Q at x = 1e6 with 78,498 norms in its model sums) and
-primes with levels over four fields, so they read every report that
-mertens_sum, higher_power_sum, the ideal table, the local expectations
+and smooth, over Q at x = 1e6 with 78,498 norms in its model sums and over
+sqrt5 at x = 1e5 on one thread, where most ideal rows bracket in the
+shared row and take two Newton steps), measures on a 131,073-node Simpson
+grid, whose weighted sums once went through the BLAS dot, and primes with
+levels over four fields, so they read every report that mertens_sum,
+higher_power_sum, the ideal table, the local expectations, the quadrature
 and the sampler reach.  OUT must be new or empty.  Exits 0 when both trees wrote the same
 files with the same bytes; otherwise lists every path that differs or is
 on one side only and exits 1.
@@ -65,6 +68,11 @@ CALLS = {
     "clt_smooth_Q_1e6": [
         "clt", "--statistic", "smooth", "--field", "Q", "--x", "1e6", "--size", "100", "--seed", "31",
     ],
+    "clt_smooth_sqrt5_1e5_shared": [
+        "clt", "--statistic", "smooth", "--field", "sqrt5", "--x", "1e5", "--size", "2048", "--seed", "31",
+        "--threads", "1",
+    ],
+    "measures_q3_points65536": ["measures", "--q", "3", "--points", "65536"],
     "primes_sqrt5_1e6": ["primes", "--field", "sqrt5", "--x", "1e6", "--exclude-primes", "3", "5", "11"],
     "primes_sqrt2_1e5": [
         "primes", "--field", "sqrt2", "--x", "1e5", "--exclude-primes", "2", "7", "3037000493",
