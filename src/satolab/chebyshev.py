@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .number_field import _exact_sum
+
 __all__ = [
     "ChebyshevSeries",
     "eval_U",
@@ -172,8 +174,9 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def simpson_quadrature(values: np.ndarray, step: float) -> float:
     """Composite Simpson rule on an odd-length uniform grid.  The weighted
-    values add by numpy's pairwise sum, not by the BLAS dot, so the result
-    does not depend on the BLAS thread count."""
+    values add exactly (_exact_sum), not by the BLAS dot, so the result does
+    not depend on the BLAS thread count; a NaN or an infinity among them
+    raises ValueError."""
     v = np.asarray(values, dtype=np.float64)
     if v.size < 3 or v.size % 2 == 0:
         raise ValueError("need an odd number of nodes (even panel count)")
@@ -181,7 +184,7 @@ def simpson_quadrature(values: np.ndarray, step: float) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= v
-    return float(step / 3.0 * np.sum(weights))
+    return float(step / 3.0 * _exact_sum(weights, overwrite=True))
 
 
 def fourier_coefficient(f, n: int, quadrature_points: int = 2**14) -> float:

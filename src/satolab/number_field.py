@@ -359,13 +359,14 @@ def _exact_sum(values: np.ndarray, *, overwrite: bool = False) -> float:
     reads: the sum works in it and leaves it changed, with no copy.
 
     Error-free extraction (Rump, Ogita & Oishi, 2008) on a copy v of the n
-    values (or on values itself), 2^k >= n + 2.  While |v| <= 2^(low+53-k), a level takes the bits
-    q of v at and above 2^low as fl((sigma + v) - sigma), sigma = 2^(low+53),
-    or by truncation where sigma would overflow; np.sum adds them exactly in
-    any order, v <- v - q is exact and leaves |v| <= 2^low for the next
-    level, and an int total joins the level sums in units of 2^low.  As
-    |sum v| <= n 2^low, the sum is final once (total - n) 2^low and (total +
-    n) 2^low round alike, or once a level adds 0 and leaves v 0.
+    values (or on values itself), 2^k >= n + 2.  While |v| <= 2^(low+53-k),
+    a level takes the bits q of v at and above 2^low as fl((sigma + v) -
+    sigma), sigma = 2^(low+53), or by truncation where sigma would overflow;
+    np.sum adds them exactly in any order, v <- v - q is exact and leaves
+    |v| <= 2^low for the next level, and an int total joins the level sums in
+    units of 2^low.  As |sum v| <= n 2^low, the sum is final once (total - n)
+    2^low and (total + n) 2^low round alike, or once a level adds 0 and
+    leaves v 0.
     """
     v = values if overwrite else np.array(values, dtype=np.float64)
     q = np.empty_like(v)

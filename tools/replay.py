@@ -15,12 +15,12 @@ clt (indicator with a level on one and two threads, over Q, a refused arc,
 and smooth, over Q at x = 1e6 with 78,498 norms in its model sums and over
 sqrt5 at x = 1e5 on one thread, where most ideal rows bracket in the
 shared row and take two Newton steps), measures on a 131,073-node Simpson
-grid, whose weighted sums once went through the BLAS dot, and primes with
-levels over four fields, so they read every report that mertens_sum,
+grid, long enough for OpenBLAS to split a dot across threads, and primes
+with levels over four fields, so they read every report that mertens_sum,
 higher_power_sum, the ideal table, the local expectations, the quadrature
-and the sampler reach.  OUT must be new or empty.  Exits 0 when both trees wrote the same
-files with the same bytes; otherwise lists every path that differs or is
-on one side only and exits 1.
+and the sampler reach.  OUT must be new or empty.  Exits 0 when both trees
+wrote the same files with the same bytes; otherwise lists every path that
+differs or is on one side only and exits 1.
 """
 from __future__ import annotations
 
