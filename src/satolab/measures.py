@@ -24,26 +24,26 @@ sin theta and cos theta by angle addition from the tabled sine and cosine
 of the _GRID node at the foot of its clip range, at most 3 cells below
 theta, with the sine and cosine of the rest as short polynomials
 (_sin_cos_near), not from libm; cdf, density and the bracket tables keep
-libm's.  The sampler's tables (_inverter) hold the own rows of the norms
-up to _SHARED_Q = 1e4 and one shared row, the cdf of
-LocalMeasure(math.inf), for every norm past it; there the start is linear,
-and the norm's own two Newton steps close the O(1/q) gap.  Each step is
-clipped to the bracketed cell and its two neighbours.  The series factors of a norm q are built
-once, from the scalar power q^{-n} (_powers): for one measure, or for a
-column of ascending norms split into runs that share a series length
-(_norm_runs).  The inverter leaves |cdf(theta) - u| <= 1e-15 for every u
-in [0, 1], and theta within 1e-12 rad of the root for u in [1e-11, 1 -
-1e-5] (at most 7.2e-13 measured).  Nearer the ends the cdf's rounding
-moves the root by more than that: near theta = 0 about 1e-20 against a
-density of 2e-8 at u = 1e-12, up to 1.3e-12 rad below u = 3.5e-12.
+libm's.  The sampler's tables (_inverter) hold the own rows of the norms up
+to _SHARED_Q = 1e4 and one shared row, the cdf of LocalMeasure(math.inf),
+for every norm past it; there the start is linear, and the norm's own two
+Newton steps close the O(1/q) gap.  Each step is clipped to the bracketed
+cell and its two neighbours.  The series factors of a norm q are built once,
+from the scalar power q^{-n} (_powers): for one measure, or for a column of
+ascending norms split into runs that share a series length (_norm_runs).
+The inverter leaves |cdf(theta) - u| <= 1e-15 for every u in [0, 1], and
+theta within 1e-12 rad of the root for u in [1e-11, 1 - 1e-5] (at most
+7.2e-13 measured).  Nearer the ends the cdf's rounding moves the root by
+more than that: near theta = 0 about 1e-20 against a density of 2e-8 at u =
+1e-12, up to 1.3e-12 rad below u = 3.5e-12.
 
 Every kernel of the inverter (_bracket, _hermite, _lerp, _newton,
 _sin_cos_near, _density, _cdf_series) writes into the arrays of a
 _Workspace, flat buffers reused by liveness, with every arithmetic step in
-the order of the plain expression it replaces.  The smooth sampler keeps one workspace per
-block and inverts one tile of ideal rows at a time (_angles), so a tile
-allocates nothing but the arrays of its tail cells; cdf, density and
-quantile call the same kernels on a workspace sized to their input.
+the order of the plain expression it replaces.  The smooth sampler keeps one
+workspace per block and inverts one tile of ideal rows at a time (_angles),
+so a tile allocates nothing but the arrays of its tail cells; cdf, density
+and quantile call the same kernels on a workspace sized to their input.
 
 The same expansion gives local expectations: a function with the series
 sum_n c_n U_{2n}(cos theta) has E_q = sum_n c_n q^{-n}, which _expectations
