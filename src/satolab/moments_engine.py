@@ -196,7 +196,7 @@ def _main_term_kernel(fs: FieldSpec, bound: int, level, z_bytes: bytes):
         prod = row(multiset[0]) * factors[0]
         for f in factors[1:]:
             prod *= f
-        return _exact_sum(prod, overwrite=True)
+        return _exact_sum(prod)
 
     return count, block_sum
 

@@ -350,25 +350,23 @@ def _rounded(total: int, low: int) -> float:
     return float(total << low) if low >= 0 else total / (1 << -low)
 
 
-def _exact_sum(values: np.ndarray, *, overwrite: bool = False) -> float:
-    """The correctly rounded sum of a float64 array, the float math.fsum
+def _exact_sum(v: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 array v, the float math.fsum
     returns wherever fsum returns one (it raises on some intermediate
     overflows, such as [1e308, 1e308, -1e308]); ValueError on a NaN or an
-    infinity, OverflowError on a sum past the float range.  With overwrite,
-    values must be a writeable float64 array that the caller no longer
-    reads: the sum works in it and leaves it changed, with no copy.
+    infinity, OverflowError on a sum past the float range.  It consumes v,
+    which must be writeable: the sum works in v, with no copy, and leaves it
+    changed, so a caller that reads its array afterwards passes a copy.
 
-    Error-free extraction (Rump, Ogita & Oishi, 2008) on a copy v of the n
-    values (or on values itself), 2^k >= n + 2.  While |v| <= 2^(low+53-k),
-    a level takes the bits q of v at and above 2^low as fl((sigma + v) -
-    sigma), sigma = 2^(low+53), or by truncation where sigma would overflow;
-    np.sum adds them exactly in any order, v <- v - q is exact and leaves
-    |v| <= 2^low for the next level, and an int total joins the level sums in
-    units of 2^low.  As |sum v| <= n 2^low, the sum is final once (total - n)
-    2^low and (total + n) 2^low round alike, or once a level adds 0 and
-    leaves v 0.
+    Error-free extraction (Rump, Ogita & Oishi, 2008) on the n values v,
+    2^k >= n + 2.  While |v| <= 2^(low+53-k), a level takes the bits q of v
+    at and above 2^low as fl((sigma + v) - sigma), sigma = 2^(low+53), or by
+    truncation where sigma would overflow; np.sum adds them exactly in any
+    order, v <- v - q is exact and leaves |v| <= 2^low for the next level,
+    and an int total joins the level sums in units of 2^low.  As |sum v| <=
+    n 2^low, the sum is final once (total - n) 2^low and (total + n) 2^low
+    round alike, or once a level adds 0 and leaves v 0.
     """
-    v = values if overwrite else np.array(values, dtype=np.float64)
     q = np.empty_like(v)
     top = float(np.abs(v, out=q).max(initial=0.0))
     if not math.isfinite(top):  # the max propagates NaN, so one test covers NaN and inf
