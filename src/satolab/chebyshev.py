@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .number_field import _exact_sum
-
 __all__ = [
     "ChebyshevSeries",
     "eval_U",
@@ -30,9 +28,10 @@ __all__ = [
 # Below this, sin((n+1)t)/sin(t) loses too many digits and the three-term
 # recurrence in cos(t) is used instead.
 _SINE_QUOTIENT_CUTOFF = 1e-6
-# Longest dot product _convolve takes.  np.convolve forms each output by the
-# BLAS dot, and OpenBLAS splits a dot past 10,000 terms across its threads,
-# whose partial sums then add in an order that depends on the thread count.
+# Longest dot product _convolve and simpson_quadrature take.  np.convolve
+# forms each output by the BLAS dot, and OpenBLAS splits a dot past 10,000
+# terms across its threads, whose partial sums then add in an order that
+# depends on the thread count.
 _DOT = 8192
 
 
@@ -173,18 +172,17 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def simpson_quadrature(values: np.ndarray, step: float) -> float:
-    """Composite Simpson rule on an odd-length uniform grid.  The weighted
-    values add exactly (_exact_sum), not by the BLAS dot, so the result does
-    not depend on the BLAS thread count; a NaN or an infinity among them
-    raises ValueError."""
+    """Composite Simpson rule on an odd-length uniform grid.  The weights
+    meet the values in dots of at most _DOT terms, added in grid order, so
+    the result does not depend on the BLAS thread count."""
     v = np.asarray(values, dtype=np.float64)
     if v.size < 3 or v.size % 2 == 0:
         raise ValueError("need an odd number of nodes (even panel count)")
     weights = np.ones(v.size)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    weights *= v
-    return float(step / 3.0 * _exact_sum(weights, overwrite=True))
+    total = sum(np.dot(weights[i : i + _DOT], v[i : i + _DOT]) for i in range(0, v.size, _DOT))
+    return float(step / 3.0 * total)
 
 
 def fourier_coefficient(f, n: int, quadrature_points: int = 2**14) -> float:

@@ -261,16 +261,21 @@ def test_simpson_matches_known_integral():
     assert val == pytest.approx(2.0, abs=1e-10)
 
 
-def test_simpson_weighted_sum_is_fsum():
-    # the weighted values add exactly: the correctly rounded sum, times step/3
+def test_simpson_splits_long_dots():
+    # up to _DOT nodes the weighted sum is one np.dot bit for bit; past that
+    # its pieces of _DOT terms keep within a dot's worst-case error of the
+    # exact sum, in units of sum |w_i v_i|; a NaN gives NaN
     rng = np.random.default_rng(12)
-    for n in (3, 10_001, 131_073):
+    for n in (3, chebyshev._DOT - 1, chebyshev._DOT + 1, 10_001, 131_073):
         v = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
         w = np.ones(n)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        assert simpson_quadrature(v, 0.3) == 0.3 / 3.0 * math.fsum((w * v).tolist()), n
-    with pytest.raises(ValueError):
-        simpson_quadrature(np.array([1.0, np.nan, 1.0]), 0.3)
+        got = simpson_quadrature(v, 3.0)  # step / 3 = 1
+        if n <= chebyshev._DOT:
+            assert got == np.dot(w, v), n
+        bound = (n + 3) * 2.0**-53 * math.fsum(np.abs(w * v).tolist())
+        assert abs(got - math.fsum((w * v).tolist())) <= bound, n
+    assert math.isnan(simpson_quadrature(np.array([1.0, np.nan, 1.0]), 0.3))
 
 
 def test_split_convolution_matches_long_double():
