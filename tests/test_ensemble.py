@@ -394,12 +394,8 @@ def test_member_values_do_not_depend_on_tile_size(monkeypatch):
             monkeypatch.setattr(ensemble, "_TILE", tile)
             assert np.array_equal(_member_values(ctx, keys), want), (statistic, tile)
         monkeypatch.undo()
-
-
-def test_smooth_member_values_same_at_both_tile_sizes(monkeypatch):
     # a 2,048-member smooth block at x = 1e4 in tiles of 2^16 cells (32 rows,
-    # the default) and of 2^15 (16 rows): _ROWS fixes the group order, so
-    # the member values agree bit for bit
+    # the default) and of 2^15 (16 rows): _ROWS fixes the group order
     ctx, keys = _block(SMOOTH, 1e4, 2048)
     want = _member_values(ctx, keys)
     monkeypatch.setattr(ensemble, "_TILE", ensemble._TILE // 2)
