@@ -50,6 +50,7 @@ from .number_field import (
     higher_power_sum,
     is_prime,
     mertens_sum,
+    pi_L,
 )
 from .selberg import (
     ArcInterval,
@@ -478,7 +479,8 @@ def _run_theory(args, config: dict) -> int:
     fs = FieldSpec.from_name(config["field"])
     x, n, sign, weights = config["x"], config["n"], config["sign"], config["weights"]
     if config["m"] == 0:
-        config["m"] = limit_law_m(fs, x)
+        # the run's own count, from the ideal table that main_term_report reads
+        config["m"] = limit_law_m(fs, x, pi_L(fs, x))
         if config["m"] < 3:
             raise ConfigError("m", f"limit-law degree {config['m']} is below 3; raise M or x")
     m = config["m"]

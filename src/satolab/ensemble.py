@@ -10,18 +10,18 @@ Determinism contract: every variate is a pure function of
 (seed, member_index, ideal_position), whatever tile draws it.  The indicator
 counts an ideal by one test of the raw word against the cut points of F(a)
 and F(b), built once per context (rng._range_test); the smooth statistic
-inverts the uniforms through the local measures' bracket tables
+inverts the uniforms from the local measures' start tables
 (measures._angles).  Of the sampling, this module keeps only the tile loops
 (_indicator_values, _member_values).
 
 Both statistics keep one memory rule: a block holds tile buffers of a fixed
 number of cells and one float64 total per member at any x.  A smooth tile
 is ideal rows x members, 2 _TILE cells (32 rows of a 2,048-member block),
-and every stage of it (the RNG words, the bracket, the start, the Newton
-steps, the cdf series, smooth_weight and the group sums) writes into one
-workspace (measures._Workspace) with out=, so a tile allocates only arrays
-the size of its tail-cell subset (and np.interp's results for a custom
-phi).  A smooth block peaks at 11 buffers of 512 KiB, 5.5 MiB.
+and every stage of it (the RNG words, the start, the Newton steps, the cdf
+series, smooth_weight and the group sums) writes into one workspace
+(measures._Workspace) with out=, so a tile allocates only its rows' table
+offsets (and np.interp's results for a custom phi).  A smooth block peaks
+at 11 buffers of 512 KiB, 5.5 MiB.
 The workspace belongs to one _member_values call, so to one block on one
 thread.  Each group of _ROWS ideal rows from its bucket's first row adds its
 per-member weight sum to the totals in row order; _ROWS fixes that order.
@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import (
-    _TILE,
     _angles,
     _cdf_norms,
     _expectations,
@@ -74,6 +73,9 @@ __all__ = [
 
 # Members per work item; it moves no bit of the output.
 _BLOCK = 2048
+# Cells per cache-sized tile whose uniforms a sampler draws and consumes
+# together; it moves no bit of the output.
+_TILE = 2**15
 # Ideal rows per group added into the member totals, from each bucket's first
 # row; it fixes the summation order, so it moves the last bits of smooth output.
 _ROWS = 16

@@ -12,38 +12,32 @@ ratio in U_{2n}(cos theta) q^{-n}, which also yields a closed-form CDF used
 by the inverse-transform sampler.
 
 cdf, quantile and the ensemble sampler share one series kernel
-(_cdf_series, by Clenshaw's recurrence over sin 2k theta), one bracket grid
-(_GRID, 4097 nodes) and one inverter (_invert).  The bracket is a guide
-table in g(u) = (1 + cbrt u - cbrt(1 - u))/2, which flattens the cubic cdf
-tails: one gather into the n - 1 guide cells of an n-node row, then a walk
-of at most 2 steps.  In a norm's own row the start is cubic Hermite
-inverse interpolation with slopes 1/f from a slope table of the same
-shape (_grid_rows), and one Newton step follows.  The first and last 32
-cells start from cube-root interpolation instead.  A Newton step takes
-sin theta and cos theta by angle addition from the tabled sine and cosine
-of the _GRID node at the foot of its clip range, at most 3 cells below
-theta, with the sine and cosine of the rest as short polynomials
-(_sin_cos_near), not from libm; cdf, density and the bracket tables keep
-libm's.  The sampler's tables (_inverter) hold the own rows of the norms up
-to _SHARED_Q = 1e4 and one shared row, the cdf of LocalMeasure(math.inf),
-for every norm past it; there the start is linear, and the norm's own two
-Newton steps close the O(1/q) gap.  Each step is clipped to the bracketed
-cell and its two neighbours.  The series factors of a norm q are built once,
+(_cdf_series, by Clenshaw's recurrence over sin 2k theta) and one inverter
+(_invert).  Its start reads a table of the quantile in g(u) =
+(1 + cbrt u - cbrt(1 - u))/2, in which it is analytic on [0, 1] and linear
+near both ends, where the cdf is cubic: 128 cells uniform in g, in each a
+cubic in the cell fraction (_angle_table).  Newton steps follow, with sin
+theta and cos theta by angle addition from a node of the 4097-node _GRID
+(_sin_cos_near), not from libm; cdf, density and the table build keep
+libm's.  The sampler's tables (_inverter) hold the own rows of the norms
+up to _SHARED_Q = 1e4, which take one Newton step, and one shared row, the
+limit law's, for every norm past it, whose own two steps close the O(1/q)
+gap.  The series factors of a norm q are built once,
 from the scalar power q^{-n} (_powers): for one measure, or for a column of
 ascending norms split into runs that share a series length (_norm_runs).
 The inverter leaves |cdf(theta) - u| <= 1e-15 for every u in [0, 1], and
 theta within 1e-12 rad of the root for u in [1e-11, 1 - 1e-5] (at most
-7.2e-13 measured).  Nearer the ends the cdf's rounding moves the root by
+5.1e-13 measured).  Nearer the ends the cdf's rounding moves the root by
 more than that: near theta = 0 about 1e-20 against a density of 2e-8 at u =
 1e-12, up to 1.3e-12 rad below u = 3.5e-12.
 
-Every kernel of the inverter (_bracket, _hermite, _lerp, _newton,
-_sin_cos_near, _density, _cdf_series) writes into the arrays of a
-_Workspace, flat buffers reused by liveness, with every arithmetic step in
-the order of the plain expression it replaces.  The smooth sampler keeps one
-workspace per block and inverts one tile of ideal rows at a time (_angles),
-so a tile allocates nothing but the arrays of its tail cells; cdf, density
-and quantile call the same kernels on a workspace sized to their input.
+Every kernel of the inverter (_guide_map, _invert, _newton, _sin_cos_near,
+_density, _cdf_series) writes into the arrays of a _Workspace, flat buffers
+reused by liveness, with every arithmetic step in the order of the plain
+expression it replaces.  The smooth sampler keeps one workspace per block
+and inverts one tile of ideal rows at a time (_angles), so a tile allocates
+nothing; cdf, density and quantile call the same kernels on a workspace
+sized to their input.
 
 The same expansion gives local expectations: a function with the series
 sum_n c_n U_{2n}(cos theta) has E_q = sum_n c_n q^{-n}, which _expectations
@@ -77,23 +71,24 @@ __all__ = [
 # Geometric tail: terms with q^{ -n } below this are dropped from the CDF
 # series, giving absolute truncation error under 2e-14.
 _TAIL_EPS = 1e-14
-# Bracket grid of quantile and of the sampler, and its cell width.
+# Grid of the Newton step's angle addition (_sin_cos_near), and its cell width.
 _GRID = np.linspace(0.0, math.pi, 4097)
 _GRID.flags.writeable = False
 _CELL = math.pi / (_GRID.size - 1)
 _GRID_SIN, _GRID_COS = np.sin(_GRID), np.cos(_GRID)
-# Cells at each end of a bracket grid where the inverter starts from cube-root
-# interpolation: there the cdf is cubic in the distance to the endpoint.
-_TAIL_CELLS = 32
-# Slack on the guide cell edges, far above the rounding error of _guide_map.
-_GUIDE_SLACK = 2.0**-40
-# Cells per cache-sized tile of ideal rows whose uniforms the sampler draws
-# and consumes together, and about the cells per chunk of the bracket tables;
-# neither moves a bit of the output.
-_TILE = 2**15
-# Norms past this bracket in one shared row, the limit law's cdf: every local
-# cdf lies within about 0.21/q of it, so each root stays within one cell of its
-# bracket; x = 1e4 keeps every norm's own row.
+# Cells of a start table (_angle_table), uniform in g = _guide_map(u); in each
+# the angle is a polynomial of degree _DEGREE in the cell fraction, fitted at
+# the Chebyshev nodes _FRACTIONS (_FIT takes the node values to its
+# coefficients).  The start lies within 4.4e-10 rad of the root.
+_CELLS = 128
+_DEGREE = 3
+_FRACTIONS = (1.0 - np.cos((2 * np.arange(_DEGREE + 1) + 1) * math.pi / (2 * _DEGREE + 2))) / 2
+_FIT = np.linalg.inv(_FRACTIONS[:, None] ** np.arange(_DEGREE + 1))
+# Newton steps that take the node angles of a start table to the cdf's rounding.
+_NODE_STEPS = 7
+# Norms past this start from one shared row, the limit law's table: every
+# local cdf lies within about 0.21/q of the limit law's, so each start lies
+# within a _GRID cell of the root; x = 1e4 keeps every norm's own row.
 _SHARED_Q = 1e4
 # Past q^n = e^690 (about 1e300) the term c_n w^n, w = 1/q, is about 1e-300
 # of c_n, so _expectations stops every norm there at the latest.
@@ -374,10 +369,9 @@ def _cdf_norms(runs: list, theta) -> np.ndarray:
     return np.concatenate([_cdf_series(t, sin_t, cos_t, s) for _, _, s in runs])
 
 
-def _guide_map(u, ws: _Workspace = None):
+def _guide_map(u, ws: _Workspace):
     """g(u) = (1 + cbrt u - cbrt(1 - u))/2, flat in the cubic tails of every cdf."""
     shape = np.shape(u)
-    ws = _Workspace(shape) if ws is None else ws
     g, tmp = ws.take(shape, 2)
     np.cbrt(u, out=g)
     g += 1.0
@@ -387,116 +381,42 @@ def _guide_map(u, ws: _Workspace = None):
     return g
 
 
-def _guide(table: np.ndarray):
-    """Guide rows of a cdf table row or block of rows (Chen & Asau, 1974),
-    and their walk length.
+def _angle_table(series: list) -> np.ndarray:
+    """Start tables of the quantile in g = _guide_map(u), one row per norm of
+    the series listed (each of one norm or a column of norms), as an array
+    (_DEGREE + 1, rows, _CELLS) of the coefficients of each cell's
+    polynomial in its cell fraction, lowest first.
 
-    A row of n nodes gets m = n - 1 guide cells.  Entry j of a row counts the
-    nodes with g(row) < j/m - _GUIDE_SLACK, clipped to [1, n - 1]; the cell
-    of any u with floor(m g(u)) = j lies from there to `walk` indices above,
-    whether or not rounding keeps g monotone.  Each row's counts fill their
-    own m + 2 bins of one bincount.
+    g(1 - u) = 1 - g(u) and every cdf here is symmetric about pi/2, so the
+    angles at the nodes past g = 1/2 are pi minus those below it.  Those
+    below it solve cdf(theta) = u at the u that g maps to the node: with
+    a = cbrt u, b = cbrt(1 - u) and e = 2g - 1, s = a + b solves s^3 + 3 e^2
+    s = 4 (Cardano).  Every density is increasing on [0, pi/2], so each cdf
+    is convex there: from the start theta = cbrt(1.5 pi u), the limit law's
+    root to leading order, a Newton step clipped to pi/2 lands at or above
+    the root, and every later one descends to it.  _NODE_STEPS steps reach
+    the rounding of the cdf from the farthest start, q = 2 near theta = 0.
     """
-    n = table.shape[-1]
-    cells = n - 1
-    mapped = _guide_map(table.reshape(-1, n))
-    bins = (cells + 2) * np.arange(mapped.shape[0])[:, None]
-
-    def below(shift):  # node counts below j/cells + shift, j = 0..cells + 1
-        at = (cells * (mapped - shift)).astype(np.intp) + 1 + bins
-        counts = np.bincount(at.ravel(), minlength=bins.size * (cells + 2))
-        return np.cumsum(counts.reshape(-1, cells + 2), axis=1).clip(1, n - 1)
-
-    lo = below(-_GUIDE_SLACK)[:, :-1]
-    walk = int(np.max(below(_GUIDE_SLACK)[:, 1:] - lo))
-    return lo.astype(np.int32).reshape(table.shape[:-1] + (n,)), walk
-
-
-def _bracket(table: np.ndarray, guide: np.ndarray, walk: int, rows, u, slopes, ws: _Workspace):
-    """Cell index idx (int32) with table[row, idx - 1] < u <= table[row, idx],
-    clipped to [1, n - 1], and those two values; rows broadcasts against u.
-    Given a slope table of the table's shape, its two values at the cell ends
-    follow.  Every gather takes mode="clip", which writes into its out
-    directly (mode="raise" buffers it); the indices lie in range."""
-    n = table.shape[-1]
-    flat = table.ravel()
-    base = rows * n
-    shape = np.broadcast_shapes(np.shape(rows), np.shape(u))
-    g = _guide_map(u, ws)
-    g *= n - 1
-    [at], [idx] = ws.take(shape, 1, np.intp), ws.take(shape, 1, np.int32)
-    np.copyto(at, g, casting="unsafe")  # truncates, as astype(np.intp)
-    at += base
-    np.take(guide.ravel(), at, mode="clip", out=idx)
-    [step] = ws.take(shape, 1, np.bool_)
-    for _ in range(walk):
-        np.add(base, idx, out=at)
-        np.take(flat, at, mode="clip", out=g)
-        np.less(g, u, out=step)
-        idx += step
-    sources = (flat,) if slopes is None else (flat, slopes.ravel())
-    ends = ws.take(shape, 2 * len(sources))  # r_lo, r_hi[, m_lo, m_hi]
-    np.add(base, idx, out=at)
-    for src, hi in zip(sources, ends[1::2]):
-        np.take(src, at, mode="clip", out=hi)
-    at -= 1
-    for src, lo in zip(sources, ends[::2]):
-        np.take(src, at, mode="clip", out=lo)
-    ws.give(g, at, step)
-    return (idx, *ends)
-
-
-def _grid_rows(series: _Series, ws: _Workspace = None):
-    """The cdf and the slopes 1/f on _GRID, one row per norm of `series`.  The
-    slopes are 0 at both ends, where f vanishes and only tail cells, which
-    read no slope, begin or end."""
-    shape = np.broadcast_shapes(_GRID.shape, np.shape(series.coeffs[-1]))
-    ws = _Workspace(shape) if ws is None else ws
-    table = _cdf_series(_GRID, _GRID_SIN, _GRID_COS, series, ws)
-    dens = _density(_GRID_SIN[1:-1], _GRID_COS[1:-1], series, ws)
-    [slopes] = ws.take(shape)
-    slopes[..., [0, -1]] = 0.0
-    np.divide(1.0, dens, out=slopes[..., 1:-1])
-    ws.give(dens)
-    return table, slopes
-
-
-def _lerp(v, v0, v1, a, b, ws: _Workspace = None):
-    """The linear start a + (v - v0)/max(v1 - v0, 1e-300) (b - a)."""
-    shape = np.shape(v)
-    ws = _Workspace(shape) if ws is None else ws
-    out, tmp = ws.take(shape, 2)
-    np.subtract(v, v0, out=out)
-    out /= np.maximum(np.subtract(v1, v0, out=tmp), 1e-300, out=tmp)
-    out *= np.subtract(b, a, out=tmp)
-    out += a
-    ws.give(tmp)
-    return out
-
-
-def _hermite(u, r_lo, r_hi, m_lo, m_hi, lo, ws: _Workspace):
-    """Cubic Hermite inverse interpolation across the _GRID cells from lo,
-    with slopes dtheta/du = m_lo, m_hi at the ends (Hormann & Leydold, ACM
-    TOMACS 2003): the linear start lo + t _CELL, t the cell fraction of u,
-    plus t (1 - t) ((1 - t) (h m_lo - _CELL) - t (h m_hi - _CELL)), where
-    h = r_hi - r_lo."""
-    h, t, s, theta = ws.take(u.shape, 4)
-    np.subtract(u, r_lo, out=t)
-    t /= np.subtract(r_hi, r_lo, out=h)
-    np.subtract(1.0, t, out=s)
-    np.multiply(h, m_lo, out=theta)  # s (h m_lo - _CELL)
-    theta -= _CELL
-    theta *= s
-    np.multiply(h, m_hi, out=h)  # t (h m_hi - _CELL)
-    h -= _CELL
-    h *= t
-    theta -= h
-    theta *= s
-    theta += _CELL
-    theta *= t
-    theta += lo
-    ws.give(h, t, s)
-    return theta
+    g = (np.arange(_CELLS // 2)[:, None] + _FRACTIONS).ravel() / _CELLS
+    e = 2.0 * g - 1.0
+    r = np.sqrt(4.0 + e**6)
+    u = ((np.cbrt(2.0 + r) - np.cbrt(e**6 / (2.0 + r)) + e) / 2.0) ** 3
+    rows = []
+    for s in series:
+        theta = np.cbrt(1.5 * math.pi * u) + np.zeros(np.shape(s.coeffs[-1]))
+        for _ in range(_NODE_STEPS):
+            sin_t, cos_t = np.sin(theta), np.cos(theta)
+            step = _cdf_series(theta, sin_t, cos_t, s) - u
+            step /= _density(sin_t, cos_t, s)
+            theta = np.minimum(theta - step, math.pi / 2)
+        half = theta.reshape(-1, _CELLS // 2, _DEGREE + 1)
+        rows.append(np.concatenate([half, math.pi - half[:, ::-1, ::-1]], axis=1))
+    values = np.concatenate(rows)
+    table = np.zeros((_DEGREE + 1,) + values.shape[:-1])
+    for m, weights in enumerate(_FIT):  # one fixed order of adds, no BLAS
+        for j, w in enumerate(weights):
+            table[m] += w * values[..., j]
+    return table
 
 
 def _sin_cos_near(theta, node, ws: _Workspace):
@@ -556,71 +476,52 @@ def _newton(theta, u, node, hi, series: _Series, ws: _Workspace):
     return theta
 
 
-def _invert(u, series: _Series, idx, r_lo, r_hi, m_lo=None, m_hi=None, *, ws: _Workspace):
-    """Quantiles of u bracketed in the _GRID cells [_GRID[idx - 1], _GRID[idx]]
-    of a cdf row whose values at the cell ends are r_lo and r_hi.  Node i of
-    _GRID is i _CELL bit for bit, so the cell ends are products, not gathers.
-
-    Given the slopes m_lo and m_hi (1/f at the cell ends, _grid_rows), the
-    row is the cdf of `series` itself: the start is cubic Hermite inverse
-    interpolation and one Newton step on `series` follows.  Otherwise the row
-    is another measure's: the start is linear and two steps follow.  In the
-    first and last _TAIL_CELLS cells, where the cdf is cubic in the distance
-    to the endpoint, the start is linear in the cube roots of u and of the row
-    values (of 1 - u and 1 - row near pi), and the row's steps follow.
-    Each step is clipped to the cell and its two neighbours, inside [0, pi],
-    and reads the sine and cosine of the lowest of their nodes.
-    theta is within 1e-12 rad of the root for u in [1e-11, 1 - 1e-5].
-
-    The bracket's arrays go back to ws, the workspace of _bracket, and the
-    angles come on one of its buffers.  Only the tail cells' arrays are new.
-    """
+def _invert(table: np.ndarray, rows, u, series: _Series, steps: int, ws: _Workspace):
+    """Quantiles of u under `series`: a start from the rows `rows` of the
+    start tables `table` (_angle_table), which broadcast against u, then
+    `steps` Newton steps (_newton).  The start is the polynomial of cell
+    floor(_CELLS g) at the cell fraction of g = _guide_map(u), from _DEGREE +
+    1 gathers and _DEGREE Horner steps.  Each Newton step is clipped to the
+    _GRID cell of the start and its two neighbours, inside [0, pi], and reads
+    the sine and cosine of the lowest of their nodes; u = 0 maps to 0 and
+    u = 1 to pi exactly.  Every gather takes mode="clip", which writes into
+    its out directly (mode="raise" buffers it); the indices lie in range.
+    The angles come on a buffer of ws."""
     shape = u.shape
-    [lo] = ws.take(shape)
-    np.subtract(idx, 1.0, out=lo)
-    lo *= _CELL
-    if m_lo is None:
-        [top] = ws.take(shape)
-        np.multiply(idx, _CELL, out=top)
-        theta = _lerp(u, r_lo, r_hi, lo, top, ws)
-        ws.give(top)
-    else:
-        theta = _hermite(u, r_lo, r_hi, m_lo, m_hi, lo, ws)
-        ws.give(m_lo, m_hi)
-    tail, upper = ws.take(shape, 2, np.bool_)
-    np.less_equal(idx, _TAIL_CELLS, out=tail)
-    np.greater_equal(idx, _GRID.size - _TAIL_CELLS, out=upper)
-    tail |= upper
-    ends = np.nonzero(tail)
-    ws.give(tail, upper)
-    if ends[0].size:  # most tiles hit no tail cell
-        v, k, v_lo, v_hi = u[ends], idx[ends], r_lo[ends], r_hi[ends]
-        a, b = lo[ends], k * _CELL
-        theta[ends] = np.where(
-            k <= _TAIL_CELLS,
-            _lerp(np.cbrt(v), np.cbrt(v_lo), np.cbrt(v_hi), a, b),
-            _lerp(np.cbrt(1.0 - v), np.cbrt(1.0 - v_hi), np.cbrt(1.0 - v_lo), b, a),
-        )
-    ws.give(r_lo, r_hi, lo)
-    [node], [hi] = ws.take(shape, 1, np.intp), ws.take(shape)
-    np.subtract(idx, 2, out=node)  # foot of the cell below, or node 0
+    g = _guide_map(u, ws)
+    g *= _CELLS
+    at, node = ws.take(shape, 2, np.intp)
+    np.copyto(at, g, casting="unsafe")  # truncates, as astype(np.intp)
+    np.minimum(at, _CELLS - 1, out=at)  # g = 1 lies in the last cell
+    g -= at
+    at += rows * _CELLS
+    flat = table.reshape(_DEGREE + 1, -1)
+    theta, hi = ws.take(shape, 2)
+    np.take(flat[-1], at, mode="clip", out=theta)
+    for coeffs in flat[-2::-1]:
+        theta *= g
+        np.take(coeffs, at, mode="clip", out=hi)
+        theta += hi
+    ws.give(g, at)
+    np.multiply(theta, 1.0 / _CELL, out=hi)
+    np.copyto(node, hi, casting="unsafe")  # the start's cell
+    node -= 1  # foot of the cell below, or node 0
     np.maximum(node, 0, out=node)
-    np.add(idx, 1.0, out=hi)  # top of the cell above, or pi
+    np.add(node, 3.0, out=hi)  # top of the cell above, or pi
     np.minimum(hi, _GRID.size - 1, out=hi)
     hi *= _CELL
-    ws.give(idx)
-    theta = _newton(theta, u, node, hi, series, ws)
-    if m_lo is None:
+    for _ in range(steps):
         theta = _newton(theta, u, node, hi, series, ws)
-    if ends[0].size:  # u = 0 and u = 1 bracket in the tail cells
-        theta[ends] = np.where(v == 0.0, 0.0, np.where(v == 1.0, math.pi, theta[ends]))
-    ws.give(node, hi)
+    [end] = ws.take(shape, 1, np.bool_)
+    np.copyto(theta, 0.0, where=np.equal(u, 0.0, out=end))
+    np.copyto(theta, math.pi, where=np.equal(u, 1.0, out=end))
+    ws.give(node, hi, end)
     return theta
 
 
 def quantile(measure, u):
-    """Inverse of cdf: a 4097-point guide-table bracket, a cubic Hermite start
-    (a cube-root start in the 32 cells at each end) and one Newton step.
+    """Inverse of cdf: a start from the measure's cubic table in g(u)
+    (_angle_table) and one Newton step.
 
     |cdf(quantile(u)) - u| <= 1e-15 for every u in [0, 1], and for u in
     [1e-11, 1 - 1e-5] the angle is within 1e-12 rad of the root.
@@ -631,35 +532,28 @@ def quantile(measure, u):
         raise ValueError("u must lie in [0, 1]")
     u_flat = np.atleast_1d(u_arr).ravel()
     series = _measure_series(measure)
-    table, slopes = _grid_rows(series)
-    ws = _Workspace(u_flat.shape)
-    bracket = _bracket(table, *_guide(table), 0, u_flat, slopes, ws)
-    theta = _invert(u_flat, series, *bracket, ws=ws)
+    theta = _invert(_angle_table([series]), 0, u_flat, series, 1, _Workspace(u_flat.shape))
     return theta.reshape(u_arr.shape) if u_arr.shape else theta[0]
 
 
 @dataclass
 class _Inverter:
-    """Bracket tables and series buckets of the smooth sampler.
+    """Start tables and series buckets of the smooth sampler.
 
     Ideals come sorted by norm, and the series length never rises with the
     norm, so each run of norms sharing a series length is a contiguous range
-    of ideal rows.  Ideal row j reads cdf, guide and slope row rows[j] on
-    _GRID: its norm's own row up to _SHARED_Q, the last row (the limit law's)
-    past it, from ideal row `shared` on.  buckets list (k0, k1, series) per
-    run, split at `shared`: ideal rows k0..k1 - 1 with their own series
-    factors as (k, 1) columns that broadcast over members, inverted in tiles
-    of about _TILE cells.  Rows before `shared` start from the slopes 1/f of
-    their own cdf and take one Newton step, the rest two (_invert).  walk is
-    the longest that a guide row needs.
+    of ideal rows.  Ideal row j starts from table row rows[j]
+    (_angle_table): its norm's own row up to _SHARED_Q, the last row (the
+    limit law's) past it, from ideal row `shared` on.  buckets list (k0, k1,
+    series) per run, split at `shared`: ideal rows k0..k1 - 1 with their own
+    series factors as (k, 1) columns that broadcast over members, inverted
+    one tile at a time.  Rows before `shared` take one Newton
+    step, the rest two (_angles).
     """
 
     rows: np.ndarray
     buckets: list
-    cdf_table: np.ndarray
-    guide: np.ndarray
-    walk: int
-    slopes: np.ndarray
+    table: np.ndarray
     shared: int
 
 
@@ -667,26 +561,8 @@ def _inverter(qs, counts, runs) -> _Inverter:
     """Inverter for the ascending distinct norms qs and their runs
     (_norm_runs); counts[i] ideals have norm qs[i]."""
     own = int(np.searchsorted(qs, _SHARED_Q, side="right"))
-    # cdf, guide and slope rows of the norms up to _SHARED_Q in chunks of
-    # about _TILE cells, to bound the temporaries, then the limit law's row
-    step = max(1, _TILE // _GRID.size)
-    chunks = []
-    for i0, i1, s in runs:
-        for a in range(i0, min(i1, own), step):
-            b = min(a + step, i1, own)
-            chunks.append((a, b, s[a - i0 : b - i0]))
-    chunks.append((own, own + 1, _Series()))
-    table, slopes = np.empty((own + 1, _GRID.size)), np.empty((own + 1, _GRID.size))
-    guide, walk = np.empty(table.shape, dtype=np.int32), 0
-    ws = _Workspace((step, _GRID.size))
-    for a, b, s in chunks:
-        rows = _grid_rows(s, ws)
-        table[a:b], slopes[a:b] = rows
-        ws.give(*rows)
-        guide[a:b], w = _guide(table[a:b])
-        walk = max(walk, w)
-    # every thread reads the tables
-    table.flags.writeable = guide.flags.writeable = slopes.flags.writeable = False
+    table = _angle_table([s[: own - i0] for i0, _, s in runs if i0 < own] + [_Series()])
+    table.flags.writeable = False  # every thread reads it
     norm_of = np.repeat(np.arange(counts.size), counts)
     first = np.concatenate([[0], np.cumsum(counts)])  # first ideal row of each norm
     shared = int(first[own])
@@ -696,12 +572,11 @@ def _inverter(qs, counts, runs) -> _Inverter:
         for k0, k1 in ((first[i0], min(first[i1], shared)), (max(first[i0], shared), first[i1]))
         if k0 < k1
     ]
-    return _Inverter(np.minimum(norm_of, own), buckets, table, guide, walk, slopes, shared)
+    return _Inverter(np.minimum(norm_of, own), buckets, table, shared)
 
 
 def _angles(inv: _Inverter, rows: slice, series, u: np.ndarray, ws: _Workspace):
     """Angles for the uniforms u of the ideal rows `rows` of one bucket, whose
-    series factors are `series`; rows before inv.shared read their slopes."""
-    slopes = inv.slopes if rows.start < inv.shared else None
-    bracket = _bracket(inv.cdf_table, inv.guide, inv.walk, inv.rows[rows, None], u, slopes, ws)
-    return _invert(u, series, *bracket, ws=ws)
+    series factors are `series`: one Newton step on own rows, two on shared."""
+    steps = 1 if rows.start < inv.shared else 2
+    return _invert(inv.table, inv.rows[rows, None], u, series, steps, ws)

@@ -308,12 +308,14 @@ def _pi_L_value(fs: FieldSpec, x) -> float:
     return _ei(math.log(xf))
 
 
-def limit_law_m(fs: FieldSpec, x) -> int:
-    """Expansion degree floor(sqrt(pi_L(x)) loglog x) used in the limit law."""
+def limit_law_m(fs: FieldSpec, x, count=None) -> int:
+    """Expansion degree floor(sqrt(pi_L(x)) loglog x) used in the limit law,
+    from `count` ideals, or by default from _pi_L_value."""
     xf = float(x)
     if xf < 16.0:
         raise ValueError("x must be at least 16")
-    count = _pi_L_value(fs, xf)
+    if count is None:
+        count = _pi_L_value(fs, xf)
     return int(math.floor(math.sqrt(count) * math.log(math.log(xf))))
 
 

@@ -159,9 +159,26 @@ def to_chebyshev(I: ArcInterval, M: int) -> ExtremalPair:
     return selberg_coefficients(I.to_circle(), M)
 
 
+# pi - math.pi, the low word of pi
+_PI_LO = 1.2246467991473532e-16
+
+
 def mu_infty_interval(I: ArcInterval) -> float:
-    """Sato-Tate mass of the arc: (b-a)/pi - (sin 2b - sin 2a)/(2 pi)."""
-    return (I.b - I.a) / math.pi - (math.sin(2 * I.b) - math.sin(2 * I.a)) / math.tau
+    """Sato-Tate mass of the arc, (b - a)/pi - (sin 2b - sin 2a)/(2 pi), as
+    (d - sin d + 2 sin d sin^2 m)/pi with d = b - a and m = (a + b)/2: two
+    terms that are never negative, so a short arc keeps its digits.  Below
+    d = 0.5, d - sin d is its Taylor series (the first dropped term is under
+    1e-18 of it); past a + b = pi, sin m is sin(pi - m), with pi's low word."""
+    a, b = I.a, I.b
+    d = b - a
+    if d < 0.5:
+        rest = 0.0
+        for k in range(15, 1, -2):  # d^3/3! - (d^5/5! - (... - d^15/15!))
+            rest = d**k / math.factorial(k) - rest
+    else:
+        rest = d - math.sin(d)
+    m = (a + b) / 2.0 if a + b <= math.pi else ((math.pi - a) + (math.pi - b) + 2.0 * _PI_LO) / 2.0
+    return (rest + 2.0 * math.sin(d) * math.sin(m) ** 2) / math.pi
 
 
 class VarianceSums(NamedTuple):

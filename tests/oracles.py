@@ -75,13 +75,6 @@ def long_double_cdf(q: float, theta) -> np.ndarray:
     return total
 
 
-def searchsorted_bracket(table, u):
-    """Cell index idx with table[idx - 1] < u <= table[idx] by binary search,
-    clipped to [1, n - 1], and those two values."""
-    idx = np.searchsorted(table, u, side="left").clip(1, table.size - 1)
-    return idx, table[idx - 1], table[idx]
-
-
 def kronecker_euler(disc: int, p: int) -> int:
     """Kronecker symbol (disc/p) for one prime: the disc mod 8 rule at p = 2,
     Euler's criterion by Python's three-argument pow for odd p."""

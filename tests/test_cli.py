@@ -258,6 +258,13 @@ def test_theory_report(tmp_path):
     assert main(argv + ["--out", out]) == 0
     rep = _read(os.path.join(out, "theory_report.json"))
     assert (rep["n"], rep["m_used"]) == (8, 1258)
+    # M from the run's own count past x = 2e6, where pi_L from Ei(log x)
+    # gives 1151
+    argv = ["theory", "--field", "sqrt5", "--x", "2.5e6", "--interval", *QUARTER, "--n", "1"]
+    assert main(argv + ["--out", out]) == 0
+    rep = _read(os.path.join(out, "theory_report.json"))
+    loglog = math.log(math.log(2.5e6))
+    assert rep["m_used"] == math.floor(math.sqrt(rep["pi_L_x"]) * loglog) == 1150
 
 
 def test_theory_with_weights_and_odd_order(tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import bisection_quantile, searchsorted_bracket, trace_identity_check
+from oracles import bisection_quantile, trace_identity_check
 from satolab import ensemble
 from satolab.chebyshev import simpson_quadrature
 from satolab.ensemble import (
@@ -33,14 +33,14 @@ from satolab.ensemble import (
 )
 from satolab.errors import ConfigError
 from satolab.measures import (
-    _GRID,
+    _CELLS,
+    _DEGREE,
     _SHARED_Q,
     LocalMeasure,
     _Workspace,
+    _angle_table,
     _angles,
-    _bracket,
     _cdf_norms,
-    _guide,
     _inverter,
     _measure_series,
     _norm_runs,
@@ -198,12 +198,12 @@ def _worst_angle_error(x, members):
 
 def test_fast_inversion_agrees_with_quantile():
     inv, worst = _worst_angle_error(400.0, 40)
-    assert inv.cdf_table.shape[1] == 4097
+    assert inv.table.shape[::2] == (_DEGREE + 1, _CELLS) == (4, 128)
     assert worst < 1e-9
 
 
 def test_invert_matrix_residual_at_rounding_level():
-    # own rows: a Hermite start (a cube-root one in tail cells), one Newton step
+    # own rows: a start from the norm's own table, one Newton step
     qs = np.array([2.0, 4.0, 9973.0])
     inv = _unit_inverter(qs)
     assert inv.shared == qs.size
@@ -216,8 +216,8 @@ def test_invert_matrix_residual_at_rounding_level():
 def test_sampler_own_rows_are_quantile_bit_for_bit():
     # the sampler's own rows and quantile run one set of kernels, on
     # workspaces of a tile's and of the input's shape: the angles agree with ==.
-    # Random u reach the 32 tail cells at about 3e-6 per end, so TAIL_US
-    # joins each row; the rows at 47, 49 and at 9967, 9973 share buckets
+    # TAIL_US joins each row for the ends, which random u seldom reach; the
+    # rows at 47, 49 and at 9967, 9973 share buckets
     qs = np.array([2.0, 3.0, 4.0, 9.0, 47.0, 49.0, 9967.0, 9973.0])
     draws = np.random.default_rng(25).random((qs.size, 50_000))
     up = np.concatenate([draws, np.tile(TAIL_US, (qs.size, 1))], axis=1)
@@ -227,10 +227,10 @@ def test_sampler_own_rows_are_quantile_bit_for_bit():
 
 
 def test_shared_row_inversion_agrees_with_quantile():
-    # norms past 1e4 bracket in the limit law's row, off by up to 2.1e-5 in
+    # norms past 1e4 start from the limit law's row, off by up to 2.1e-5 in
     # F; their own two Newton steps keep angles at rounding level
     inv, worst = _worst_angle_error(4e4, 4)
-    assert np.any(inv.rows == inv.cdf_table.shape[0] - 1)
+    assert np.any(inv.rows == inv.table.shape[1] - 1)
     assert worst < 1e-12
 
 
@@ -263,8 +263,7 @@ def _tail_errors(measure, theta):
 
 
 def test_inversion_exact_in_the_tails():
-    # in the first and last cells F ~ A theta^3; a linear start there ends two
-    # Newton steps up to 4e-4 rad and 1.7e-10 in F away from the root
+    # near both ends F ~ A theta^3, and the table's start is linear in g there
     for measure in [LocalMeasure(q) for q in (math.inf, *TAIL_QS)]:
         resid, err = _tail_errors(measure, quantile(measure, TAIL_US))
         assert resid <= 1e-15 and err <= 1e-12, (measure, resid, err)
@@ -277,51 +276,22 @@ def test_inversion_exact_in_the_tails():
         assert resid <= 1e-15 and err <= 1e-12, (q, resid, err)
 
 
-def test_guide_bracket_matches_binary_search():
-    # one guide gather and the computed walk land on the binary-search cell,
-    # bit for bit, at random draws, at every table node and its neighbours,
-    # and at the extreme uniforms, on the own rows and on the shared row
-    qs = np.array([2.0, 3.0, 9.0, 49.0, 1e5, 1e8])
-    rng = np.random.default_rng(6)
-    inv = _unit_inverter(qs)
-    assert inv.walk <= 2
-    for row, table in enumerate(inv.cdf_table):
-        u = np.concatenate(
-            [
-                rng.random(20_000),
-                table,
-                np.nextafter(table, 0.0),
-                np.nextafter(table, 1.0),
-                [0.0, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 1.0],
-            ]
-        )
-        got = _bracket(inv.cdf_table, inv.guide, inv.walk, row, u, None, _Workspace(u.shape))
-        want = searchsorted_bracket(table, u)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), row
-
-
 def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
-    # the inverter builds its cdf table by one series pass per chunk of rows
-    # and run of series lengths, and its guide rows by one bincount per
-    # chunk; each row equals the scalar cdf on the grid and the guide of that
-    # row alone, bit for bit (norms from 2, with 46 terms, up).  Norms up to
-    # 1e4 read their own row, every larger norm the last row, the limit
-    # law's cdf.  The Newton series of every ideal row, shared row or not,
-    # equals that of its scalar measure bit for bit: one power path, not
-    # numpy's array power, which can differ by an ulp
+    # the inverter builds its start table by one Newton pass per run of
+    # series lengths; each row equals the one-row build that quantile uses,
+    # bit for bit (norms from 2, with 46 terms, up).  Norms up to 1e4 read
+    # their own row, every larger norm the last row, the limit law's.  The
+    # Newton series of every ideal row, shared row or not, equals that of its
+    # scalar measure bit for bit: one power path, not numpy's array power,
+    # which can differ by an ulp
     qs, counts = norm_counts(Q5, 2e4)
     norms = np.repeat(qs, counts)
     inv = _inverter(qs, counts, _norm_runs(qs))
     own = qs[qs <= _SHARED_Q]
-    assert inv.cdf_table.shape == (own.size + 1, _GRID.size)
-    walks = []
-    for q, table, guide in zip([*own, math.inf], inv.cdf_table, inv.guide):
-        assert np.array_equal(table, cdf(LocalMeasure(q), _GRID)), q
-        row_guide, walk = _guide(table)
-        assert np.array_equal(guide, row_guide), q
-        walks.append(walk)
-    assert inv.walk == max(walks)
+    assert inv.table.shape == (_DEGREE + 1, own.size + 1, _CELLS)
+    for r, q in enumerate([*own, math.inf]):
+        want = _angle_table([_measure_series(LocalMeasure(q))])
+        assert np.array_equal(inv.table[:, r], want[:, 0]), q
     past = norms > _SHARED_Q
     assert past.any() and np.all(inv.rows[past] == own.size)
     assert np.array_equal(qs[inv.rows[~past]], norms[~past])
@@ -336,35 +306,12 @@ def test_bracket_table_rows_match_scalar_cdf_and_row_guides():
             assert (got.qp[0], got.fac[0]) == (want.qp, want.fac), k
 
 
-def test_slope_rows_are_inverse_densities():
-    # own rows and the shared row hold 1/f at every interior node, bit for
-    # bit, and 0 at both ends, where f vanishes
-    qs, counts = norm_counts(Q5, 2e4)
-    inv = _inverter(qs, counts, _norm_runs(qs))
-    own = qs[qs <= _SHARED_Q]
-    assert inv.slopes.shape == inv.cdf_table.shape
-    for q, row in zip([*own, math.inf], inv.slopes):
-        assert np.array_equal(row[1:-1], 1.0 / density(LocalMeasure(q), _GRID[1:-1])), q
-        assert row[0] == row[-1] == 0.0, q
-
-
-@pytest.mark.parametrize("fs", [FieldSpec.rationals(), Q5])
-def test_own_table_rows_monotone_with_exact_ends(fs):
-    qs, counts = norm_counts(fs, 1e4)
-    inv = _inverter(qs, counts, _norm_runs(qs))
-    table = inv.cdf_table
-    assert np.all(table[:, 0] == 0.0) and np.all(table[:, -1] == 1.0)
-    assert np.all(np.diff(table, axis=1) >= 0.0)
-
-
 def test_bracket_table_does_not_grow_past_the_shared_norm():
-    # at x = 1e6 over sqrt5 (39,300 distinct norms) the 513-node table and
-    # guide took 231 MB; now every norm past 1e4 reads one shared row, in the
-    # cdf, guide and slope tables alike
+    # at x = 1e6 over sqrt5 (39,300 distinct norms) a 513-node cdf table and
+    # its guide took 231 MB; every norm past 1e4 reads one shared start row
     def table_bytes(x):
         qs, counts = norm_counts(Q5, x)
-        inv = _inverter(qs, counts, _norm_runs(qs))
-        return inv.cdf_table.nbytes + inv.guide.nbytes + inv.slopes.nbytes
+        return _inverter(qs, counts, _norm_runs(qs)).table.nbytes
 
     assert table_bytes(1e6) == table_bytes(1e4)
 

@@ -15,7 +15,6 @@ from satolab.measures import (
     LocalMeasure,
     _cdf_series,
     _expectations,
-    _invert,
     _local_tail_length,
     _measure_series,
     _norm_runs,
@@ -175,8 +174,7 @@ def test_quantile_roundtrip():
 
 @pytest.mark.parametrize("q", [2.0, 4.0, 9973.0])
 def test_quantile_residual_at_rounding_level(q):
-    # one Newton step, from the Hermite start in the interior cells and from
-    # the cube-root start in the tail cells
+    # one Newton step from the start of the measure's cubic table in g(u)
     measure = LocalMeasure(q)
     u = np.random.default_rng(29).random(200_000)
     assert np.max(np.abs(cdf(measure, quantile(measure, u)) - u)) <= 1e-15
@@ -185,25 +183,6 @@ def test_quantile_residual_at_rounding_level(q):
 def test_quantile_median_symmetry():
     assert quantile(MU, 0.5) == pytest.approx(math.pi / 2, abs=1e-12)
     assert quantile(LocalMeasure(3), 0.5) == pytest.approx(math.pi / 2, abs=1e-12)
-
-
-def test_invert_clamps_the_last_cell_steps_to_pi():
-    # u near 1 in the last cell, with a bracket that does not hold it: the
-    # cube-root start extrapolates to theta near 0, far below the root near
-    # pi, and the first Newton step on the q = 2 series overshoots.  Each
-    # step is clipped to the cell and its neighbours, the top one at pi.
-    u = 1.0 - 2.0 ** -np.arange(30.0, 38.0)
-    c_hi = 0.5 * np.cbrt(1.0 - u)
-    ws = _Workspace(u.shape)
-    [idx], (r_lo, r_hi) = ws.take(u.shape, 1, np.int32), ws.take(u.shape, 2)
-    idx[:] = last = _GRID.size - 1
-    # cube roots c_hi / 4096 apart, so the start lies 4096 cells below pi
-    r_lo[:] = 1.0 - (c_hi * (1.0 + 1.0 / last)) ** 3
-    r_hi[:] = 1.0 - c_hi**3
-    theta = _invert(u, _measure_series(LocalMeasure(2)), idx, r_lo, r_hi, ws=ws)
-    # the foot of the cell below, and the top of the cell above or pi
-    assert np.all((theta >= (last - 2) * _CELL) & (theta <= min(last + 1, 4096) * _CELL))
-    assert np.all(theta <= math.pi)
 
 
 def test_workspace_give_takes_back_only_its_own_arrays():

@@ -11,9 +11,9 @@ stdout, stderr and exit code are kept too.  The calls cover theory (moment
 orders 1..8, the minorant, fixed degree and weights, the Ei branch of
 pi_L, Q at x = 1e7, whose block sums run over 664,579 norms, sqrt13 on the
 arc [0, 1], and Q at M = 10000, whose Z^2 has 10,001 U_2n coefficients),
-clt (indicator with a level on one and two threads, over Q, a refused arc,
-and smooth, over Q at x = 1e6 with 78,498 norms in its model sums and over
-sqrt5 at x = 1e5 on one thread, where most ideal rows bracket in the
+clt (indicator with a level on one and two threads, over Q, on the arc
+[0, 1e-9], where every member counts 0, and smooth, over Q at x = 1e6 with 78,498 norms in its model sums and over
+sqrt5 at x = 1e5 on one thread, where most ideal rows start from the
 shared row and take two Newton steps), measures on a 131,073-node Simpson
 grid, long enough for OpenBLAS to split a dot across threads, and primes
 with levels over four fields, so they read every report that mertens_sum,
@@ -57,7 +57,7 @@ CALLS = {
         for t in (1, 2)
     },
     "clt_indicator_Q_1e5": [*CLT, "--field", "Q", "--x", "1e5", "--interval", "0", "1"],
-    "clt_indicator_sqrt5_1e4_refused": [*CLT, "--field", "sqrt5", "--x", "1e4", "--interval", "0", "1e-9"],
+    "clt_indicator_sqrt5_1e4_short_arc": [*CLT, "--field", "sqrt5", "--x", "1e4", "--interval", "0", "1e-9"],
     "clt_smooth_sqrt5_1e4": [
         "clt", "--size", "2048", "--seed", "31", "--field", "sqrt5", "--x", "1e4",
         "--statistic", "smooth", "--threads", "2",
